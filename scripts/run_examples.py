@@ -6,9 +6,10 @@ Usage:
 
 Without arguments every corpus entry is processed: embeddings are
 validated, the deformation space is solved by the jet-parametrization
-route (optionally cross-checked against the brute-truncation solver),
-and the rigidity verdict is reported.  Entries without a map only get
-their automorphism space computed.
+route and the rigidity verdict is reported.  With ``--with-oracle`` the
+brute-truncation solver runs too, and its dimension and whether its
+kernel span agrees with the pipeline's are printed.  Entries without a
+map only get their automorphism space computed.
 """
 
 import argparse
@@ -16,9 +17,10 @@ import sys
 import time
 
 from crrigid.corpus import EXPECTATIONS, load_corpus
+from crrigid.linalg import same_span
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
 from crrigid.pipeline import DegenerateMapError, solve_deformation
-from crrigid.spaces import decide_rigidity
+from crrigid.spaces import decide_rigidity, validate_embedding
 
 
 def run_entry(entry, with_oracle):
@@ -37,12 +39,19 @@ def run_entry(entry, with_oracle):
         except DegenerateMapError as exc:
             return (entry, f"degenerate ({exc})", "expected",
                     f"{time.time() - t0:.1f}s")
-    rep = decide_rigidity(spec.H, spec.source, spec.target,
-                          work_order=exp.work_order,
-                          use_oracle=with_oracle,
-                          oracle_keq=exp.oracle_order,
+    validate_embedding(spec.H, spec.source, spec.target)
+    sol = solve_deformation(spec.H, spec.source, spec.target,
+                            work_order=exp.work_order)
+    rep = decide_rigidity(spec.H, spec.source, spec.target, sol,
                           aut_keq=exp.aut_keq)
-    return (entry, f"dim {rep.dim}", rep.verdict, f"{time.time() - t0:.1f}s")
+    dim = f"dim {rep.dim}"
+    if with_oracle:
+        orc = direct_solve(spec.H, spec.source, spec.target,
+                           keq=exp.oracle_order)
+        agree = same_span(sol.kernel_real, orc.kernel_real,
+                          2 * len(sol.jet_keys))
+        dim += f", oracle {orc.dim} ({'same' if agree else 'DIFFERENT'} span)"
+    return (entry, dim, rep.verdict, f"{time.time() - t0:.1f}s")
 
 
 def main():

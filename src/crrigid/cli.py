@@ -68,12 +68,6 @@ def run(args) -> int:
         return _reproduce(args, t0)
     spec = _load(args)
     wo, oo, cond = _opts(spec, args)
-    if cmd == "check":
-        _need_map(spec)
-        doc = rp.check_doc(spec)
-        validate_embedding(spec.H, spec.source, spec.target)
-        _emit(doc, t0)
-        return 0
     if cmd == "normal-coords":
         _emit(rp.normal_coords_doc(spec), t0)
         return 0
@@ -82,30 +76,29 @@ def run(args) -> int:
         _emit(rp.automorphisms_doc(aut), t0)
         return 0
     _need_map(spec)
-    if cmd == "deform":
-        validate_embedding(spec.H, spec.source, spec.target)
-        if args.oracle:
-            sol = direct_solve(spec.H, spec.source, spec.target, keq=oo)
-            _emit(rp.deform_doc(sol), t0)
-        else:
-            sol = solve_deformation(spec.H, spec.source, spec.target,
-                                    work_order=wo, cond_orders=cond)
-            oracle = direct_solve(spec.H, spec.source, spec.target,
-                                  keq=oo) if args.with_oracle else None
-            _emit(rp.deform_doc(sol, oracle), t0)
-        return 0 if sol.stabilized else 1
-    if cmd == "rigidity":
-        rep = decide_rigidity(spec.H, spec.source, spec.target,
-                               work_order=wo, use_oracle=args.oracle,
-                               oracle_keq=oo, aut_keq=args.aut_order)
-        _emit(rp.rigidity_doc(rep), t0)
+    H, source, target = spec.H, spec.source, spec.target
+    validate_embedding(H, source, target)
+    if cmd == "check":
+        _emit(rp.check_doc(spec), t0)
         return 0
+    # the genericity certificate reads the pipeline's condition rows
+    if args.oracle and cmd != "genericity":
+        sol = direct_solve(H, source, target, keq=oo)
+    else:
+        sol = solve_deformation(H, source, target, work_order=wo,
+                                cond_orders=cond)
     if cmd == "genericity":
-        cert = genericity_certificate(spec.H, spec.source, spec.target,
-                                      work_order=wo)
-        _emit(rp.genericity_doc(cert), t0)
+        _emit(rp.genericity_doc(genericity_certificate(sol)), t0)
         return 0
-    raise ParseError(f"unknown command {cmd!r}")
+    if cmd == "rigidity":
+        doc = rp.rigidity_doc(decide_rigidity(H, source, target, sol,
+                                              aut_keq=args.aut_order))
+    else:
+        oracle = direct_solve(H, source, target, keq=oo) \
+            if args.with_oracle and not args.oracle else None
+        doc = rp.deform_doc(sol, oracle)
+    _emit(doc, t0)
+    return 0 if sol.stabilized else 1
 
 
 def _reproduce_one(entry: str, t0: float) -> bool:
@@ -125,8 +118,10 @@ def _reproduce_one(entry: str, t0: float) -> bool:
             failures.append(f"automorphism dim {aut.dim}, "
                             f"expected {exp.aut_dim}")
     else:
-        rep = decide_rigidity(spec.H, spec.source, spec.target,
-                              work_order=exp.work_order)
+        validate_embedding(spec.H, spec.source, spec.target)
+        sol = solve_deformation(spec.H, spec.source, spec.target,
+                                work_order=exp.work_order)
+        rep = decide_rigidity(spec.H, spec.source, spec.target, sol)
         oracle = direct_solve(spec.H, spec.source, spec.target,
                               keq=exp.oracle_order)
         for name, got, want in (
@@ -203,7 +198,7 @@ def main(argv: Optional[list] = None) -> int:
                     help="cross-check the result with the brute solver")
     ap.add_argument("--d", type=int, default=2,
                     help="square-free d of the coefficient field Q(i, sqrt d)")
-    args = ap.parse_args(argv)
+    args = ap.parse_intermixed_args(argv)
     if args.d != scalars.DEFAULT_D:
         scalars.DEFAULT_D = args.d
     if args.command not in ("selftest",) and args.problem is None \

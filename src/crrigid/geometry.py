@@ -39,6 +39,12 @@ def target_vars(n: int) -> Tuple[str, ...]:
     return zs + ("w1",) + tuple("b" + v for v in zs) + ("bw1",)
 
 
+def target_swap(n: int) -> Dict[str, str]:
+    """The conjugation z_i <-> bz_i, w1 <-> bw1 of the target variables."""
+    names = target_vars(n)
+    return dict(zip(names, names[n:] + names[:n]))
+
+
 def target_frame(n: int, order: int) -> Frame:
     zs = n - 1
     w = (1,) * zs + (2,) + (1,) * zs + (2,)
@@ -114,17 +120,13 @@ class Source:
         caps = {"z": zcap} if zcap is not None else None
         return frame("z", "chi", "tau", order=order, weights=(1, 1, 2), caps=caps)
 
-    def Q_in(self, frm: Frame) -> Series:
-        """Q expanded in a (z, chi, tau) frame (possibly capped/truncated)."""
+    def w_on_zct(self, frm: Frame) -> Series:
+        """w = Q(z, chi, tau) in a (z, chi, tau) frame (possibly capped)."""
         return self.Q.substitute({
             "z": Series.variable(frm, "z"),
             "chi": Series.variable(frm, "chi"),
             "tau": Series.variable(frm, "tau"),
         })
-
-    def w_on_zct(self, frm: Frame) -> Series:
-        """w = Q(z, chi, tau) in a (z, chi, tau) frame."""
-        return self.Q_in(frm)
 
     def tau_on_zcw(self, frm: Frame) -> Series:
         """tau = Qbar(chi, z, w) in a (z, chi, w) frame."""
@@ -134,6 +136,22 @@ class Source:
             "chi": Series.variable(frm, "chi"),
             "tau": Series.variable(frm, "w"),
         })
+
+    def chart(self, frm: Frame) -> Tuple[Dict[str, Series], Dict[str, Series]]:
+        """(z, w) and their conjugates as series on a chart of the
+        complexified germ: ({"z": z, "w": w}, {"z": chi, "w": tau}).
+
+        The chart is read from the frame's variables: (z, chi, tau) with
+        w = Q, or (z, chi, w) with tau = Qbar.  A function f(z, w) pulls
+        back as f.substitute(holo), its conjugate as
+        f.conj().substitute(anti).
+        """
+        z, chi = Series.variable(frm, "z"), Series.variable(frm, "chi")
+        if "tau" in frm.vars:
+            w, tau = self.w_on_zct(frm), Series.variable(frm, "tau")
+        else:
+            w, tau = Series.variable(frm, "w"), self.tau_on_zcw(frm)
+        return {"z": z, "w": w}, {"z": chi, "w": tau}
 
     # -- extracted data -----------------------------------------------
 
@@ -163,50 +181,6 @@ class Source:
         exp[iz] = 1
         exp[ic] = 1
         return not self.Q.coefficient(tuple(exp)).is_zero()
-
-    def segre_map(self, q: int, frm: Frame):
-        """The Segre maps S^1(x1) = (x1, 0) and S^2(x1, x2) =
-        (x1, Q(x1, x2, 0)) over a frame containing x1 (and x2)."""
-        x1 = Series.variable(frm, "x1")
-        if q == 1:
-            return (x1, Series.zero(frm))
-        if q == 2:
-            x2 = Series.variable(frm, "x2")
-            w = self.Q.substitute({"z": x1, "chi": x2, "tau": Series.zero(frm)})
-            return (x1, w)
-        raise ValueError("only Segre sets of order 1 and 2 are provided")
-
-
-# CR vector fields in the two standard parametrizations ---------------
-
-def L(f: Series) -> Series:
-    """L = d/dchi + Qbar_chi d/dtau, on the (z, chi, w) parametrization."""
-    return f.partial("chi")
-
-
-def T(f: Series) -> Series:
-    """T = d/dw + Qbar_w d/dtau, on the (z, chi, w) parametrization."""
-    return f.partial("w")
-
-
-def S(f: Series) -> Series:
-    """S = d/dz + Qbar_z d/dtau, on the (z, chi, w) parametrization."""
-    return f.partial("z")
-
-
-def Lbar(f: Series) -> Series:
-    """Lbar = d/dz + Q_z d/dw, on the (z, chi, tau) parametrization."""
-    return f.partial("z")
-
-
-def Sbar(f: Series) -> Series:
-    """Sbar = d/dchi + Q_chi d/dw, on the (z, chi, tau) parametrization."""
-    return f.partial("chi")
-
-
-def Tbar(f: Series) -> Series:
-    """Tbar = d/dtau + Q_tau d/dw, on the (z, chi, tau) parametrization."""
-    return f.partial("tau")
 
 
 # normalization -------------------------------------------------------
@@ -297,6 +271,7 @@ class Target:
         self.rho = rho
         self.n = n
         self.frame = rho.frame
+        self.swap = target_swap(n)
         if tuple(self.frame.vars) != target_vars(n):
             raise ValueError("target frame variables must be " + str(target_vars(n)))
         if check:
@@ -313,22 +288,16 @@ class Target:
         rho = (Series.variable(frm, "w1") - Series.variable(frm, "bw1")) \
             .scale(Scalar(0, 0, -1, 0) / 2)
         signs = [1] + [eps] * (n - 2)
-        for j in range(n - 1):
-            zj = Series.variable(frm, f"z{j+1}")
-            bzj = Series.variable(frm, f"bz{j+1}")
-            rho = rho - (zj * bzj).scale(signs[j])
+        swap = target_swap(n)
+        for zj, sign in zip(target_vars(n), signs):
+            rho = rho - (Series.variable(frm, zj)
+                         * Series.variable(frm, swap[zj])).scale(sign)
         return Target(rho, n)
 
     def verify(self) -> None:
         if not self.rho.constant_term().is_zero():
             raise ValueError("target defining function must vanish at 0")
-        swap = {}
-        for i in range(self.n - 1):
-            swap[f"z{i+1}"] = f"bz{i+1}"
-            swap[f"bz{i+1}"] = f"z{i+1}"
-        swap["w1"] = "bw1"
-        swap["bw1"] = "w1"
-        if self.rho.conj(rename=swap) != self.rho:
+        if self.rho.conj(rename=self.swap) != self.rho:
             raise ValueError("target defining function is not real")
         # linear part must be (w1 - bw1)/2i
         nvars = len(self.frame.vars)
@@ -349,8 +318,15 @@ class Target:
 
     def gradient(self) -> List[Series]:
         """r_j = d rho / d Z_j for Z = (z1, .., z_{n-1}, w1)."""
-        names = [f"z{i+1}" for i in range(self.n - 1)] + ["w1"]
-        return [self.rho.partial(v) for v in names]
+        return [self.rho.partial(v) for v in target_vars(self.n)[:self.n]]
+
+    def gradient_on(self, bind: Dict[str, Series]
+                    ) -> Tuple[List[Series], List[Series]]:
+        """r_j and rbar_j (r_j conjugated, its variables swapped), with
+        every target variable bound by ``bind``."""
+        grad = self.gradient()
+        return ([g.substitute(bind) for g in grad],
+                [g.conj(rename=self.swap).substitute(bind) for g in grad])
 
     def graph(self, frm: Frame) -> Series:
         """w1 = W(z', zeta') solving rho = 0, over the given frame whose
@@ -374,7 +350,7 @@ class Target:
             for k in range(m):
                 exp = [0] * nvars
                 exp[self.frame.index(f"z{j+1}")] += 1
-                exp[self.frame.index(f"bz{k+1}")] += 1
+                exp[self.frame.index(self.swap[f"z{k+1}"])] += 1
                 row.append(-self.rho.coefficient(tuple(exp)))
             out.append(row)
         return out

@@ -110,10 +110,6 @@ def rref(vectors: List[Row], ncols: int) -> List[Row]:
     return [elim.pivot_rows[p] for p in sorted(elim.pivot_rows)]
 
 
-def span_rank(vectors: List[Row], ncols: int) -> int:
-    return rank_of(vectors, ncols)
-
-
 def same_span(a: List[Row], b: List[Row], ncols: int) -> bool:
     return rref(a, ncols) == rref(b, ncols)
 

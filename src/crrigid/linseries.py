@@ -70,29 +70,37 @@ class LinSeries:
     def __mul__(self, other) -> "LinSeries":
         """Multiply by an ordinary series or scalar."""
         if isinstance(other, Series):
-            return self._map(lambda s: s * other)
-        return self._map(lambda s: s.scale(other))
+            return self.map(lambda s: s * other)
+        return self.map(lambda s: s.scale(other))
 
     __rmul__ = __mul__
 
-    def _map(self, fn: Callable[[Series], Series]) -> "LinSeries":
+    def map(self, fn: Callable[[Series], Series]) -> "LinSeries":
+        """Apply a linear map of series to every component.
+
+        The result lives in the frame ``fn`` maps into, also when there
+        are no components (``fn`` may change frame, e.g. by restricting
+        to a coordinate hyperplane).
+        """
         out: Dict[Hashable, Series] = {}
-        frm = self.frame
+        frm = None
         for k, s in self.comps.items():
             r = fn(s)
             frm = r.frame
             if not r.is_zero():
                 out[k] = r
+        if frm is None:
+            frm = fn(Series.zero(self.frame)).frame
         return LinSeries(frm, out)
 
     def partial(self, var: str) -> "LinSeries":
-        return self._map(lambda s: s.partial(var))
+        return self.map(lambda s: s.partial(var))
 
     def substitute(self, bindings: Mapping[str, Series]) -> "LinSeries":
-        return self._map(lambda s: s.substitute(bindings))
+        return self.map(lambda s: s.substitute(bindings))
 
     def rebase(self, target: Frame, rename=None) -> "LinSeries":
-        return self._map(lambda s: s.rebase(target, rename))
+        return self.map(lambda s: s.rebase(target, rename))
 
     def conj(self, rename=None,
              keymap: Optional[Callable[[Hashable], Hashable]] = None) -> "LinSeries":

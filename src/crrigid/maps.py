@@ -3,20 +3,19 @@
 A :class:`MapGerm` is a tuple of truncated series in the source variables
 (z, w) (or (z1, .., w1) for self-maps of the target side), vanishing at 0.
 This module provides composition and inversion of germs, the
-transversality and finite-nondegeneracy certificates, 4-jet extraction,
-and the isotropy actions of the sphere and hyperquadric automorphism
-groups on embeddings.
+transversality and finite-nondegeneracy certificates, the pull-back of
+(H, Hbar) onto the complexified source germ, and the isotropy actions of
+the sphere and hyperquadric automorphism groups on embeddings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from crrigid.scalars import Scalar, I as IMAG, scalar
 from crrigid.series import Frame, Series, frame
-from crrigid.geometry import Source, Target, target_frame
+from crrigid.geometry import Source, Target, target_vars
 from crrigid.linalg import rank_of
 
 # frames --------------------------------------------------------------
@@ -151,24 +150,23 @@ def transversality(H: MapGerm) -> bool:
                 and last.coefficient((0, 1)).is_zero())
 
 
+def pull_back(H: MapGerm, chart: Tuple[Dict[str, Series], Dict[str, Series]]
+              ) -> Dict[str, Series]:
+    """The target variables bound to (H, Hbar) on a chart of the
+    complexified source germ, as returned by :meth:`Source.chart`:
+    z_i, w1 to the components of H and bz_i, bw1 to their conjugates."""
+    holo, anti = chart
+    return dict(zip(target_vars(len(H)),
+                    [c.substitute(holo) for c in H.components]
+                    + [c.conj().substitute(anti) for c in H.components]))
+
+
 def embedding_residual(H: MapGerm, source: Source, target: Target,
                        order: int) -> Series:
     """rho'(H, Hbar) restricted to the complexified source germ; zero iff
     H maps M into M' (to the working order)."""
-    frm = source.zct_frame(order)
-    wstar = source.w_on_zct(frm)
-    zvar = Series.variable(frm, "z")
-    cvar = Series.variable(frm, "chi")
-    tvar = Series.variable(frm, "tau")
-    Hc = [c.substitute({"z": zvar, "w": wstar}) for c in H.components]
-    Hb = [c.conj().substitute({"z": cvar, "w": tvar}) for c in H.components]
-    bind: Dict[str, Series] = {}
-    for i in range(target.n - 1):
-        bind[f"z{i+1}"] = Hc[i]
-        bind[f"bz{i+1}"] = Hb[i]
-    bind["w1"] = Hc[-1]
-    bind["bw1"] = Hb[-1]
-    return target.rho.substitute(bind)
+    chart = source.chart(source.zct_frame(order))
+    return target.rho.substitute(pull_back(H, chart))
 
 
 @dataclass
@@ -188,18 +186,9 @@ def gradient_rows_on_M(H: MapGerm, source: Source, target: Target,
     Returns (rows, frame): rows[k][j] = (d/dchi)^k applied to r_j(H, Hbar).
     """
     frm = source.zcw_frame(order)
-    taustar = source.tau_on_zcw(frm)
-    zvar = Series.variable(frm, "z")
-    cvar = Series.variable(frm, "chi")
-    wvar = Series.variable(frm, "w")
-    Hc = [c.substitute({"z": zvar, "w": wvar}) for c in H.components]
-    Hb = [c.conj().substitute({"z": cvar, "w": taustar}) for c in H.components]
-    bind: Dict[str, Series] = {}
-    for i in range(target.n - 1):
-        bind[f"z{i+1}"] = Hc[i]
-        bind[f"bz{i+1}"] = Hb[i]
-    bind["w1"] = Hc[-1]
-    bind["bw1"] = Hb[-1]
+    # only r_j is needed here, so Target.gradient_on (which also forms
+    # rbar_j) is not used
+    bind = pull_back(H, source.chart(frm))
     r_on = [g.substitute(bind) for g in target.gradient()]
     rows = [r_on]
     for _ in range(kmax):
@@ -227,63 +216,6 @@ def nondegeneracy(H: MapGerm, source: Source, target: Target,
         mat = [[rows[k][j].constant_term() for j in range(3)] for k in range(3)]
         s0 = det3(mat)
     return NondegeneracyCheck(dims, k0, s0, not s0.is_zero())
-
-
-# -- normal form of the embedding (z, F(z, w), w) ----------------------
-
-@dataclass
-class MapNormalForm:
-    F: Series                 # the graphing component, frame (z, w)
-    normalized: MapGerm       # (z, F(z, w), w)
-    source_change: MapGerm    # psi with normalized o psi = (possibly swapped) H
-    swapped: bool             # True if z1' and z2' were exchanged
-
-
-def normalize_map(H: MapGerm) -> MapNormalForm:
-    """Bring a transversal embedding into the form (z, F(z, w), w).
-
-    Inverts (H1, H3) as a self-map of the source; if its linear part is
-    singular, exchanges the first two target coordinates and inverts
-    (H2, H3) instead.
-    """
-    if len(H) != 3:
-        raise ValueError("normalize_map expects a map into C^3")
-    if not transversality(H):
-        raise ValueError("map is not transversal")
-    frm = H.frame
-    for swapped, (a, b) in ((False, (0, 1)), (True, (1, 0))):
-        first = H.components[a]
-        if first.coefficient((1, 0)).is_zero():
-            continue
-        psi = MapGerm([first, H.components[2]])
-        psi_inv = psi.inverse()
-        F = H.components[b].substitute(dict(zip(("z", "w"), psi_inv.components)))
-        normalized = MapGerm([Series.variable(frm, "z"), F,
-                              Series.variable(frm, "w")])
-        return MapNormalForm(F, normalized, psi, swapped)
-    raise ValueError("map cannot be graphed over (z, w): degenerate tangent")
-
-
-# -- jets -------------------------------------------------------------
-
-def jet_keys(n: int, kmax: int = 4) -> List[Tuple[int, int, int]]:
-    """Ordered index set (component j, m, l) of the k-jet coordinates,
-    1 <= m + l <= kmax, graded-lexicographic."""
-    out = []
-    for total in range(1, kmax + 1):
-        for m in range(total, -1, -1):
-            l = total - m
-            for j in range(n):
-                out.append((j, m, l))
-    return sorted(out, key=lambda t: (t[1] + t[2], -t[1], t[0]))
-
-
-def jet_vector(H: MapGerm, kmax: int = 4) -> Dict[Tuple[int, int, int], Scalar]:
-    """Taylor coefficients H_j at z^m w^l for 1 <= m + l <= kmax."""
-    out = {}
-    for (j, m, l) in jet_keys(len(H), kmax):
-        out[(j, m, l)] = H.components[j].coefficient((m, l))
-    return out
 
 
 # -- isotropies -------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame
 from crrigid.linseries import LinSeries
-from crrigid.geometry import Source, Target
-from crrigid.maps import MapGerm
+from crrigid.geometry import Source, Target, target_vars
+from crrigid.maps import MapGerm, pull_back
 from crrigid.linalg import Eliminator, rank_of, rref
 
 Row = Dict[int, Scalar]
@@ -53,21 +53,14 @@ def jet_unknowns(ncomp: int, nvars_weights: Sequence[int], kmax: int,
     return keys
 
 
-def realify_rows(complex_rows, keys: List[Hashable]) -> Tuple[List[Row], Dict[Hashable, int]]:
-    """Split complex-linear rows in (Lambda, conj Lambda) into real-linear
+def realify_row(row, col: Dict[Hashable, int]) -> List[Row]:
+    """Split a complex-linear row in (Lambda, conj Lambda) into real-linear
     rows over (Re Lambda, Im Lambda).
 
-    ``keys`` are the unbarred unknown tags; column 2k holds Re, 2k+1 Im of
-    unknown k.  Each complex row contributes two real rows.
+    ``col`` numbers the unbarred unknown tags; column 2k holds Re, 2k+1 Im
+    of unknown k.  The row contributes its nonzero real and imaginary
+    parts, at most two real rows.
     """
-    col = {k: i for i, k in enumerate(keys)}
-    out = []
-    for row in complex_rows:
-        out.extend(_realify_row(row, col))
-    return out, col
-
-
-def _realify_row(row, col) -> List[Row]:
     re_row: Row = {}
     im_row: Row = {}
     for key, coef in row.items():
@@ -114,26 +107,9 @@ def deformation_residual(H: MapGerm, source: Source, target: Target,
     linear in the jet and its conjugate.
     """
     frm = source.zct_frame(work_order)
-    wstar = source.w_on_zct(frm)
-    zv = Series.variable(frm, "z")
-    cv = Series.variable(frm, "chi")
-    tv = Series.variable(frm, "tau")
-    Hc = [c.substitute({"z": zv, "w": wstar}) for c in H.components]
-    Hb = [c.conj().substitute({"z": cv, "w": tv}) for c in H.components]
-    bind: Dict[str, Series] = {}
-    swap = {}
-    for i in range(target.n - 1):
-        bind[f"z{i+1}"] = Hc[i]
-        bind[f"bz{i+1}"] = Hb[i]
-        swap[f"z{i+1}"] = f"bz{i+1}"
-        swap[f"bz{i+1}"] = f"z{i+1}"
-    bind["w1"] = Hc[-1]
-    bind["bw1"] = Hb[-1]
-    swap["w1"] = "bw1"
-    swap["bw1"] = "w1"
-    grad = target.gradient()
-    r_on = [g.substitute(bind) for g in grad]
-    rb_on = [g.conj(rename=swap).substitute(bind) for g in grad]
+    holo, anti = chart = source.chart(frm)
+    r_on, rb_on = target.gradient_on(pull_back(H, chart))
+    zv, wstar, cv, tv = holo["z"], holo["w"], anti["z"], anti["w"]
 
     # cached powers of wstar and tau
     wpow = [Series.const(frm, 1)]
@@ -196,7 +172,7 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
         exps = sorted(residual.support(), key=lambda e: frm.wdeg(e))
         for exp in exps:
             crow = residual.coefficient_row(exp)
-            for r in _realify_row(crow, col):
+            for r in realify_row(crow, col):
                 elim.add_row(r)
         kernel = elim.kernel_basis()
         dims[(K, K)] = projected_dim(kernel, proj_cols)
@@ -239,24 +215,14 @@ def infinitesimal_automorphisms(target: Target, keq: int = 9,
     final_kernel: List[Row] = []
     weights = (1,) * (n - 1) + (2,)
     keysP = jet_unknowns(n, weights, proj_order)
-    swap = {}
-    for i in range(n - 1):
-        swap[f"z{i+1}"] = f"bz{i+1}"
-        swap[f"bz{i+1}"] = f"z{i+1}"
-    swap["w1"] = "bw1"
-    swap["bw1"] = "w1"
+    names = target_vars(n)
     for K in (keq, keq + 1):
         frm = target.graph_frame(K)
-        W = target.graph(frm)
         bind = {v: Series.variable(frm, v) for v in frm.vars}
-        bind["w1"] = W
-        grad = target.gradient()
-        r_on = [g.substitute(bind) for g in grad]
-        rb_on = [g.conj(rename=swap).substitute(bind) for g in grad]
-        zsyms = [f"z{i+1}" for i in range(n - 1)] + ["w1"]
-        holo = [Series.variable(frm, v) for v in zsyms[:-1]] + [W]
-        anti = [Series.variable(frm, "b" + v) for v in zsyms[:-1]] \
-            + [Series.variable(frm, "bw1")]
+        bind["w1"] = target.graph(frm)
+        r_on, rb_on = target.gradient_on(bind)
+        holo = [bind[v] for v in names[:n]]
+        anti = [bind[v] for v in names[n:]]
         keys = jet_unknowns(n, weights, K, by_weight=True)
         keys = keysP + [k for k in keys if k not in set(keysP)]
         comps: Dict[Hashable, Series] = {}
@@ -277,7 +243,7 @@ def infinitesimal_automorphisms(target: Target, keq: int = 9,
         elim = Eliminator(2 * len(keys))
         proj_cols = list(range(2 * len(keysP)))
         for exp in sorted(residual.support(), key=lambda e: frm.wdeg(e)):
-            for r in _realify_row(residual.coefficient_row(exp), col):
+            for r in realify_row(residual.coefficient_row(exp), col):
                 elim.add_row(r)
         kernel = elim.kernel_basis()
         dims[(K, K)] = projected_dim(kernel, proj_cols)

@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 from crrigid.scalars import Scalar, I as IMAG
 from crrigid.series import Frame, Series
-from crrigid.geometry import Source, Target, defining_frame, target_frame
+from crrigid.geometry import Source, Target, defining_frame, target_frame, \
+    target_swap
 from crrigid.maps import MapGerm, map_frame
 
 
@@ -195,16 +196,6 @@ def parse_expression(text: str, frm: Frame,
 _SOURCE_SWAP = {"z": "chi", "chi": "z", "w": "tau", "tau": "w"}
 
 
-def _target_swap(n: int) -> Dict[str, str]:
-    swap = {}
-    for i in range(n - 1):
-        swap[f"z{i+1}"] = f"bz{i+1}"
-        swap[f"bz{i+1}"] = f"z{i+1}"
-    swap["w1"] = "bw1"
-    swap["bw1"] = "w1"
-    return swap
-
-
 def _statements(text: str):
     """Split into ;-terminated statements, tracking line numbers."""
     buf: List[str] = []
@@ -293,7 +284,7 @@ def _parse_target(rest: str, n: int, order: int, line: int) -> Target:
         return Target.hyperquadric(eps, order, n=n)
     lhs, rhs = _split_equation(rest, line)
     frm = target_frame(n, order)
-    swap = _target_swap(n)
+    swap = target_swap(n)
     left = parse_expression(lhs, frm, swap, line)
     right = parse_expression(rhs, frm, swap, line)
     return Target(left - right, n)

@@ -47,8 +47,8 @@ from crrigid.series import Frame, Series, frame
 from crrigid.linseries import LinSeries, bar_key
 from crrigid.linalg import Eliminator, adjugate3, det3, rref
 from crrigid.geometry import Source, Target
-from crrigid.maps import MapGerm, map_frame, nondegeneracy
-from crrigid.oracle import jet_unknowns, _realify_row, Row
+from crrigid.maps import MapGerm, map_frame, nondegeneracy, pull_back
+from crrigid.oracle import jet_unknowns, realify_row, Row
 
 
 class DegenerateMapError(ValueError):
@@ -94,48 +94,7 @@ def _project(s: Series, target: Frame,
     return Series(target, out)
 
 
-def _lin_map(ls: LinSeries, fn, frm: Optional[Frame] = None) -> LinSeries:
-    out: Dict[Hashable, Series] = {}
-    for k, s in ls.comps.items():
-        r = fn(s)
-        frm = r.frame
-        if not r.is_zero():
-            out[k] = r
-    return LinSeries(frm if frm is not None else ls.frame, out)
-
-
 # -- the two reflection stages ----------------------------------------
-
-def _pulled_back_gradients(H: MapGerm, target: Target, frm: Frame,
-                           on_zct: bool, source: Source):
-    """r_j(H, Hbar) and rbar_j(Hbar, H) on the given chart of the
-    complexified source germ."""
-    zv = Series.variable(frm, "z")
-    cv = Series.variable(frm, "chi")
-    if on_zct:
-        wser = source.w_on_zct(frm)
-        tser = Series.variable(frm, "tau")
-    else:
-        wser = Series.variable(frm, "w")
-        tser = source.tau_on_zcw(frm)
-    Hc = [c.substitute({"z": zv, "w": wser}) for c in H.components]
-    Hb = [c.conj().substitute({"z": cv, "w": tser}) for c in H.components]
-    bind: Dict[str, Series] = {}
-    swap: Dict[str, str] = {}
-    for i in range(target.n - 1):
-        bind[f"z{i+1}"] = Hc[i]
-        bind[f"bz{i+1}"] = Hb[i]
-        swap[f"z{i+1}"] = f"bz{i+1}"
-        swap[f"bz{i+1}"] = f"z{i+1}"
-    bind["w1"] = Hc[-1]
-    bind["bw1"] = Hb[-1]
-    swap["w1"] = "bw1"
-    swap["bw1"] = "w1"
-    grad = target.gradient()
-    r_on = [g.substitute(bind) for g in grad]
-    rb_on = [g.conj(rename=swap).substitute(bind) for g in grad]
-    return r_on, rb_on
-
 
 def conjugate_reflection(H: MapGerm, source: Source, target: Target,
                          order: int, xfrm: Frame):
@@ -147,9 +106,9 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
     Only d/dz up to order 2 is ever applied, so the chart carries a z-cap.
     """
     frm = source.zct_frame(order, zcap=2)
-    r_on, rb_on = _pulled_back_gradients(H, target, frm, True, source)
-    wstar = source.w_on_zct(frm)
-    zv = Series.variable(frm, "z")
+    holo, _ = chart = source.chart(frm)
+    r_on, rb_on = target.gradient_on(pull_back(H, chart))
+    zv, wstar = holo["z"], holo["w"]
 
     # the unknown replaced by its 4-jet polynomial evaluated on the germ
     zpow = [Series.const(frm, 1)]
@@ -171,7 +130,7 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
 
     ct = frame("chi", "tau", order=order, weights=(1, 2))
     M = [[_drop_var(s, "z", ct) for s in row] for row in lhs]
-    b = [_lin_map(r, lambda s: _drop_var(s, "z", ct), ct) for r in rhs_k]
+    b = [r.map(lambda s: _drop_var(s, "z", ct)) for r in rhs_k]
     det = det3(M)
     if det.constant_term().is_zero():
         raise DegenerateMapError("conjugate reflection system is singular")
@@ -182,7 +141,7 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
         acc = LinSeries.zero(ct)
         for k in range(3):
             acc = acc + b[k] * adj[h][k]
-        sol.append(_lin_map(acc, lambda s: s * detinv))
+        sol.append(acc * detinv)
 
     chif = frame("chi", order=ct.order)
     D: List[Dict[Tuple[int, int], LinSeries]] = []
@@ -195,9 +154,9 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
                     d = d.partial("chi")
                 for _ in range(j2):
                     d = d.partial("tau")
-                d = _lin_map(d, lambda s: _drop_var(s, "tau", chif), chif)
-                reps[(j1, j2)] = _lin_map(
-                    d, lambda s: _project(s, xfrm, {"chi": "x2"}), xfrm)
+                d = d.map(lambda s: _drop_var(s, "tau", chif))
+                reps[(j1, j2)] = d.map(
+                    lambda s: _project(s, xfrm, {"chi": "x2"}))
         D.append(reps)
     return D
 
@@ -213,8 +172,9 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
     jet-linear series phi_l(x1, x2) = alpha_l(x1, Q(x1, x2, 0)).
     """
     frm = source.zcw_frame(order)
-    r_on, rb_on = _pulled_back_gradients(H, target, frm, False, source)
-    qbar_chi = source.tau_on_zcw(frm).partial("chi")
+    _, anti = chart = source.chart(frm)
+    r_on, rb_on = target.gradient_on(pull_back(H, chart))
+    qbar_chi = anti["w"].partial("chi")
 
     def dchi(ls: LinSeries) -> LinSeries:
         # chain rule on symbols ("dbar", h, j1, j2) for the chi/tau
@@ -258,7 +218,7 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
         acc = LinSeries.zero(xfrm)
         for k in range(3):
             acc = acc + b[k] * adj[ell][k]
-        acc = _lin_map(acc, lambda s: s * detinv)
+        acc = acc * detinv
         # contract the symbols with the stage-1 representations
         out = LinSeries.zero(xfrm)
         for (tag, h, j1, j2), s in acc.comps.items():
@@ -404,18 +364,13 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
     equation on the complexified germ, harvested to the given weighted
     order.  Rows involve both the jet and its conjugate."""
     frm = source.zct_frame(order)
-    r_on, rb_on = _pulled_back_gradients(H, target, frm, True, source)
-    wstar = source.w_on_zct(frm)
-    zv = Series.variable(frm, "z")
-    cv = Series.variable(frm, "chi")
-    tv = Series.variable(frm, "tau")
+    holo, anti = chart = source.chart(frm)
+    r_on, rb_on = target.gradient_on(pull_back(H, chart))
     res = LinSeries.zero(frm)
     for ell in range(3):
-        Kc = cond.K[ell].substitute({"z": zv, "w": wstar})
-        Kb = cond.K[ell].conj(keymap=bar_key).substitute(
-            {"z": cv, "w": tv})
-        res = res + _lin_map(Kc, lambda s: s * r_on[ell]) \
-                  + _lin_map(Kb, lambda s: s * rb_on[ell])
+        Kc = cond.K[ell].substitute(holo)
+        Kb = cond.K[ell].conj(keymap=bar_key).substitute(anti)
+        res = res + Kc * r_on[ell] + Kb * rb_on[ell]
     out: Dict[tuple, Row] = {}
     for exp in sorted(res.support(), key=lambda e: frm.wdeg(e)):
         row = res.coefficient_row(exp)
@@ -429,7 +384,7 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
 @dataclass
 class DeformationSolve:
     conditions: JetConditions
-    residuals: Dict[int, Dict[tuple, Row]]   # per harvested order
+    residuals: Dict[int, Dict[tuple, Row]]   # keyed by the largest order
     dims: Dict[int, int]
     dim: int
     stabilized: bool
@@ -457,30 +412,27 @@ def solve_deformation(H: MapGerm, source: Source, target: Target,
     col = {k: i for i, k in enumerate(keys)}
     ncols = 2 * len(keys)
 
-    dims: Dict[int, int] = {}
-    residuals: Dict[int, Dict[tuple, Row]] = {}
-    kernel_real: List[Row] = []
     last = max(cond_orders)
     res_rows = residual_rows(cond, H, source, target, last)
-    residuals[last] = res_rows
+    wdeg = source.zct_frame(last).wdeg
+    # one elimination: the residual rows of each harvest order are added
+    # to those of the lower orders; the reduced form is canonical, so
+    # every kernel equals the one of a fresh elimination
+    elim = Eliminator(ncols)
+    for row in list(cond.rows_pole.values()) + list(cond.rows_jet.values()):
+        for r in realify_row(row, col):
+            elim.add_row(r)
+    dims: Dict[int, int] = {}
+    done = -1
     for korder in sorted(cond_orders):
-        elim = Eliminator(ncols)
-        for row in cond.rows_pole.values():
-            for r in _realify_row(row, col):
-                elim.add_row(r)
-        for row in cond.rows_jet.values():
-            for r in _realify_row(row, col):
-                elim.add_row(r)
-        frm_w = source.zct_frame(korder)
         for exp, row in res_rows.items():
-            if sum(e * w for e, w in zip(exp, frm_w.weights)) > korder:
-                continue
-            for r in _realify_row(row, col):
-                elim.add_row(r)
+            if done < wdeg(exp) <= korder:
+                for r in realify_row(row, col):
+                    elim.add_row(r)
+        done = korder
         kernel = elim.kernel_basis()
         dims[korder] = len(kernel)
-        if korder == last:
-            kernel_real = rref(kernel, ncols)
+    kernel_real = rref(kernel, ncols)
     stabilized = len(set(dims.values())) == 1
-    return DeformationSolve(cond, residuals, dims, dims[last], stabilized,
-                            kernel_real, keys)
+    return DeformationSolve(cond, {last: res_rows}, dims, dims[last],
+                            stabilized, kernel_real, keys)

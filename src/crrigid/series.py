@@ -419,37 +419,3 @@ def reversion(psihat: Series, zvars: Tuple[str, ...], uvar: str,
     bind[uvar] = Series.variable(work, yvar)
     F = psihat.substitute(bind) - Series.variable(work, tvar)
     return solve_implicit(F, yvar, tuple(zvars) + (tvar,), target)
-
-
-def laurent_split(series: Series, lvar: str):
-    """Split a Laurent-in-``lvar`` series into its regular part and the
-    coefficients of the negative powers.
-
-    Returns ``(regular, obstructions)`` where ``regular`` shares the frame
-    (with only nonnegative exponents populated) and ``obstructions`` maps
-    exponent tuples with negative ``lvar`` exponent to their coefficients.
-    """
-    i = series.frame.index(lvar)
-    reg: Dict[Exponent, Scalar] = {}
-    obs: Dict[Exponent, Scalar] = {}
-    for exp, c in series.coeffs.items():
-        (reg if exp[i] >= 0 else obs)[exp] = c
-    return Series(series.frame, reg), obs
-
-
-def pretty(series: Series) -> str:
-    """Deterministic human-readable form (graded lexicographic order)."""
-    frm = series.frame
-    if not series.coeffs:
-        return "0"
-    items = sorted(series.coeffs.items(), key=lambda kv: (frm.wdeg(kv[0]), kv[0]))
-    parts = []
-    for exp, c in items:
-        mono = "*".join(
-            (v if e == 1 else f"{v}^{e}")
-            for v, e in zip(frm.vars, exp) if e != 0)
-        cs = str(c)
-        if any(op in cs[1:] for op in (" + ", " - ")):
-            cs = f"({cs})"
-        parts.append(f"{cs}*{mono}" if mono else cs)
-    return " + ".join(parts)

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from crrigid.scalars import Scalar, I as IMAG
 from crrigid.series import Frame, Series, frame
 from crrigid.linseries import bar_key
-from crrigid.linalg import Row, in_span, rank_of, rref, span_rank
-from crrigid.geometry import Source, Target
+from crrigid.linalg import Row, in_span, rank_of, rref
+from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, \
-    embedding_residual, transversality
+    embedding_residual, pull_back, transversality
 from crrigid.oracle import AutomorphismResult, DirectSolveResult, \
-    direct_solve, infinitesimal_automorphisms, jet_unknowns
-from crrigid.pipeline import DeformationSolve, DegenerateMapError, \
-    jet_conditions, residual_rows, solve_deformation
+    infinitesimal_automorphisms, jet_unknowns
+from crrigid.pipeline import DeformationSolve, DegenerateMapError
 
 
 class NotMappedError(ValueError):
@@ -72,21 +71,12 @@ def _verify_tangent(target: Target, fields: Sequence[Sequence[Series]]) -> None:
     """Check Re sum_j rho_{Z_j} V_j = 0 on the target germ, exactly."""
     n = target.n
     frm = target.graph_frame(fields[0][0].frame.order)
-    W = target.graph(frm)
     bind = {v: Series.variable(frm, v) for v in frm.vars}
-    bind["w1"] = W
-    swap = {}
-    for i in range(n - 1):
-        swap[f"z{i+1}"] = f"bz{i+1}"
-        swap[f"bz{i+1}"] = f"z{i+1}"
-    swap["w1"] = "bw1"
-    swap["bw1"] = "w1"
-    grad = target.gradient()
-    r_on = [g.substitute(bind) for g in grad]
-    rb_on = [g.conj(rename=swap).substitute(bind) for g in grad]
-    names = [f"z{i+1}" for i in range(n - 1)] + ["w1"]
-    holo_vars = [bind[v] for v in names]
-    anti_vars = [Series.variable(frm, "b" + v) for v in names]
+    bind["w1"] = target.graph(frm)
+    r_on, rb_on = target.gradient_on(bind)
+    names = target_vars(n)
+    holo_vars = [bind[v] for v in names[:n]]
+    anti_vars = [bind[v] for v in names[n:]]
     for V in fields:
         res = Series.zero(frm)
         for j in range(n):
@@ -144,30 +134,12 @@ def field_residual(V: Sequence[Series], H: MapGerm, source: Source,
     """Re sum_j rho_{Z_j}(H, conj H) V_j on the complexified source germ;
     zero (to the working order) iff V is an infinitesimal deformation."""
     frm = source.zct_frame(order)
-    wstar = source.w_on_zct(frm)
-    zv = Series.variable(frm, "z")
-    cv = Series.variable(frm, "chi")
-    tv = Series.variable(frm, "tau")
-    Hc = [c.substitute({"z": zv, "w": wstar}) for c in H.components]
-    Hb = [c.conj().substitute({"z": cv, "w": tv}) for c in H.components]
-    bind: Dict[str, Series] = {}
-    swap = {}
-    for i in range(target.n - 1):
-        bind[f"z{i+1}"] = Hc[i]
-        bind[f"bz{i+1}"] = Hb[i]
-        swap[f"z{i+1}"] = f"bz{i+1}"
-        swap[f"bz{i+1}"] = f"z{i+1}"
-    bind["w1"] = Hc[-1]
-    bind["bw1"] = Hb[-1]
-    swap["w1"] = "bw1"
-    swap["bw1"] = "w1"
-    grad = target.gradient()
-    r_on = [g.substitute(bind) for g in grad]
-    rb_on = [g.conj(rename=swap).substitute(bind) for g in grad]
+    holo, anti = chart = source.chart(frm)
+    r_on, rb_on = target.gradient_on(pull_back(H, chart))
     res = Series.zero(frm)
     for j in range(target.n):
-        Vc = V[j].substitute({"z": zv, "w": wstar})
-        Vb = V[j].conj().substitute({"z": cv, "w": tv})
+        Vc = V[j].substitute(holo)
+        Vb = V[j].conj().substitute(anti)
         res = res + r_on[j] * Vc + rb_on[j] * Vb
     return res
 
@@ -197,12 +169,11 @@ class TrivialSubspace:
 
 
 def _compose_jet_vector(vec: Row, aut_keys: List[Hashable], H: MapGerm,
-                        target: Target, jet_keys: List[Hashable]) -> Row:
+                        target: Target) -> Row:
     """4-jet of V o H as a real vector, V given by a realified jet vector."""
     mf = map_frame(8)
     comps = [Series(mf, {e: v for e, v in c.coeffs.items() if mf.admits(e)})
              for c in H.components]
-    names = [f"z{i+1}" for i in range(target.n - 1)] + ["w1"]
     Vh = [Series.zero(mf) for _ in range(target.n)]
     mono_cache: Dict[Tuple[int, ...], Series] = {(0,) * target.n:
                                                  Series.const(mf, 1)}
@@ -224,16 +195,7 @@ def _compose_jet_vector(vec: Row, aut_keys: List[Hashable], H: MapGerm,
             continue
         j, exp = key[1], tuple(key[2:])
         Vh[j] = Vh[j] + mono(exp).scale(lam)
-    out: Row = {}
-    for k, key in enumerate(jet_keys):
-        _, j, m, n = key
-        c = Vh[j].coefficient((m, n))
-        rp, ip = c.real_part(), c.imag_part()
-        if not rp.is_zero():
-            out[2 * k] = rp
-        if not ip.is_zero():
-            out[2 * k + 1] = ip
-    return out
+    return jet_row_of_field(Vh, target.n)
 
 
 def trivial_subspace(H: MapGerm, source: Source, target: Target,
@@ -244,7 +206,7 @@ def trivial_subspace(H: MapGerm, source: Source, target: Target,
     keys = jet_unknowns(target.n, (1, 2), 4)
     rows = []
     for vec in aut.kernel_real:
-        row = _compose_jet_vector(vec, aut.jet_keys, H, target, keys)
+        row = _compose_jet_vector(vec, aut.jet_keys, H, target)
         if row:
             rows.append(row)
     dim = rank_of(rows, 2 * len(keys))
@@ -289,21 +251,17 @@ def validate_embedding(H: MapGerm, source: Source, target: Target,
 
 
 def decide_rigidity(H: MapGerm, source: Source, target: Target,
-                    work_order: int = 17, use_oracle: bool = False,
-                    oracle_keq: int = 16, aut_keq: int = 9
-                    ) -> RigidityReport:
-    """Compute dim_R hol_0(H) and apply the sufficient rigidity criteria.
+                    sol: Union[DeformationSolve, DirectSolveResult],
+                    aut_keq: int = 9) -> RigidityReport:
+    """Apply the sufficient rigidity criteria to a deformation solve of H.
 
-    Verdicts: dimension zero is rigid; if the target is Levi-nondegenerate
-    and the dimension equals dim_R hol_0(M'), with the restricted
-    automorphisms spanning the whole kernel, the map is rigid; otherwise
-    the criteria are silent.
+    ``sol`` is the solve being judged, from either route; H is expected
+    to have passed :func:`validate_embedding`.  Verdicts: dimension zero
+    is rigid; if the target is Levi-nondegenerate and the dimension
+    equals dim_R hol_0(M'), with the restricted automorphisms spanning
+    the whole kernel, the map is rigid; otherwise the criteria are
+    silent.
     """
-    validate_embedding(H, source, target)
-    if use_oracle:
-        sol = direct_solve(H, source, target, keq=oracle_keq)
-    else:
-        sol = solve_deformation(H, source, target, work_order=work_order)
     dim = sol.dim
     ncols = 2 * len(sol.jet_keys)
     levi = target.levi_nondegenerate()
@@ -350,22 +308,22 @@ class GenericityCertificate:
     free_slots: Tuple[Hashable, ...]
 
 
-def genericity_certificate(H: MapGerm, source: Source, target: Target,
-                           work_order: int = 17,
+def genericity_certificate(sol: DeformationSolve,
                            free_slots: Sequence[Hashable] = FREE_SLOTS
                            ) -> GenericityCertificate:
-    """Full-rank certificate of the condition system.
+    """Full-rank certificate of the condition system of a pipeline solve.
 
     The jet and its formal conjugate are treated as independent complex
-    unknowns; the pole, jet and residual rows together with their formal
-    conjugates are collected, the columns of ``free_slots`` are deleted,
-    and the remaining matrix must have full column rank.  When it does,
-    every solution of the system is determined by the free slots alone,
-    which is the linear-algebra content of the genericity statement for
+    unknowns; the pole, jet and residual rows (at the largest harvest
+    order of ``sol``) together with their formal conjugates are
+    collected, the columns of ``free_slots`` are deleted, and the
+    remaining matrix must have full column rank.  When it does, every
+    solution of the system is determined by the free slots alone, which
+    is the linear-algebra content of the genericity statement for
     perturbations of the model embedding.
     """
-    cond = jet_conditions(H, source, target, work_order)
-    res = residual_rows(cond, H, source, target, work_order)
+    cond = sol.conditions
+    res = sol.residuals[max(sol.residuals)]
     keys = list(cond.jet_keys) + [bar_key(k) for k in cond.jet_keys]
     drop = set(free_slots)
     col = {k: i for i, k in enumerate(keys)}

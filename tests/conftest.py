@@ -3,7 +3,10 @@
 The expensive solver runs (pipeline at working order 17, oracle at
 truncation 16/17) are memoized in a session-scoped cache so that the
 unit tests and the acceptance gate share one computation per corpus
-entry and route.
+entry and route.  Rigidity reports judge the cached pipeline solves,
+genericity certificates read the cached pipeline's rows and the trivial
+subspace is the one the rigidity report computed, so the cache runs no
+corpus solve twice.
 """
 
 import pytest
@@ -11,7 +14,8 @@ import pytest
 from crrigid.corpus import EXPECTATIONS, load_corpus
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
 from crrigid.pipeline import solve_deformation
-from crrigid.spaces import decide_rigidity, genericity_certificate, trivial_subspace
+from crrigid.spaces import decide_rigidity, genericity_certificate, \
+    validate_embedding
 
 
 class ComputeCache:
@@ -52,21 +56,19 @@ class ComputeCache:
             s.target, keq=keq))
 
     def trivial(self, entry):
-        s = self.spec(entry)
-        return self._get(("trivial", entry), lambda: trivial_subspace(
-            s.H, s.source, s.target))
+        return self.rigidity(entry).trivial
 
-    def rigidity(self, entry, use_oracle=False):
-        exp = EXPECTATIONS[entry]
-        s = self.spec(entry)
-        return self._get(("rigidity", entry, use_oracle), lambda: decide_rigidity(
-            s.H, s.source, s.target, work_order=exp.work_order,
-            use_oracle=use_oracle, oracle_keq=exp.oracle_order))
+    def rigidity(self, entry):
+        def make():
+            s = self.spec(entry)
+            validate_embedding(s.H, s.source, s.target)
+            return decide_rigidity(s.H, s.source, s.target,
+                                   self.pipeline(entry))
+        return self._get(("rigidity", entry), make)
 
     def genericity(self, entry):
-        s = self.spec(entry)
-        return self._get(("genericity", entry), lambda: genericity_certificate(
-            s.H, s.source, s.target))
+        return self._get(("genericity", entry),
+                         lambda: genericity_certificate(self.pipeline(entry)))
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import pytest
 
 from crrigid.corpus import EXPECTATIONS, load_corpus
 from crrigid.geometry import Source, Target, defining_frame, normalize_defining
-from crrigid.linalg import in_span, rank_of, same_span, span_rank
+from crrigid.linalg import in_span, rank_of, same_span
 from crrigid.maps import (MapGerm, apply_isotropy, map_frame, nondegeneracy,
                           source_isotropy, target_isotropy, transversality)
 from crrigid.oracle import direct_solve
@@ -185,9 +185,9 @@ def test_criterion_06_sphere_embedding(cache, sphere_fields):
 
     # 22 = 10 trivial + 4 from the five source pushforwards (one of them
     # is trivial) + 8 from the generators; 18 is trivial ∪ generators
-    with_X = span_rank(rows_triv + rows_X, NC)
-    with_push = span_rank(rows_triv + rows_push, NC)
-    lower = span_rank(rows_triv + rows_push + rows_X, NC)
+    with_X = rank_of(rows_triv + rows_X, NC)
+    with_push = rank_of(rows_triv + rows_push, NC)
+    lower = rank_of(rows_triv + rows_push + rows_X, NC)
     ok = (with_X == 18 and with_push == 14
           and lower == sol.dim == exp.dim)
     _line(6, ok, "sphere embedding: closed-form fields residual-verified "
@@ -220,7 +220,7 @@ def test_criterion_07_automorphism_dimensions(cache):
             rows.append(row)
         ncols = 2 * len(res.jet_keys)
         ok = ok and res.dim == 10 and res.stabilized \
-            and span_rank(rows, ncols) == 10 \
+            and rank_of(rows, ncols) == 10 \
             and all(in_span(r, res.kernel_real, ncols) for r in rows)
     for entry in ("example-6-2", "example-6-3", "example-6-4"):
         res = cache.automorphisms(entry)
@@ -268,14 +268,17 @@ def test_criterion_09_isotropy_invariance(cache):
 def test_criterion_10_genericity_certificates(cache):
     cert = cache.genericity("example-6-1")
     ok = cert.certified and cert.rank == cert.ncols == 74
+    # perturbation -> expected (rank, columns, certified)
     perturbations = {
-        "z^2 + z^3": [(3, 0, Scalar(1))],
-        "z^2 - 1/2 z^3": [(3, 0, Scalar(Fraction(-1, 2)))],
-        "z^2 + z^3 + 1/2 z^4": [(3, 0, Scalar(1)),
-                                (4, 0, Scalar(Fraction(1, 2)))],
+        "z^2 + z^3": ([(3, 0, Scalar(1))], (74, 74, True)),
+        "z^2 - 1/2 z^3": ([(3, 0, Scalar(Fraction(-1, 2)))],
+                          (74, 74, True)),
+        "z^2 + z^3 + 1/2 z^4": ([(3, 0, Scalar(1)),
+                                 (4, 0, Scalar(Fraction(1, 2)))],
+                                (74, 74, True)),
     }
     logged = []
-    for label, extra in perturbations.items():
+    for label, (extra, want) in perturbations.items():
         order = 24
         dfrm = defining_frame(order)
         z = Series.variable(dfrm, "z")
@@ -298,12 +301,13 @@ def test_criterion_10_genericity_certificates(cache):
             Fm = Fm + Series.monomial(mf, _exp(mf, "z", m, "w", n), c)
         H = MapGerm([zm, Fm, wm])
         tgt = Target.hyperquadric(1, order)
-        pc = genericity_certificate(H, src, tgt)
+        pc = genericity_certificate(solve_deformation(H, src, tgt))
+        ok = ok and (pc.rank, pc.ncols, pc.certified) == want
         logged.append(f"{label}: rank {pc.rank}/{pc.ncols}"
-                      + ("" if pc.certified else " (not full)"))
-    print("genericity log: " + "; ".join(logged))
+                      + ("" if pc.certified else " (not full)")
+                      + f" (want {want[0]}/{want[1]})")
     _line(10, ok, "genericity: full column rank 74 away from the free "
-          "slots for the quadratic graph; perturbation ranks logged: "
+          "slots for the quadratic graph and for three perturbations: "
           + "; ".join(logged))
 
 

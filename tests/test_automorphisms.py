@@ -1,7 +1,7 @@
 """Infinitesimal CR automorphism spaces of the target germs."""
 
 from crrigid.geometry import Target
-from crrigid.linalg import in_span, span_rank
+from crrigid.linalg import in_span, rank_of
 from crrigid.oracle import infinitesimal_automorphisms
 from crrigid.spaces import hyperquadric_hol0_basis
 from crrigid.scalars import Scalar
@@ -35,7 +35,7 @@ def test_hyperquadric_dimensions_match_closed_form():
         basis = hyperquadric_hol0_basis(eps, order=8)
         rows = _field_rows(basis, res)
         ncols = 2 * len(res.jet_keys)
-        assert span_rank(rows, ncols) == 10
+        assert rank_of(rows, ncols) == 10
         for row in rows:
             assert in_span(row, res.kernel_real, ncols)
 

@@ -53,6 +53,30 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_options_before_problem(capsys):
+    code, out, _ = _run(capsys, "check", "--order", "17", "example-6-1")
+    assert code == 0
+    assert json.loads(out)["command"] == "check"
+
+
+def test_genericity_validates_the_map(tmp_path, capsys):
+    # (z, z^2, 2w) does not send the sphere into the hyperquadric
+    path = tmp_path / "scaled.crr"
+    path.write_text("vars z w;\nsource: hyperquadric;\n"
+                    "target: hyperquadric +1;\nmap: (z, z^2, 2*w);\n")
+    code, out, err = _run(capsys, "genericity", str(path), "--order", "10")
+    assert code == 2
+    assert not out
+    assert "input error" in err
+
+
+def test_rigidity_not_stabilized_exits_1(capsys):
+    code, out, _ = _run(capsys, "rigidity", "example-6-1", "--order", "6",
+                        "--aut-order", "5")
+    assert code == 1
+    assert json.loads(out)["stabilized"] is False
+
+
 def test_degenerate_map_exits_2(capsys):
     code, _, err = _run(capsys, "deform", "example-6-4-t0")
     assert code == 2

@@ -4,11 +4,12 @@ import pytest
 
 from crrigid.corpus import load_corpus
 from crrigid.maps import (MapGerm, apply_isotropy, embedding_residual,
-                          jet_keys, jet_vector, map_frame, nondegeneracy,
-                          normalize_map, source_isotropy, target_isotropy,
-                          transversality)
+                          map_frame, nondegeneracy, source_isotropy,
+                          target_isotropy, transversality)
+from crrigid.oracle import jet_unknowns
 from crrigid.scalars import Scalar
 from crrigid.series import Series
+from crrigid.spaces import jet_row_of_field
 
 I = Scalar(0, 0, 1)
 ORDER = 16
@@ -67,21 +68,14 @@ def test_degenerate_image_in_hyperplane():
     assert not nd.two_nondegenerate
 
 
-def test_normalize_map_graphs_over_z_w():
+def test_jet_row_of_quartic_embedding():
     spec = _quartic_embedding()
-    nf = normalize_map(spec.H)
-    assert not nf.swapped
-    # H = (z, z^2, w): F(z, w) = z^2
-    assert nf.F == Series.monomial(spec.H.frame, (2, 0), Scalar(1))
-
-
-def test_jet_vector_round_trip():
-    spec = _quartic_embedding()
-    keys = jet_keys(3, 4)
-    vec = jet_vector(spec.H, 4)
-    assert set(vec) <= set(keys)
-    assert vec[(1, 2, 0)] == Scalar(1)   # z^2 coefficient of H_2
-    assert vec[(0, 1, 0)] == Scalar(1)   # z coefficient of H_1
+    col = {k: i for i, k in enumerate(jet_unknowns(3, (1, 2), 4))}
+    row = jet_row_of_field(spec.H.components)
+    # H = (z, z^2, w): three real 4-jet coordinates, all equal to one
+    assert row == {2 * col[("jet", 0, 1, 0)]: Scalar(1),
+                   2 * col[("jet", 1, 2, 0)]: Scalar(1),
+                   2 * col[("jet", 2, 0, 1)]: Scalar(1)}
 
 
 def test_source_isotropy_preserves_sphere():

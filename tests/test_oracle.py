@@ -2,7 +2,7 @@
 
 from crrigid.linalg import in_span
 from crrigid.oracle import (deformation_residual, jet_unknowns, projected_dim,
-                            realify_rows)
+                            realify_row)
 from crrigid.scalars import Scalar
 
 I = Scalar(0, 0, 1)
@@ -31,8 +31,8 @@ def test_jet_unknowns_by_weight_bound():
 
 def test_realify_rows_splits_re_im():
     keys = [("jet", 0, 1, 0), ("jet", 0, 0, 1)]
-    rows, col = realify_rows([{keys[0]: 1 + I, keys[1]: Scalar(2)}], keys)
-    assert col[keys[0]] == 0 and col[keys[1]] == 1
+    col = {k: i for i, k in enumerate(keys)}
+    rows = realify_row({keys[0]: 1 + I, keys[1]: Scalar(2)}, col)
     # a complex row gives two real rows over (re, im) column pairs
     assert len(rows) == 2
     for vec in [{0: Scalar(0), 1: Scalar(1), 2: Scalar(1), 3: Scalar(0)}]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 from crrigid.linalg import Eliminator, in_span, kernel_of, rank_of, same_span
-from crrigid.pipeline import jet_conditions, segre_fiber
+from crrigid.pipeline import segre_fiber
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
 
@@ -67,8 +67,7 @@ _HALVED_COLUMNS = {(2, 0, 3), (2, 0, 4), (1, 0, 2)}
 
 
 def _pipeline_pole_rows_derivative_convention(cache):
-    spec = cache.spec("example-6-1")
-    cond = jet_conditions(spec.H, spec.source, spec.target, work_order=17)
+    cond = cache.pipeline("example-6-1").conditions
     out = {}
     for idx, row in cond.rows_pole.items():
         conv = {}

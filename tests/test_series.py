@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crrigid.scalars import Scalar
-from crrigid.series import Series, frame, laurent_split, reversion, solve_implicit
+from crrigid.series import Series, frame, reversion, solve_implicit
 
 I = Scalar(0, 0, 1)
 
@@ -127,17 +127,3 @@ def test_reversion_inverts_composition():
     # psihat(z, psi(z, t)) == t up to the kept orders
     check = psihat.substitute({"z": Series.variable(tf, "z"), "u": psi})
     assert check == Series.variable(tf, "t")
-
-
-def test_laurent_split():
-    G = frame("z", "w", order=5)
-    f = (Series.monomial(G, (0, 2), Scalar(1))
-         + Series.monomial(G, (2, 1), I)
-         + Series.monomial(G, (3, 0), Scalar(1)))
-    reg, obs = laurent_split(f, "z")
-    assert obs == {}
-    assert reg == f
-    g = Series(G, {(-1, 1): I, (2, 0): Scalar(1)})
-    reg2, obs2 = laurent_split(g, "z")
-    assert obs2 == {(-1, 1): I}
-    assert reg2 == Series(G, {(2, 0): Scalar(1)})
