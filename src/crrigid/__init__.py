@@ -1,8 +1,7 @@
 """Exact symbolic engine for infinitesimal deformations and local rigidity of
 CR embeddings of real-analytic hypersurface germs M in C^2 into M' in C^3.
 
-All arithmetic is exact, over the field Q(i, sqrt(d)) for a square-free
-integer d (default 2).  The top-level entry points live in
+All arithmetic is exact, over the field Q(i, sqrt(2)).  The top-level entry points live in
 :mod:`crrigid.spaces` (deformation spaces, rigidity verdicts) and
 :mod:`crrigid.cli` (command line).
 """

@@ -15,7 +15,6 @@ import sys
 import time
 from typing import Optional
 
-import crrigid.scalars as scalars
 from crrigid import report as rp
 from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text, load_corpus
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
@@ -39,13 +38,40 @@ def _load(args) -> ProblemSpec:
     return spec
 
 
+#: The options each command reads; the pipeline-only ones do not apply
+#: when ``--oracle`` replaces the pipeline.  Any other option given is an
+#: input error.
+_READS = {
+    "check": ("--order",),
+    "normal-coords": ("--order",),
+    "automorphisms": ("--order", "--aut-order"),
+    "deform": ("--order", "--cond-order", "--oracle", "--with-oracle"),
+    "deform --oracle": ("--order", "--oracle"),
+    "rigidity": ("--order", "--cond-order", "--aut-order", "--oracle"),
+    "rigidity --oracle": ("--order", "--aut-order", "--oracle"),
+    "genericity": ("--order", "--cond-order"),
+    "reproduce": (),
+    "selftest": (),
+}
+
+
+def _check_flags(args) -> None:
+    route = f"{args.command} --oracle"
+    if not (args.oracle and route in _READS):
+        route = args.command
+    for flag in sorted(set().union(*_READS.values())):
+        given = getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+        if given and flag not in _READS[route]:
+            raise ParseError(f"{flag} does not apply to {route}")
+
+
 def _opts(spec: ProblemSpec, args):
     wo = args.order or int(spec.options.get("work_order", 17))
     oo = args.order or int(spec.options.get("oracle_order", 16))
     cond = None
     if args.cond_order:
         cond = (args.cond_order - 1, args.cond_order)
-    return wo, oo, cond
+    return wo, oo, cond, args.aut_order or 9
 
 
 def _need_map(spec: ProblemSpec) -> None:
@@ -62,17 +88,18 @@ def _emit(doc, t0: float) -> None:
 def run(args) -> int:
     t0 = time.time()
     cmd = args.command
+    _check_flags(args)
     if cmd == "selftest":
         return _selftest(t0)
     if cmd == "reproduce":
         return _reproduce(args, t0)
     spec = _load(args)
-    wo, oo, cond = _opts(spec, args)
+    wo, oo, cond, ao = _opts(spec, args)
     if cmd == "normal-coords":
         _emit(rp.normal_coords_doc(spec), t0)
         return 0
     if cmd == "automorphisms":
-        aut = infinitesimal_automorphisms(spec.target, keq=args.aut_order)
+        aut = infinitesimal_automorphisms(spec.target, keq=ao)
         _emit(rp.automorphisms_doc(aut), t0)
         return 0
     _need_map(spec)
@@ -81,8 +108,7 @@ def run(args) -> int:
     if cmd == "check":
         _emit(rp.check_doc(spec), t0)
         return 0
-    # the genericity certificate reads the pipeline's condition rows
-    if args.oracle and cmd != "genericity":
+    if args.oracle:
         sol = direct_solve(H, source, target, keq=oo)
     else:
         sol = solve_deformation(H, source, target, work_order=wo,
@@ -92,10 +118,10 @@ def run(args) -> int:
         return 0
     if cmd == "rigidity":
         doc = rp.rigidity_doc(decide_rigidity(H, source, target, sol,
-                                              aut_keq=args.aut_order))
+                                              aut_keq=ao))
     else:
         oracle = direct_solve(H, source, target, keq=oo) \
-            if args.with_oracle and not args.oracle else None
+            if args.with_oracle else None
         doc = rp.deform_doc(sol, oracle)
     _emit(doc, t0)
     return 0 if sol.stabilized else 1
@@ -190,17 +216,14 @@ def main(argv: Optional[list] = None) -> int:
                     help="working order of the solvers")
     ap.add_argument("--cond-order", type=int, default=None,
                     help="largest residual harvest order")
-    ap.add_argument("--aut-order", type=int, default=9,
-                    help="truncation order of the automorphism solver")
+    ap.add_argument("--aut-order", type=int, default=None,
+                    help="truncation order of the automorphism solver "
+                         "(default 9)")
     ap.add_argument("--oracle", action="store_true",
                     help="use the brute-truncation solver")
     ap.add_argument("--with-oracle", action="store_true",
                     help="cross-check the result with the brute solver")
-    ap.add_argument("--d", type=int, default=2,
-                    help="square-free d of the coefficient field Q(i, sqrt d)")
     args = ap.parse_intermixed_args(argv)
-    if args.d != scalars.DEFAULT_D:
-        scalars.DEFAULT_D = args.d
     if args.command not in ("selftest",) and args.problem is None \
             and args.command != "reproduce":
         ap.error("missing problem file or corpus id")

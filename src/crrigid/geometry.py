@@ -16,7 +16,6 @@ vector-field applications in this package use this device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from crrigid.scalars import Scalar, I as IMAG
@@ -83,8 +82,7 @@ class Source:
         rho must vanish at 0, be real (rho(z, w, chi, tau) =
         conj-rho(chi, tau, z, w)) and have linear part (w - tau) / 2i.
         """
-        res = normalize_defining(rho)
-        return Source(res.Q)
+        return Source(normalize_defining(rho))
 
     # -- invariant checks ---------------------------------------------
 
@@ -185,21 +183,14 @@ class Source:
 
 # normalization -------------------------------------------------------
 
-@dataclass
-class Normalization:
-    Q: Series        # normal-coordinates graph, frame (z, chi, tau)
-    Qtilde: Series   # raw graph before straightening
-    g: Series        # coordinate change (z, w) -> (z, w + i g(z, w))
-    already_normal: bool
-
-
 def check_defining_reality(rho: Series) -> None:
     if rho.conj(rename={"z": "chi", "chi": "z", "w": "tau", "tau": "w"}) != rho:
         raise ValueError("defining function is not real")
 
 
-def normalize_defining(rho: Series) -> Normalization:
-    """Straighten a complexified defining function into normal coordinates.
+def normalize_defining(rho: Series) -> Series:
+    """Straighten a complexified defining function into normal coordinates:
+    the graph Q(z, chi, tau) of the germ, in the frame (z, chi, tau).
 
     Solves rho = 0 for w, then constructs the unique change of coordinates
     (z, w) -> (z, w + i g(z, w)) with g = O(2), g(0, w) real, that makes
@@ -219,7 +210,7 @@ def normalize_defining(rho: Series) -> Normalization:
     z0 = Series.zero(sfrm)
     if qtilde.substitute({"z": zv, "chi": z0, "tau": tv}) == tv \
             and qtilde.substitute({"z": z0, "chi": cv, "tau": tv}) == tv:
-        return Normalization(qtilde, qtilde, Series.zero(frame("z", "w", order=order, weights=(1, 2))), True)
+        return qtilde
 
     # step 1: G(w) = g(0, w) from  w + i G - Qtilde(0, 0, w - i G) = 0
     gfrm = frame("w", "y", order=order, weights=(2, 2))
@@ -258,7 +249,7 @@ def normalize_defining(rho: Series) -> Normalization:
         "z": zq, "chi": cq, "tau": tq - gbar_ct.scale(IMAG),
     })
     Q = solve_implicit(FQ, "y", ("z", "chi", "tau"), sfrm)
-    return Normalization(Q, qtilde, g, False)
+    return Q
 
 
 # target germs --------------------------------------------------------
@@ -333,6 +324,17 @@ class Target:
         variables are the target variables except w1."""
         xvars = tuple(v for v in self.frame.vars if v != "w1")
         return solve_implicit(self.rho, "w1", xvars, frm)
+
+    def graph_chart(self, frm: Frame) -> Dict[str, Series]:
+        """Every target variable as a series on the graph chart
+        {w1 = W} of the complexified germ (a frame of
+        :meth:`graph_frame`): w1 is bound to W, the others to themselves.
+        A field V(Z) pulls back there as V.substitute over the bindings
+        of z_i, w1, its conjugate as V.conj().substitute over those of
+        bz_i, bw1."""
+        bind = {v: Series.variable(frm, v) for v in frm.vars}
+        bind["w1"] = self.graph(frm)
+        return bind
 
     def graph_frame(self, order: int) -> Frame:
         xvars = tuple(v for v in self.frame.vars if v != "w1")

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(i, sqrt(d)) (and its real subfield).
+"""Exact linear algebra over Q(i, sqrt(2)) (and its real subfield).
 
 Rows are sparse dicts {column index: Scalar}.  The :class:`Eliminator`
 keeps a fully reduced (Gauss-Jordan) row set with pivots chosen at the
@@ -136,7 +136,6 @@ def det3(m: List[List]) -> Optional[Scalar]:
 def adjugate3(m: List[List]) -> List[List]:
     """Adjugate of a 3x3 matrix of ring elements (adj(m) @ m = det * I)."""
     c = [[None] * 3 for _ in range(3)]
-    idx = [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
     for i in range(3):
         for j in range(3):
             r = [k for k in range(3) if k != i]

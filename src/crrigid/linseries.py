@@ -47,9 +47,6 @@ class LinSeries:
     def keys(self):
         return self.comps.keys()
 
-    def component(self, key: Hashable) -> Series:
-        return self.comps.get(key, Series.zero(self.frame))
-
     def _wrap(self, comps: Dict[Hashable, Series]) -> "LinSeries":
         return LinSeries(self.frame, {k: s for k, s in comps.items() if not s.is_zero()})
 
@@ -99,9 +96,6 @@ class LinSeries:
     def substitute(self, bindings: Mapping[str, Series]) -> "LinSeries":
         return self.map(lambda s: s.substitute(bindings))
 
-    def rebase(self, target: Frame, rename=None) -> "LinSeries":
-        return self.map(lambda s: s.rebase(target, rename))
-
     def conj(self, rename=None,
              keymap: Optional[Callable[[Hashable], Hashable]] = None) -> "LinSeries":
         """Formal conjugate: conjugates the series and relabels unknowns."""
@@ -118,8 +112,8 @@ class LinSeries:
         """The linear form attached to one series coefficient."""
         row: Dict[Hashable, Scalar] = {}
         for k, s in self.comps.items():
-            c = s.coefficient(exp)
-            if not c.is_zero():
+            c = s.coeffs.get(exp)
+            if c is not None:
                 row[k] = c
         return row
 

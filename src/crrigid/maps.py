@@ -225,7 +225,7 @@ def source_isotropy(lam, r, u, c, order: int) -> MapGerm:
 
         sigma(z, w) = (lam u (z + c w), lam^2 w) / (1 - 2 i cbar z + (r - i |c|^2) w)
 
-    with lam > 0 rational, r rational, |u| = 1, c in Q(i, sqrt d).
+    with lam > 0 rational, r rational, |u| = 1, c in Q(i, sqrt 2).
     """
     lam, r, u, c = (x if isinstance(x, Scalar) else scalar(x) for x in (lam, r, u, c))
     if not (lam.is_real() and lam.sign() > 0 and r.is_real()):

@@ -12,14 +12,14 @@ for target germs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-from crrigid.scalars import Scalar
-from crrigid.series import Frame, Series, frame
-from crrigid.linseries import LinSeries
+from crrigid.scalars import ZERO, Scalar, I as IMAG
+from crrigid.series import Frame, Series, power_table, table_monomial
+from crrigid.linseries import LinSeries, bar_key
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, pull_back
-from crrigid.linalg import Eliminator, rank_of, rref
+from crrigid.linalg import Eliminator, rref
 
 Row = Dict[int, Scalar]
 
@@ -66,20 +66,20 @@ def realify_row(row, col: Dict[Hashable, int]) -> List[Row]:
     for key, coef in row.items():
         if key[0] == "jet":
             k = col[key]
-            a, b = coef, Scalar(0)
+            a, b = coef, ZERO
         else:
-            k = col[("jet",) + tuple(key[1:])]
-            a, b = Scalar(0), coef
+            k = col[bar_key(key)]
+            a, b = ZERO, coef
         # (a Lam + b conj Lam) with Lam = x + i y contributes
         # (a+b) x + i (a-b) y
         s = a + b
-        t = (a - b) * Scalar(0, 0, 1, 0)
+        t = (a - b) * IMAG
         for cidx, c in ((2 * k, s), (2 * k + 1, t)):
             rp, ip = c.real_part(), c.imag_part()
             if not rp.is_zero():
-                re_row[cidx] = re_row.get(cidx, Scalar(0)) + rp
+                re_row[cidx] = re_row.get(cidx, ZERO) + rp
             if not ip.is_zero():
-                im_row[cidx] = im_row.get(cidx, Scalar(0)) + ip
+                im_row[cidx] = im_row.get(cidx, ZERO) + ip
     out = []
     for r in (re_row, im_row):
         r = {c: v for c, v in r.items() if not v.is_zero()}
@@ -88,11 +88,86 @@ def realify_row(row, col: Dict[Hashable, int]) -> List[Row]:
     return out
 
 
-def projected_dim(kernel: List[Row], proj_cols: List[int]) -> int:
-    cols = set(proj_cols)
-    vecs = [{c: v for c, v in vec.items() if c in cols} for vec in kernel]
-    vecs = [v for v in vecs if v]
-    return rank_of(vecs, max(proj_cols) + 1 if proj_cols else 0)
+def projected_kernel(kernel: List[Row], ncols: int) -> List[Row]:
+    """Canonical basis of the span of ``kernel`` projected onto its first
+    ``ncols`` columns; its length is the projected dimension."""
+    return rref([{c: v for c, v in vec.items() if c < ncols}
+                 for vec in kernel], ncols)
+
+
+# -- the truncated tangency equation ----------------------------------
+
+def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
+                 holo: Sequence[Series], anti: Sequence[Series],
+                 keys: Sequence[Hashable]) -> LinSeries:
+    """sum_j r_j V_j + rbar_j conj(V_j) on a chart, with V the formal jet
+    over ``keys``: ("jet", j, exp) is the coefficient of the monomial in
+    ``holo`` with exponent exp in V_j, ("jetbar", j, exp) its conjugate,
+    whose monomial is taken in ``anti``.
+
+    A run of keys sharing one exponent, as :func:`jet_unknowns` orders
+    them, forms its monomial once.
+    """
+    exps = [tuple(key[2:]) for key in keys]
+    holo_pow, anti_pow = power_table(holo, exps), power_table(anti, exps)
+    comps: Dict[Hashable, Series] = {}
+    last = None
+    for key, exp in zip(keys, exps):
+        if exp != last:
+            mono = table_monomial(holo_pow, exp)
+            monob = table_monomial(anti_pow, exp)
+            last = exp
+        j = key[1]
+        s = r_on[j] * mono
+        if not s.is_zero():
+            comps[key] = s
+        sb = rb_on[j] * monob
+        if not sb.is_zero():
+            comps[bar_key(key)] = sb
+    return LinSeries(r_on[0].frame, comps)
+
+
+@dataclass
+class TruncatedSolve:
+    dims: Dict[Tuple[int, int], int]   # (K, K) -> projected dim
+    dim: int
+    stabilized: bool
+    kernel_real: List[Row]             # canonical basis, projected jet
+    jet_keys: List[Hashable]           # projected jet tags, column k <-> 2k/2k+1
+
+
+def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
+                    weights: Tuple[int, ...], proj_keys: List[Hashable],
+                    keq: int) -> TruncatedSolve:
+    """Kernel of a truncated tangency equation, projected onto the jet
+    tags ``proj_keys``.
+
+    For K in (keq, keq + 1): the unknowns are the jet coordinates of the
+    n components of weighted degree <= K (variable weights ``weights``),
+    and every coefficient of ``residual_at(K)``, all of weighted order
+    <= K, is harvested.  An equation of weighted order W involves only
+    jet coordinates of weighted degree <= W, so each harvested row is
+    complete and the projected kernel can only overcount the true
+    dimension.  Stabilization requires the two projected dimensions to
+    agree.
+    """
+    dims: Dict[Tuple[int, int], int] = {}
+    proj = set(proj_keys)
+    for K in (keq, keq + 1):
+        residual = residual_at(K)
+        # the projected jet occupies the leading columns
+        keys = proj_keys + [k for k in jet_unknowns(n, weights, K,
+                                                    by_weight=True)
+                            if k not in proj]
+        col = {k: i for i, k in enumerate(keys)}
+        elim = Eliminator(2 * len(keys))
+        for exp in sorted(residual.support(), key=residual.frame.wdeg):
+            for r in realify_row(residual.coefficient_row(exp), col):
+                elim.add_row(r)
+        kernel = projected_kernel(elim.kernel_basis(), 2 * len(proj_keys))
+        dims[(K, K)] = len(kernel)
+    return TruncatedSolve(dims, dims[(keq + 1, keq + 1)],
+                          len(set(dims.values())) == 1, kernel, proj_keys)
 
 
 # -- deformation oracle -----------------------------------------------
@@ -109,161 +184,43 @@ def deformation_residual(H: MapGerm, source: Source, target: Target,
     frm = source.zct_frame(work_order)
     holo, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
-    zv, wstar, cv, tv = holo["z"], holo["w"], anti["z"], anti["w"]
-
-    # cached powers of wstar and tau
-    wpow = [Series.const(frm, 1)]
-    tpow = [Series.const(frm, 1)]
-    zpow = [Series.const(frm, 1)]
-    cpow = [Series.const(frm, 1)]
-    for _ in range(kjet):
-        wpow.append(wpow[-1] * wstar)
-        tpow.append(tpow[-1] * tv)
-        zpow.append(zpow[-1] * zv)
-        cpow.append(cpow[-1] * cv)
-
-    comps: Dict[Hashable, Series] = {}
-    for key in jet_unknowns(1, (1, 2), kjet, by_weight=True):
-        _, _, m, n = key
-        mono = zpow[m] * wpow[n]
-        monob = cpow[m] * tpow[n]
-        for j in range(target.n):
-            s = r_on[j] * mono
-            if not s.is_zero():
-                comps[("jet", j, m, n)] = s
-            sb = rb_on[j] * monob
-            if not sb.is_zero():
-                comps[("jetbar", j, m, n)] = sb
-    return LinSeries(frm, comps), frm
-
-
-@dataclass
-class DirectSolveResult:
-    dims: Dict[Tuple[int, int], int]   # (kjet, harvest order) -> projected dim
-    dim: int
-    stabilized: bool
-    kernel_real: List[Row]             # canonical basis, 4-jet real coords
-    jet_keys: List[Hashable]           # unbarred 4-jet tags, column k <-> 2k/2k+1
+    keys = jet_unknowns(target.n, (1, 2), kjet, by_weight=True)
+    return jet_residual(r_on, rb_on, [holo["z"], holo["w"]],
+                        [anti["z"], anti["w"]], keys), frm
 
 
 def direct_solve(H: MapGerm, source: Source, target: Target,
-                 keq: int = 16) -> DirectSolveResult:
-    """Independent deformation-space computation by brute truncation.
-
-    For K in (keq, keq + 1): the unknowns are the jet coordinates of the
-    field of weighted degree <= K, and every coefficient equation of
-    weighted order <= K is harvested.  An equation of weighted order W
-    involves only jet coordinates of weighted degree <= W, so each
-    harvested row is complete and the kernel, projected onto the 4-jet,
-    can only overcount the true dimension.  Stabilization requires the
-    two projected dimensions to agree.
-    """
-    dims: Dict[Tuple[int, int], int] = {}
-    final_kernel: List[Row] = []
-    keys4 = jet_unknowns(target.n, (1, 2), 4)
-    for K in (keq, keq + 1):
-        residual, frm = deformation_residual(H, source, target, K, K)
-        keys = jet_unknowns(target.n, (1, 2), K, by_weight=True)
-        # reorder so the 4-jet occupies the leading columns
-        keys = keys4 + [k for k in keys if k not in set(keys4)]
-        col = {k: i for i, k in enumerate(keys)}
-        elim = Eliminator(2 * len(keys))
-        proj_cols = list(range(2 * len(keys4)))
-        exps = sorted(residual.support(), key=lambda e: frm.wdeg(e))
-        for exp in exps:
-            crow = residual.coefficient_row(exp)
-            for r in realify_row(crow, col):
-                elim.add_row(r)
-        kernel = elim.kernel_basis()
-        dims[(K, K)] = projected_dim(kernel, proj_cols)
-        if K == keq + 1:
-            cols = set(proj_cols)
-            vecs = [{c: v for c, v in vec.items() if c in cols}
-                    for vec in kernel]
-            final_kernel = rref([v for v in vecs if v], len(proj_cols))
-    vals = set(dims.values())
-    stabilized = len(vals) == 1
-    return DirectSolveResult(dims, dims[(keq + 1, keq + 1)], stabilized,
-                             final_kernel, keys4)
+                 keq: int = 16) -> TruncatedSolve:
+    """Independent deformation-space computation by brute truncation:
+    :func:`truncated_solve` of the deformation equation, projected onto
+    the 4-jet."""
+    return truncated_solve(
+        lambda K: deformation_residual(H, source, target, K, K)[0],
+        target.n, (1, 2), jet_unknowns(target.n, (1, 2), 4), keq)
 
 
 # -- infinitesimal automorphisms of a target germ ---------------------
 
-@dataclass
-class AutomorphismResult:
-    dims: Dict[Tuple[int, int], int]
-    dim: int
-    stabilized: bool
-    kernel_real: List[Row]
-    jet_keys: List[Hashable]
-
-
 def infinitesimal_automorphisms(target: Target, keq: int = 9,
-                                proj_order: int = 2) -> AutomorphismResult:
+                                proj_order: int = 2) -> TruncatedSolve:
     """dim of the space of infinitesimal CR automorphisms of M' fixing 0.
 
-    Solves Re sum_j rho_{Z_j}(Z, conj Z) V_j(Z) = 0 on M' with the jet of
-    V as unknowns.  As in :func:`direct_solve`, for K in (keq, keq + 1)
-    the unknown jet coordinates are those of weighted degree <= K and all
-    equation rows of weighted order <= K are harvested, so rows are never
-    incomplete.  The kernel is projected onto jets of order <=
-    ``proj_order`` (automorphisms of a Levi-nondegenerate germ are
-    determined by their 2-jets).
+    Solves Re sum_j rho_{Z_j}(Z, conj Z) V_j(Z) = 0 on the graph chart of
+    M' with the jet of V as unknowns, by :func:`truncated_solve`.  The
+    kernel is projected onto jets of order <= ``proj_order``
+    (automorphisms of a Levi-nondegenerate germ are determined by their
+    2-jets).
     """
     n = target.n
-    dims: Dict[Tuple[int, int], int] = {}
-    final_kernel: List[Row] = []
-    weights = (1,) * (n - 1) + (2,)
-    keysP = jet_unknowns(n, weights, proj_order)
     names = target_vars(n)
-    for K in (keq, keq + 1):
-        frm = target.graph_frame(K)
-        bind = {v: Series.variable(frm, v) for v in frm.vars}
-        bind["w1"] = target.graph(frm)
+    weights = (1,) * (n - 1) + (2,)
+
+    def residual_at(K: int) -> LinSeries:
+        bind = target.graph_chart(target.graph_frame(K))
         r_on, rb_on = target.gradient_on(bind)
-        holo = [bind[v] for v in names[:n]]
-        anti = [bind[v] for v in names[n:]]
-        keys = jet_unknowns(n, weights, K, by_weight=True)
-        keys = keysP + [k for k in keys if k not in set(keysP)]
-        comps: Dict[Hashable, Series] = {}
-        monocache: Dict[Tuple[int, ...], Series] = {}
-        monocache_b: Dict[Tuple[int, ...], Series] = {}
-        for key in keys:
-            j, exp = key[1], tuple(key[2:])
-            mono = _monomial_of(holo, exp, frm, monocache)
-            s = r_on[j] * mono
-            if not s.is_zero():
-                comps[key] = s
-            monob = _monomial_of(anti, exp, frm, monocache_b)
-            sb = rb_on[j] * monob
-            if not sb.is_zero():
-                comps[("jetbar",) + tuple(key[1:])] = sb
-        residual = LinSeries(frm, comps)
-        col = {k: i for i, k in enumerate(keys)}
-        elim = Eliminator(2 * len(keys))
-        proj_cols = list(range(2 * len(keysP)))
-        for exp in sorted(residual.support(), key=lambda e: frm.wdeg(e)):
-            for r in realify_row(residual.coefficient_row(exp), col):
-                elim.add_row(r)
-        kernel = elim.kernel_basis()
-        dims[(K, K)] = projected_dim(kernel, proj_cols)
-        if K == keq + 1:
-            cols = set(proj_cols)
-            vecs = [{c: v for c, v in vec.items() if c in cols}
-                    for vec in kernel]
-            final_kernel = rref([v for v in vecs if v], len(proj_cols))
-    vals = set(dims.values())
-    return AutomorphismResult(dims, dims[(keq + 1, keq + 1)],
-                              len(vals) == 1, final_kernel, keysP)
+        return jet_residual(r_on, rb_on, [bind[v] for v in names[:n]],
+                            [bind[v] for v in names[n:]],
+                            jet_unknowns(n, weights, K, by_weight=True))
 
-
-def _monomial_of(gens: List[Series], exp: Tuple[int, ...], frm: Frame,
-                 cache: Dict[Tuple[int, ...], Series]) -> Series:
-    if exp in cache:
-        return cache[exp]
-    out = Series.const(frm, 1)
-    for g, e in zip(gens, exp):
-        for _ in range(e):
-            out = out * g
-    cache[exp] = out
-    return out
+    return truncated_solve(residual_at, n, weights,
+                           jet_unknowns(n, weights, proj_order), keq)

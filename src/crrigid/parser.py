@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from crrigid.scalars import Scalar, I as IMAG
+from crrigid.scalars import SQRT2, Scalar, I as IMAG
 from crrigid.series import Frame, Series
 from crrigid.geometry import Source, Target, defining_frame, target_frame, \
     target_swap
@@ -177,12 +177,11 @@ def _sqrt_scalar(n: int, line: int) -> Scalar:
     for cand in (r - 1, r, r + 1):
         if cand >= 0 and cand * cand == n:
             return Scalar(cand)
-    sd = Scalar.sqrt_d()
-    if (sd * sd) == Scalar(n):
-        return sd
+    if n == 2:
+        return SQRT2
     raise ParseError(
-        f"sqrt({n}) is not representable in the active coefficient "
-        f"field; rerun with the matching --d", line)
+        f"sqrt({n}) is not representable in the coefficient field "
+        f"Q(i, sqrt(2))", line)
 
 
 def parse_expression(text: str, frm: Frame,

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from crrigid.scalars import Scalar
+from crrigid.scalars import ZERO, Scalar
 from crrigid.series import Frame, Series, frame
 from crrigid.linseries import LinSeries, bar_key
 from crrigid.linalg import Eliminator, adjugate3, det3, rref
@@ -54,44 +54,6 @@ from crrigid.oracle import jet_unknowns, realify_row, Row
 class DegenerateMapError(ValueError):
     """The embedding is not 2-nondegenerate, so the reflection systems are
     singular and the jet parametrization does not apply."""
-
-
-# -- small frame surgery helpers --------------------------------------
-
-def _drop_var(s: Series, var: str, target: Frame) -> Series:
-    """Restrict to {var = 0} and re-express over the remaining variables."""
-    i = s.frame.index(var)
-    out: Dict[tuple, Scalar] = {}
-    for exp, c in s.coeffs.items():
-        if exp[i]:
-            continue
-        nexp = [0] * len(target.vars)
-        for k, v in enumerate(s.frame.vars):
-            if v == var:
-                continue
-            nexp[target.index(v)] = exp[k]
-        t = tuple(nexp)
-        if target.admits(t):
-            out[t] = c
-    return Series(target, out)
-
-
-def _project(s: Series, target: Frame,
-             rename: Optional[Dict[str, str]] = None) -> Series:
-    """Like rebase, but silently drops exponents the target does not admit
-    (used to pass from a wide working frame to the output truncation)."""
-    pos = {}
-    for i, v in enumerate(s.frame.vars):
-        pos[i] = target.index((rename or {}).get(v, v))
-    out: Dict[tuple, Scalar] = {}
-    for exp, c in s.coeffs.items():
-        nexp = [0] * len(target.vars)
-        for i, e in enumerate(exp):
-            nexp[pos[i]] = e
-        t = tuple(nexp)
-        if target.admits(t):
-            out[t] = c
-    return Series(target, out)
 
 
 # -- the two reflection stages ----------------------------------------
@@ -129,8 +91,8 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
         rhs_k.append(rhs_k[-1].partial("z"))
 
     ct = frame("chi", "tau", order=order, weights=(1, 2))
-    M = [[_drop_var(s, "z", ct) for s in row] for row in lhs]
-    b = [r.map(lambda s: _drop_var(s, "z", ct)) for r in rhs_k]
+    M = [[s.project(ct) for s in row] for row in lhs]
+    b = [r.map(lambda s: s.project(ct)) for r in rhs_k]
     det = det3(M)
     if det.constant_term().is_zero():
         raise DegenerateMapError("conjugate reflection system is singular")
@@ -143,7 +105,6 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
             acc = acc + b[k] * adj[h][k]
         sol.append(acc * detinv)
 
-    chif = frame("chi", order=ct.order)
     D: List[Dict[Tuple[int, int], LinSeries]] = []
     for h in range(3):
         reps: Dict[Tuple[int, int], LinSeries] = {}
@@ -154,9 +115,9 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
                     d = d.partial("chi")
                 for _ in range(j2):
                     d = d.partial("tau")
-                d = d.map(lambda s: _drop_var(s, "tau", chif))
+                # restricted to tau = 0, chi renamed x2
                 reps[(j1, j2)] = d.map(
-                    lambda s: _project(s, xfrm, {"chi": "x2"}))
+                    lambda s: s.project(xfrm, {"chi": "x2"}))
         D.append(reps)
     return D
 
@@ -248,13 +209,13 @@ def segre_fiber(source: Source, kphi: int) -> SegreFiber:
     pf = frame("z", "u", order=2 * kphi, caps={"z": kphi, "u": kphi})
     psihat = Series.variable(pf, "u")
     upow = psihat
-    A1p = _project(A1, frame("z", order=kphi))
+    A1p = A1.project(frame("z", order=kphi))
     for j in range(2, kphi + 1):
         upow = upow * Series.variable(pf, "u")
         Aj = A.get(j)
         if Aj is None:
             continue
-        Cj = _project(Aj * (A1 ** (j - 2)), frame("z", order=kphi))
+        Cj = (Aj * (A1 ** (j - 2))).project(frame("z", order=kphi))
         psihat = psihat + upow * Cj.rebase(pf)
     tf = frame("z", "t", order=2 * kphi, caps={"z": kphi, "t": kphi})
     from crrigid.series import reversion
@@ -262,10 +223,10 @@ def segre_fiber(source: Source, kphi: int) -> SegreFiber:
 
     # check the defining identity Q(z, A1 psi, 0) = A1^2 t on the kept ball
     zD = Series.variable(tf, "z")
-    lift = _project(A1, frame("z", order=kphi)).rebase(tf) * psi
+    lift = A1.project(frame("z", order=kphi)).rebase(tf) * psi
     qcheck = source.Q.substitute({"z": zD, "chi": lift,
                                   "tau": Series.zero(tf)})
-    b_t = (_project(A1 * A1, frame("z", order=kphi)).rebase(tf)
+    b_t = ((A1 * A1).project(frame("z", order=kphi)).rebase(tf)
            * Series.variable(tf, "t"))
     if qcheck != b_t:
         raise ArithmeticError("fiber inversion failed to verify")
@@ -304,7 +265,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
 
     # Psi_l(z, t) = phi_l(z, A1(z) psi(z, t))
     tf = fiber.psi.frame
-    lift = (_project(fiber.A1, frame("z", order=kphi)).rebase(tf)
+    lift = (fiber.A1.project(frame("z", order=kphi)).rebase(tf)
             * fiber.psi)
     zt = Series.variable(tf, "z")
     Psi = [p.substitute({"x1": zt, "x2": lift}) for p in phi]
@@ -313,7 +274,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     zf = frame("z", order=kphi)
     uipow = [Series.const(zf, 1)]
     for _ in range(kphi):
-        uipow.append(uipow[-1] * _project(fiber.Uinv, zf))
+        uipow.append(uipow[-1] * fiber.Uinv.project(zf))
 
     keys = jet_unknowns(target.n, (1, 2), 4)
     mf = map_frame(kphi)
@@ -333,7 +294,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
                     a = m1 - 2 * m2
                     if a < 0:
                         row = rows_pole.setdefault((ell, a, m2), {})
-                        row[key] = row.get(key, Scalar(0)) + c
+                        row[key] = row.get(key, ZERO) + c
                     elif a + 2 * m2 <= kphi:
                         comp = Kcomps[ell].setdefault(key, Series.zero(mf))
                         Kcomps[ell][key] = comp + Series.monomial(
@@ -351,7 +312,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
                 row = dict(K[ell].coefficient_row((m, n)))
                 if (m, n) != (0, 0):
                     tag = ("jet", ell, m, n)
-                    row[tag] = row.get(tag, Scalar(0)) - Scalar(1)
+                    row[tag] = row.get(tag, ZERO) - Scalar(1)
                 row = {k: v for k, v in row.items() if not v.is_zero()}
                 if row:
                     rows_jet[(ell, m, n)] = row

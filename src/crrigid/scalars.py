@@ -1,12 +1,12 @@
-"""Exact scalars in the field Q(i, sqrt(d)).
+"""Exact scalars in the field Q(i, sqrt(2)).
 
 An element is stored as four rationals (a, b, c, e) representing
 
-    (a + b*sqrt(d)) + i*(c + e*sqrt(d)),
+    (a + b*sqrt(2)) + i*(c + e*sqrt(2)).
 
-with d a fixed square-free positive integer (>= 2, default 2).  The real
-and imaginary parts live in the real subfield Q(sqrt(d)); zero testing,
-inversion, conjugation and (for real elements) sign are all decidable.
+The real and imaginary parts live in the real subfield Q(sqrt(2)); zero
+testing, inversion, conjugation and (for real elements) sign are all
+decidable.
 """
 
 from __future__ import annotations
@@ -15,54 +15,20 @@ import math
 from fractions import Fraction
 from typing import Union
 
-DEFAULT_D = 2
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 RationalLike = Union[int, Fraction]
 
 
-def _is_square_free(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
 class Scalar:
-    """An element of Q(i, sqrt(d)) with exact rational components."""
+    """An element of Q(i, sqrt(2)) with exact rational components."""
 
-    __slots__ = ("a", "b", "c", "e", "d")
+    __slots__ = ("a", "b", "c", "e")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0,
-                 c: RationalLike = 0, e: RationalLike = 0, d: int = DEFAULT_D):
+                 c: RationalLike = 0, e: RationalLike = 0):
         self.a = Fraction(a)
         self.b = Fraction(b)
         self.c = Fraction(c)
         self.e = Fraction(e)
-        self.d = d
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def rational(p: RationalLike, q: int = 1, d: int = DEFAULT_D) -> "Scalar":
-        return Scalar(Fraction(p) / q, 0, 0, 0, d)
-
-    @staticmethod
-    def imag_unit(d: int = DEFAULT_D) -> "Scalar":
-        return Scalar(0, 0, 1, 0, d)
-
-    @staticmethod
-    def sqrt_d(d: int = DEFAULT_D) -> "Scalar":
-        """sqrt(d) as an element of Q(i, sqrt(d))."""
-        if not _is_square_free(d):
-            raise ValueError(f"d must be a square-free integer >= 2, got {d}")
-        return Scalar(0, 1, 0, 0, d)
 
     # -- predicates ---------------------------------------------------
 
@@ -80,32 +46,26 @@ class Scalar:
 
     # -- ring operations ----------------------------------------------
 
-    def _check(self, other: "Scalar") -> None:
-        if self.d != other.d and (self.b or self.e or other.b or other.e):
-            raise ValueError(f"mixed radicands: sqrt({self.d}) vs sqrt({other.d})")
-
     def __add__(self, other) -> "Scalar":
         if not isinstance(other, Scalar):
             if isinstance(other, (int, Fraction)):
-                return Scalar(self.a + other, self.b, self.c, self.e, self.d)
+                return Scalar(self.a + other, self.b, self.c, self.e)
             return NotImplemented
-        self._check(other)
         return Scalar(self.a + other.a, self.b + other.b,
-                      self.c + other.c, self.e + other.e, self.d)
+                      self.c + other.c, self.e + other.e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b, -self.c, -self.e, self.d)
+        return Scalar(-self.a, -self.b, -self.c, -self.e)
 
     def __sub__(self, other) -> "Scalar":
         if not isinstance(other, Scalar):
             if isinstance(other, (int, Fraction)):
-                return Scalar(self.a - other, self.b, self.c, self.e, self.d)
+                return Scalar(self.a - other, self.b, self.c, self.e)
             return NotImplemented
-        self._check(other)
         return Scalar(self.a - other.a, self.b - other.b,
-                      self.c - other.c, self.e - other.e, self.d)
+                      self.c - other.c, self.e - other.e)
 
     def __rsub__(self, other) -> "Scalar":
         return (-self) + other
@@ -114,37 +74,35 @@ class Scalar:
         if not isinstance(other, Scalar):
             if isinstance(other, (int, Fraction)):
                 return Scalar(self.a * other, self.b * other,
-                              self.c * other, self.e * other, self.d)
+                              self.c * other, self.e * other)
             return NotImplemented
-        self._check(other)
         a1, b1, c1, e1 = self.a, self.b, self.c, self.e
         a2, b2, c2, e2 = other.a, other.b, other.c, other.e
-        d = self.d
         # fast path: both plainly rational
         if not (b1 or c1 or e1 or b2 or c2 or e2):
-            return Scalar(a1 * a2, 0, 0, 0, d)
-        # (x1 + i y1)(x2 + i y2) with x, y in Q(sqrt(d)):
+            return Scalar(a1 * a2)
+        # (x1 + i y1)(x2 + i y2) with x, y in Q(sqrt(2)):
         # real: x1 x2 - y1 y2, imag: x1 y2 + y1 x2, where
-        # (p + q rt)(r + s rt) = (pr + qs d) + (ps + qr) rt.
-        ra = a1 * a2 + b1 * b2 * d - (c1 * c2 + e1 * e2 * d)
+        # (p + q rt)(r + s rt) = (pr + 2 qs) + (ps + qr) rt.
+        ra = a1 * a2 + b1 * b2 * 2 - (c1 * c2 + e1 * e2 * 2)
         rb = a1 * b2 + b1 * a2 - (c1 * e2 + e1 * c2)
-        ia = a1 * c2 + c1 * a2 + (b1 * e2 + e1 * b2) * d
+        ia = a1 * c2 + c1 * a2 + (b1 * e2 + e1 * b2) * 2
         ib = a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2
-        return Scalar(ra, rb, ia, ib, d)
+        return Scalar(ra, rb, ia, ib)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.a, self.b, -self.c, -self.e, self.d)
+        return Scalar(self.a, self.b, -self.c, -self.e)
 
     def _real_inverse(self) -> "Scalar":
-        """Inverse of a nonzero real element a + b sqrt(d)."""
-        a, b, d = self.a, self.b, self.d
-        den = a * a - b * b * d
+        """Inverse of a nonzero real element a + b sqrt(2)."""
+        a, b = self.a, self.b
+        den = a * a - b * b * 2
         if den == 0:
-            # only possible when a == b == 0 because sqrt(d) is irrational
+            # only possible when a == b == 0 because sqrt(2) is irrational
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar(a / den, -b / den, 0, 0, d)
+        return Scalar(a / den, -b / den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -172,17 +130,17 @@ class Scalar:
     # -- parts and sign -----------------------------------------------
 
     def real_part(self) -> "Scalar":
-        return Scalar(self.a, self.b, 0, 0, self.d)
+        return Scalar(self.a, self.b, 0, 0)
 
     def imag_part(self) -> "Scalar":
-        """Imaginary part as a *real* element of Q(sqrt(d))."""
-        return Scalar(self.c, self.e, 0, 0, self.d)
+        """Imaginary part as a *real* element of Q(sqrt(2))."""
+        return Scalar(self.c, self.e, 0, 0)
 
     def sign(self) -> int:
         """Exact sign of a real element; raises for non-real elements."""
         if not self.is_real():
             raise ValueError("sign of a non-real scalar")
-        a, b, d = self.a, self.b, self.d
+        a, b = self.a, self.b
         if b == 0:
             return (a > 0) - (a < 0)
         if a == 0:
@@ -191,11 +149,11 @@ class Scalar:
             return 1
         if a < 0 and b < 0:
             return -1
-        # opposite signs: a + b sqrt(d) has the sign of a iff a^2 > b^2 d
-        t = a * a - b * b * d
+        # opposite signs: a + b sqrt(2) has the sign of a iff a^2 > 2 b^2
+        t = a * a - b * b * 2
         sa = 1 if a > 0 else -1
         if t == 0:
-            return 0  # unreachable for square-free d
+            return 0  # unreachable: sqrt(2) is irrational
         return sa if t > 0 else -sa
 
     # -- comparisons / hashing ----------------------------------------
@@ -205,20 +163,18 @@ class Scalar:
             return self.is_rational() and self.a == other
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.d != other.d and (self.b or self.e or other.b or other.e):
-            return False
         return (self.a == other.a and self.b == other.b
                 and self.c == other.c and self.e == other.e)
 
     def __hash__(self):
         if self.is_rational():
             return hash(self.a)
-        return hash((self.a, self.b, self.c, self.e, self.d))
+        return hash((self.a, self.b, self.c, self.e))
 
     # -- conversions --------------------------------------------------
 
     def __complex__(self) -> complex:
-        rt = math.sqrt(self.d)
+        rt = math.sqrt(2)
         return complex(float(self.a) + float(self.b) * rt,
                        float(self.c) + float(self.e) * rt)
 
@@ -230,14 +186,14 @@ class Scalar:
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn != num or rd * rd != den:
             raise ValueError(f"{self.a} is not a rational square")
-        return Scalar(Fraction(rn, rd), 0, 0, 0, self.d)
+        return Scalar(Fraction(rn, rd))
 
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
         terms = []
-        for coef, tag in ((self.a, ""), (self.b, "sqrt(%d)" % self.d),
-                          (self.c, "i"), (self.e, "i*sqrt(%d)" % self.d)):
+        for coef, tag in ((self.a, ""), (self.b, "sqrt(2)"),
+                          (self.c, "i"), (self.e, "i*sqrt(2)")):
             if coef == 0:
                 continue
             mag = abs(coef)
@@ -261,13 +217,14 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def scalar(value, d: int = DEFAULT_D) -> Scalar:
+def scalar(value) -> Scalar:
     """Coerce ints, Fractions or Scalars to a Scalar."""
     if isinstance(value, Scalar):
         return value
-    return Scalar(Fraction(value), 0, 0, 0, d)
+    return Scalar(Fraction(value))
 
 
+#: Shared constants; scalars are never mutated.
 ZERO = Scalar(0)
-ONE = Scalar(1)
 I = Scalar(0, 0, 1, 0)
+SQRT2 = Scalar(0, 1, 0, 0)

@@ -1,4 +1,4 @@
-"""Truncated multivariate power series over Q(i, sqrt(d)).
+"""Truncated multivariate power series over Q(i, sqrt(2)).
 
 A :class:`Series` is a sparse hash-map from exponent tuples to
 :class:`~crrigid.scalars.Scalar` coefficients, truncated to a fixed total
@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from crrigid.scalars import Scalar, scalar
+from crrigid.scalars import ZERO, Scalar, scalar
 
 Exponent = Tuple[int, ...]
 
@@ -59,13 +59,6 @@ class Frame:
 
     def zero_exp(self) -> Exponent:
         return (0,) * len(self.vars)
-
-    def with_order(self, order: int) -> "Frame":
-        return Frame(self.vars, order, self.weights, self.caps, self.floors)
-
-    def renamed(self, mapping: Mapping[str, str]) -> "Frame":
-        return Frame(tuple(mapping.get(v, v) for v in self.vars),
-                     self.order, self.weights, self.caps, self.floors)
 
 
 def frame(*vars: str, order: int, weights: Optional[Iterable[int]] = None,
@@ -122,10 +115,10 @@ class Series:
         return not self.coeffs
 
     def coefficient(self, exp: Exponent) -> Scalar:
-        return self.coeffs.get(tuple(exp), Scalar(0))
+        return self.coeffs.get(tuple(exp), ZERO)
 
     def constant_term(self) -> Scalar:
-        return self.coeffs.get(self.frame.zero_exp(), Scalar(0))
+        return self.coeffs.get(self.frame.zero_exp(), ZERO)
 
     def vanishing_order(self) -> int:
         """Minimal weighted degree of a nonzero term (order+1 if zero)."""
@@ -290,55 +283,45 @@ class Series:
             if b.vanishing_order() < frm.weights[frm.index(v)]:
                 raise ValueError(f"binding for {v} vanishes to too low an order")
         assert target is not None
-        one = Series.const(target, 1)
-        # cached powers per variable
-        maxexp = [0] * len(frm.vars)
-        for exp in self.coeffs:
-            for i, e in enumerate(exp):
-                if e < 0:
-                    raise ValueError("cannot substitute into a Laurent series")
-                maxexp[i] = max(maxexp[i], e)
-        powers = []
-        for i, v in enumerate(frm.vars):
-            p = [one]
-            b = bindings[v]
-            for _ in range(maxexp[i]):
-                p.append(p[-1] * b)
-            powers.append(p)
+        table = power_table([bindings[v] for v in frm.vars], self.coeffs)
         out = Series.zero(target)
         for exp, c in sorted(self.coeffs.items()):
-            term = None
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                term = powers[i][e] if term is None else term * powers[i][e]
-            if term is None:
-                out = out + Series.const(target, c)
-            else:
-                out = out + term.scale(c)
+            out = out + table_monomial(table, exp).scale(c)
         return out
 
     def rebase(self, target: Frame,
                rename: Optional[Mapping[str, str]] = None) -> "Series":
         """Reinterpret in another frame over (a superset of) the variables.
 
-        Coefficients outside the target truncation are dropped only if the
-        target is at least as wide on this series' support; otherwise raises.
+        Raises unless the target holds every term of this series.
         """
-        pos = {}
-        for i, v in enumerate(self.frame.vars):
-            name = (rename or {}).get(v, v)
-            pos[i] = target.index(name)
-        out: Dict[Exponent, Scalar] = {}
+        out = self.project(target, rename)
+        if len(out.coeffs) != len(self.coeffs):
+            raise ValueError("series has terms the target frame does not "
+                             "admit")
+        return out
+
+    def project(self, target: Frame,
+                rename: Optional[Mapping[str, str]] = None) -> "Series":
+        """Like :meth:`rebase`, but drops the terms the target cannot hold:
+        those in a variable it lacks (restricting to {var = 0}) and those
+        its truncation does not admit."""
+        names = [(rename or {}).get(v, v) for v in self.frame.vars]
+        pos = [target.vars.index(v) if v in target.vars else None
+               for v in names]
         n = len(target.vars)
+        out: Dict[Exponent, Scalar] = {}
         for exp, c in self.coeffs.items():
             nexp = [0] * n
-            for i, e in enumerate(exp):
-                nexp[pos[i]] = e
-            t = tuple(nexp)
-            if not target.admits(t):
-                raise ValueError(f"exponent {t} not admitted by target frame")
-            out[t] = c
+            for p, e in zip(pos, exp):
+                if e:
+                    if p is None:
+                        break
+                    nexp[p] = e
+            else:
+                t = tuple(nexp)
+                if target.admits(t):
+                    out[t] = c
         return Series(target, out)
 
     # -- units --------------------------------------------------------
@@ -367,6 +350,37 @@ class Series:
         for _ in range(steps):
             g = (g + self * g.invert_unit()).scale(half)
         return g
+
+
+def power_table(gens: Sequence[Series], exps: Iterable[Exponent]
+                ) -> List[List[Series]]:
+    """Powers g^0, .., g^m of each generator g, m its largest exponent in
+    ``exps``.  :func:`table_monomial` multiplies one entry per generator,
+    so the table holds one series per power, not one per monomial."""
+    top = [0] * len(gens)
+    for exp in exps:
+        for i, e in enumerate(exp):
+            if e < 0:
+                raise ValueError("cannot substitute into a Laurent series")
+            if e > top[i]:
+                top[i] = e
+    table = []
+    for g, m in zip(gens, top):
+        powers = [Series.const(g.frame, 1)]
+        for _ in range(m):
+            powers.append(powers[-1] * g)
+        table.append(powers)
+    return table
+
+
+def table_monomial(table: Sequence[Sequence[Series]], exp: Exponent
+                   ) -> Series:
+    """prod_i g_i^exp_i from a :func:`power_table` of the g_i."""
+    term = None
+    for powers, e in zip(table, exp):
+        if e:
+            term = powers[e] if term is None else term * powers[e]
+    return table[0][0] if term is None else term
 
 
 def solve_implicit(F: Series, yvar: str, xvars: Tuple[str, ...],

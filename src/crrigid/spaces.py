@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from crrigid.scalars import Scalar, I as IMAG
-from crrigid.series import Frame, Series, frame
+from crrigid.scalars import ZERO, Scalar, I as IMAG
+from crrigid.series import Series, frame, power_table, table_monomial
 from crrigid.linseries import bar_key
 from crrigid.linalg import Row, in_span, rank_of, rref
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, \
     embedding_residual, pull_back, transversality
-from crrigid.oracle import AutomorphismResult, DirectSolveResult, \
-    infinitesimal_automorphisms, jet_unknowns
+from crrigid.oracle import TruncatedSolve, infinitesimal_automorphisms, \
+    jet_unknowns
 from crrigid.pipeline import DeformationSolve, DegenerateMapError
 
 
@@ -69,29 +69,16 @@ def hyperquadric_hol0_basis(eps: int, order: int = 8) -> List[List[Series]]:
 
 def _verify_tangent(target: Target, fields: Sequence[Sequence[Series]]) -> None:
     """Check Re sum_j rho_{Z_j} V_j = 0 on the target germ, exactly."""
-    n = target.n
-    frm = target.graph_frame(fields[0][0].frame.order)
-    bind = {v: Series.variable(frm, v) for v in frm.vars}
-    bind["w1"] = target.graph(frm)
+    bind = target.graph_chart(target.graph_frame(fields[0][0].frame.order))
     r_on, rb_on = target.gradient_on(bind)
-    names = target_vars(n)
-    holo_vars = [bind[v] for v in names[:n]]
-    anti_vars = [bind[v] for v in names[n:]]
+    names = target_vars(target.n)[:target.n]
+    holo = {v: bind[v] for v in names}
+    anti = {v: bind[target.swap[v]] for v in names}
     for V in fields:
-        res = Series.zero(frm)
-        for j in range(n):
-            holo = Series.zero(frm)
-            anti = Series.zero(frm)
-            for exp, c in V[j].coeffs.items():
-                h = Series.const(frm, c)
-                a = Series.const(frm, c.conjugate())
-                for i, e in enumerate(exp):
-                    for _ in range(e):
-                        h = h * holo_vars[i]
-                        a = a * anti_vars[i]
-                holo = holo + h
-                anti = anti + a
-            res = res + r_on[j] * holo + rb_on[j] * anti
+        res = Series.zero(r_on[0].frame)
+        for j in range(target.n):
+            res = res + r_on[j] * V[j].substitute(holo) \
+                + rb_on[j] * V[j].conj().substitute(anti)
         if not res.is_zero():
             raise ArithmeticError("field is not tangent to the target germ")
 
@@ -163,39 +150,9 @@ def jet_row_of_field(V: Sequence[Series], n: int = 3) -> Row:
 
 @dataclass
 class TrivialSubspace:
-    rows: List[Row]          # 4-jet vectors of V o H, realified
+    rows: List[Row]          # canonical basis of the 4-jets of V o H
     dim: int                 # rank of the restriction
-    aut: AutomorphismResult  # the target automorphism computation
-
-
-def _compose_jet_vector(vec: Row, aut_keys: List[Hashable], H: MapGerm,
-                        target: Target) -> Row:
-    """4-jet of V o H as a real vector, V given by a realified jet vector."""
-    mf = map_frame(8)
-    comps = [Series(mf, {e: v for e, v in c.coeffs.items() if mf.admits(e)})
-             for c in H.components]
-    Vh = [Series.zero(mf) for _ in range(target.n)]
-    mono_cache: Dict[Tuple[int, ...], Series] = {(0,) * target.n:
-                                                 Series.const(mf, 1)}
-
-    def mono(exp: Tuple[int, ...]) -> Series:
-        if exp in mono_cache:
-            return mono_cache[exp]
-        i = next(k for k, e in enumerate(exp) if e > 0)
-        prev = tuple(e - (1 if k == i else 0) for k, e in enumerate(exp))
-        out = mono(prev) * comps[i]
-        mono_cache[exp] = out
-        return out
-
-    for k, key in enumerate(aut_keys):
-        re = vec.get(2 * k, Scalar(0))
-        im = vec.get(2 * k + 1, Scalar(0))
-        lam = re + im * IMAG
-        if lam.is_zero():
-            continue
-        j, exp = key[1], tuple(key[2:])
-        Vh[j] = Vh[j] + mono(exp).scale(lam)
-    return jet_row_of_field(Vh, target.n)
+    aut: TruncatedSolve      # the target automorphism computation
 
 
 def trivial_subspace(H: MapGerm, source: Source, target: Target,
@@ -203,14 +160,22 @@ def trivial_subspace(H: MapGerm, source: Source, target: Target,
     """The trivial deformations V o H, V an infinitesimal automorphism of
     the target fixing 0, as 4-jet vectors of the embedding."""
     aut = infinitesimal_automorphisms(target, keq=aut_keq, proj_order=4)
-    keys = jet_unknowns(target.n, (1, 2), 4)
-    rows = []
-    for vec in aut.kernel_real:
-        row = _compose_jet_vector(vec, aut.jet_keys, H, target)
-        if row:
-            rows.append(row)
-    dim = rank_of(rows, 2 * len(keys))
-    return TrivialSubspace(rref(rows, 2 * len(keys)), dim, aut)
+    mf = map_frame(8)    # the 4-jet has weighted degree <= 8
+    exps = [tuple(key[2:]) for key in aut.jet_keys]
+    table = power_table([c.project(mf) for c in H.components], exps)
+    VoH = [[Series.zero(mf)] * target.n for _ in aut.kernel_real]
+    last = None
+    for k, (key, exp) in enumerate(zip(aut.jet_keys, exps)):
+        if exp != last:
+            mono, last = table_monomial(table, exp), exp
+        j = key[1]
+        for V, vec in zip(VoH, aut.kernel_real):
+            lam = vec.get(2 * k, ZERO) + vec.get(2 * k + 1, ZERO) * IMAG
+            if not lam.is_zero():
+                V[j] = V[j] + mono.scale(lam)
+    rows = rref([jet_row_of_field(V, target.n) for V in VoH],
+                2 * len(jet_unknowns(target.n, (1, 2), 4)))
+    return TrivialSubspace(rows, len(rows), aut)
 
 
 # -- rigidity verdicts ------------------------------------------------
@@ -230,7 +195,7 @@ class RigidityReport:
     trivial_contained: Optional[bool]
     levi_nondegenerate: bool
     verdict: str
-    deformations: object           # DeformationSolve or DirectSolveResult
+    deformations: object           # DeformationSolve or TruncatedSolve
     trivial: Optional[TrivialSubspace]
 
 
@@ -251,7 +216,7 @@ def validate_embedding(H: MapGerm, source: Source, target: Target,
 
 
 def decide_rigidity(H: MapGerm, source: Source, target: Target,
-                    sol: Union[DeformationSolve, DirectSolveResult],
+                    sol: Union[DeformationSolve, TruncatedSolve],
                     aut_keq: int = 9) -> RigidityReport:
     """Apply the sufficient rigidity criteria to a deformation solve of H.
 

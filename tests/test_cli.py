@@ -120,6 +120,41 @@ def test_reproduce_fast_entries(capsys):
     assert "reproduce target-6-4: ok" in err
 
 
+def test_selftest_exits_0(capsys):
+    code, _, err = _run(capsys, "selftest")
+    assert code == 0
+    assert "selftest: ok" in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("genericity", ("--oracle",)),
+    ("deform --oracle", ("--with-oracle",)),
+    ("rigidity", ("--with-oracle",)),
+    ("deform --oracle", ("--cond-order", "12")),
+    ("rigidity --oracle", ("--cond-order", "12")),
+    ("check", ("--oracle",)),
+    ("check", ("--with-oracle",)),
+    ("check", ("--cond-order", "12")),
+    ("normal-coords", ("--oracle",)),
+    ("normal-coords", ("--with-oracle",)),
+    ("normal-coords", ("--cond-order", "12")),
+    ("automorphisms", ("--oracle",)),
+    ("automorphisms", ("--with-oracle",)),
+    ("automorphisms", ("--cond-order", "12")),
+    ("check", ("--aut-order", "5")),
+    ("normal-coords", ("--aut-order", "5")),
+    ("deform", ("--aut-order", "5")),
+    ("genericity", ("--aut-order", "5")),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_flag_a_command_does_not_read_exits_2(capsys, command, flags):
+    entry = "target-6-4" if command == "automorphisms" else "example-6-1"
+    argv = command.split() + [entry, *flags]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert f"input error: {flags[0]} does not apply to {command}" in err
+
+
 def test_reproduce_unknown_entry(capsys):
     code, _, err = _run(capsys, "reproduce", "no-such-entry")
     assert code == 2

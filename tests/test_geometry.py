@@ -33,8 +33,7 @@ def test_reality_check():
 
 
 def test_normalize_quartic_source():
-    res = normalize_defining(_rho_quartic())
-    src = Source(res.Q)  # verify_normal_form runs on construction
+    src = Source(normalize_defining(_rho_quartic()))  # verifies normal form
     assert src.levi_nondegenerate()
     # leading terms: Q = tau + 2i z chi + ...
     assert src.Q.coefficient((1, 1, 0)) == 2 * I
@@ -44,11 +43,11 @@ def test_hyperquadric_source_is_exact():
     src = Source.hyperquadric(ORDER)
     assert set(src.Q.support()) == {(0, 0, 1), (1, 1, 0)}
     assert src.Q.coefficient((1, 1, 0)) == 2 * I
-    res = normalize_defining(
+    Q = normalize_defining(
         _rho_quartic() + (Series.variable(defining_frame(ORDER), "z")
                           * Series.variable(defining_frame(ORDER), "chi")) ** 2)
     # adding back |z|^4 cancels the quartic term: sphere again
-    assert res.Q == Source.hyperquadric(ORDER).Q
+    assert Q == Source.hyperquadric(ORDER).Q
 
 
 def test_normal_form_rejects_bad_graph():

@@ -1,8 +1,8 @@
 """Brute-truncation solver: bookkeeping and a small end-to-end check."""
 
 from crrigid.linalg import in_span
-from crrigid.oracle import (deformation_residual, jet_unknowns, projected_dim,
-                            realify_row)
+from crrigid.oracle import (deformation_residual, jet_unknowns,
+                            projected_kernel, realify_row)
 from crrigid.scalars import Scalar
 
 I = Scalar(0, 0, 1)
@@ -50,8 +50,12 @@ def test_projected_dim():
     kern = [{0: Scalar(1), 5: Scalar(2)},
             {5: Scalar(1)},
             {1: Scalar(1), 5: Scalar(3)}]
-    assert projected_dim(kern, [0, 1]) == 2
-    assert projected_dim(kern, [2, 3]) == 0
+    assert projected_kernel(kern, 2) == [{0: Scalar(1)}, {1: Scalar(1)}]
+    # vectors vanishing on the kept columns contribute nothing
+    kern = [{2: Scalar(1), 5: Scalar(2)},
+            {5: Scalar(1)},
+            {3: Scalar(1), 5: Scalar(3)}]
+    assert projected_kernel(kern, 2) == []
 
 
 def test_residual_annihilated_by_known_deformation(cache):

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from crrigid import scalars
 from crrigid.corpus import EXPECTATIONS, corpus_text, load_corpus
 from crrigid.parser import ParseError, parse_expression, parse_problem
-from crrigid.scalars import Scalar
+from crrigid.scalars import SQRT2, Scalar
 from crrigid.series import frame
 
 I = Scalar(0, 0, 1)
@@ -53,10 +52,10 @@ def test_division_by_unit_only():
 def test_sqrt_literal():
     frm = frame("z", "w", order=8, weights=(1, 2))
     assert parse_expression("sqrt(4)", frm).constant_term() == Scalar(2)
-    assert parse_expression("sqrt(2)", frm).constant_term() == Scalar.sqrt_d()
+    assert parse_expression("sqrt(2)", frm).constant_term() == SQRT2
     with pytest.raises(ParseError) as exc:
         parse_expression("sqrt(3)", frm)
-    assert "--d" in str(exc.value)
+    assert "Q(i, sqrt(2))" in str(exc.value)
 
 
 def test_parse_problem_minimal():

@@ -1,4 +1,4 @@
-"""Field arithmetic in Q(i, sqrt(d))."""
+"""Field arithmetic in Q(i, sqrt(2))."""
 
 from fractions import Fraction
 
@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrigid.scalars import Scalar, scalar
+from crrigid.scalars import SQRT2 as SQ, Scalar, scalar
 
 I = Scalar(0, 0, 1)
-SQ = Scalar.sqrt_d()
 
 rationals = st.builds(
     Fraction,

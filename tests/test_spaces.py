@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from crrigid.corpus import load_corpus
-from crrigid.geometry import Source
+from crrigid.geometry import Source, Target
 from crrigid.maps import MapGerm, map_frame
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
-from crrigid.spaces import (FREE_SLOTS, NotMappedError, field_residual,
-                            hyperquadric_hol0_basis, jet_row_of_field,
-                            pushforward, source_hol0_basis,
+from crrigid.spaces import (FREE_SLOTS, NotMappedError, _verify_tangent,
+                            field_residual, hyperquadric_hol0_basis,
+                            jet_row_of_field, pushforward, source_hol0_basis,
                             validate_embedding)
 from crrigid.pipeline import DegenerateMapError
 
@@ -23,6 +23,15 @@ def test_hyperquadric_bases_have_dimension_ten():
     for eps in (1, -1):
         basis = hyperquadric_hol0_basis(eps, order=8)
         assert len(basis) == 10
+
+
+def test_verify_tangent_rejects_unscaled_dilation():
+    f = frame("z1", "z2", "w1", order=8, weights=(1, 1, 2))
+    z1, z2, w = (Series.variable(f, v) for v in ("z1", "z2", "w1"))
+    target = Target.hyperquadric(1, 8)
+    _verify_tangent(target, [[z1, z2, w.scale(2)]])
+    with pytest.raises(ArithmeticError):
+        _verify_tangent(target, [[z1, z2, w]])
 
 
 def test_source_basis_is_tangent_to_the_sphere():
