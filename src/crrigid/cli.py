@@ -24,7 +24,9 @@ from crrigid.spaces import NotMappedError, decide_rigidity, \
     genericity_certificate, validate_embedding
 
 
-def _load(args) -> ProblemSpec:
+def _load(args):
+    """The problem and its solver orders (work, oracle, automorphism),
+    with the germs expanded deep enough for each of them."""
     order = (args.order or 17) + 7
     if args.problem in CORPUS_IDS:
         text = corpus_text(args.problem)
@@ -35,7 +37,14 @@ def _load(args) -> ProblemSpec:
         except OSError as exc:
             raise ParseError(f"cannot read {args.problem}: {exc}")
     spec = parse_problem(text, order=order)
-    return spec
+    wo = args.order or int(spec.options.get("work_order", 17))
+    oo = args.order or int(spec.options.get("oracle_order", 16))
+    ao = args.aut_order or 9
+    # the pipeline's stage-1 frame and the truncated solvers' K = keq + 1
+    need = max(wo + 5, oo + 1, ao + 1)
+    if need > order:
+        spec = parse_problem(text, order=need)
+    return spec, (wo, oo, ao)
 
 
 #: The options each command reads; the pipeline-only ones do not apply
@@ -45,11 +54,11 @@ _READS = {
     "check": ("--order",),
     "normal-coords": ("--order",),
     "automorphisms": ("--order", "--aut-order"),
-    "deform": ("--order", "--cond-order", "--oracle", "--with-oracle"),
+    "deform": ("--order", "--oracle", "--with-oracle"),
     "deform --oracle": ("--order", "--oracle"),
-    "rigidity": ("--order", "--cond-order", "--aut-order", "--oracle"),
+    "rigidity": ("--order", "--aut-order", "--oracle"),
     "rigidity --oracle": ("--order", "--aut-order", "--oracle"),
-    "genericity": ("--order", "--cond-order"),
+    "genericity": ("--order",),
     "reproduce": (),
     "selftest": (),
 }
@@ -63,15 +72,6 @@ def _check_flags(args) -> None:
         given = getattr(args, flag[2:].replace("-", "_")) not in (None, False)
         if given and flag not in _READS[route]:
             raise ParseError(f"{flag} does not apply to {route}")
-
-
-def _opts(spec: ProblemSpec, args):
-    wo = args.order or int(spec.options.get("work_order", 17))
-    oo = args.order or int(spec.options.get("oracle_order", 16))
-    cond = None
-    if args.cond_order:
-        cond = (args.cond_order - 1, args.cond_order)
-    return wo, oo, cond, args.aut_order or 9
 
 
 def _need_map(spec: ProblemSpec) -> None:
@@ -93,8 +93,7 @@ def run(args) -> int:
         return _selftest(t0)
     if cmd == "reproduce":
         return _reproduce(args, t0)
-    spec = _load(args)
-    wo, oo, cond, ao = _opts(spec, args)
+    spec, (wo, oo, ao) = _load(args)
     if cmd == "normal-coords":
         _emit(rp.normal_coords_doc(spec), t0)
         return 0
@@ -111,8 +110,7 @@ def run(args) -> int:
     if args.oracle:
         sol = direct_solve(H, source, target, keq=oo)
     else:
-        sol = solve_deformation(H, source, target, work_order=wo,
-                                cond_orders=cond)
+        sol = solve_deformation(H, source, target, work_order=wo)
     if cmd == "genericity":
         _emit(rp.genericity_doc(genericity_certificate(sol)), t0)
         return 0
@@ -214,8 +212,6 @@ def main(argv: Optional[list] = None) -> int:
                          f"({', '.join(CORPUS_IDS)}, or 'all')")
     ap.add_argument("--order", type=int, default=None,
                     help="working order of the solvers")
-    ap.add_argument("--cond-order", type=int, default=None,
-                    help="largest residual harvest order")
     ap.add_argument("--aut-order", type=int, default=None,
                     help="truncation order of the automorphism solver "
                          "(default 9)")

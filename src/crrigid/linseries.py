@@ -3,8 +3,11 @@
 The deformation problem is linear in the unknown jet of the deformation
 field, so every intermediate object of the jet parametrization is a finite
 sum  sum_k  f_k(x) * Lambda_k  with ordinary truncated series f_k and
-formal unknowns Lambda_k.  A :class:`LinSeries` stores the f_k keyed by a
-hashable unknown tag and forms a module over :class:`~crrigid.series.Series`.
+formal unknowns Lambda_k.  A :class:`LinSeries` stores it the way its
+callers read it: one sparse row ``{tag: Scalar}`` per exponent, the
+linear form of that coefficient.  Every operation touches each monomial
+once, whatever the number of unknowns, and forms a module over
+:class:`~crrigid.series.Series`.
 
 Unknown tags used in this package:
 
@@ -19,118 +22,139 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Mapping, Optional
 
 from crrigid.scalars import Scalar
-from crrigid.series import Frame, Series
+from crrigid.series import (Exponent, Frame, Series, power_table, projection,
+                            substitution_target, table_monomial)
+
+LinRow = Dict[Hashable, Scalar]
+
+
+def _add_row(out: Dict[Exponent, LinRow], exp: Exponent, row: LinRow,
+             c=None) -> None:
+    """out[exp] += c * row (row itself when c is None), in place; zero
+    entries and empty rows are dropped."""
+    row = dict(row) if c is None else {t: v * c for t, v in row.items()}
+    acc = out.setdefault(exp, row)
+    if acc is not row:
+        for t, v in row.items():
+            s = acc[t] + v if t in acc else v
+            if s:
+                acc[t] = s
+            else:
+                del acc[t]
+        if not acc:
+            del out[exp]
 
 
 class LinSeries:
-    """A finite sum of (unknown tag) * (ordinary series)."""
+    """A truncated series whose coefficients are linear forms:
+    ``rows[exp]`` is the nonzero form at ``exp`` (no zero entries)."""
 
-    __slots__ = ("frame", "comps")
+    __slots__ = ("frame", "rows")
 
-    def __init__(self, frm: Frame, comps: Optional[Dict[Hashable, Series]] = None):
+    def __init__(self, frm: Frame, rows: Optional[Dict[Exponent, LinRow]] = None):
         self.frame = frm
-        self.comps = comps if comps is not None else {}
+        self.rows = rows if rows is not None else {}
 
     @staticmethod
-    def zero(frm: Frame) -> "LinSeries":
-        return LinSeries(frm, {})
+    def from_tags(frm: Frame, comps: Mapping[Hashable, Series]) -> "LinSeries":
+        """sum_k comps[k] * k, from one series per unknown tag."""
+        out: Dict[Exponent, LinRow] = {}
+        for tag, s in comps.items():
+            for exp, c in s.coeffs.items():
+                out.setdefault(exp, {})[tag] = c
+        return LinSeries(frm, out)
 
-    @staticmethod
-    def term(key: Hashable, series: Series) -> "LinSeries":
-        if series.is_zero():
-            return LinSeries(series.frame, {})
-        return LinSeries(series.frame, {key: series})
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.comps.values())
-
-    def keys(self):
-        return self.comps.keys()
-
-    def _wrap(self, comps: Dict[Hashable, Series]) -> "LinSeries":
-        return LinSeries(self.frame, {k: s for k, s in comps.items() if not s.is_zero()})
+    def by_tag(self) -> Dict[Hashable, Series]:
+        """The inverse of :meth:`from_tags`: one series per unknown."""
+        coeffs: Dict[Hashable, Dict[Exponent, Scalar]] = {}
+        for exp, row in self.rows.items():
+            for tag, c in row.items():
+                coeffs.setdefault(tag, {})[exp] = c
+        return {tag: Series(self.frame, co) for tag, co in coeffs.items()}
 
     def __add__(self, other: "LinSeries") -> "LinSeries":
         if self.frame != other.frame:
             raise ValueError("incompatible frames")
-        out = dict(self.comps)
-        for k, s in other.comps.items():
-            out[k] = out[k] + s if k in out else s
-        return self._wrap(out)
+        out = {exp: dict(row) for exp, row in self.rows.items()}
+        for exp, row in other.rows.items():
+            _add_row(out, exp, row)
+        return LinSeries(self.frame, out)
 
     def __neg__(self) -> "LinSeries":
-        return LinSeries(self.frame, {k: -s for k, s in self.comps.items()})
+        return LinSeries(self.frame, {exp: {t: -c for t, c in row.items()}
+                                      for exp, row in self.rows.items()})
 
     def __sub__(self, other: "LinSeries") -> "LinSeries":
         return self + (-other)
 
-    def __mul__(self, other) -> "LinSeries":
-        """Multiply by an ordinary series or scalar."""
-        if isinstance(other, Series):
-            return self.map(lambda s: s * other)
-        return self.map(lambda s: s.scale(other))
-
-    __rmul__ = __mul__
-
-    def map(self, fn: Callable[[Series], Series]) -> "LinSeries":
-        """Apply a linear map of series to every component.
-
-        The result lives in the frame ``fn`` maps into, also when there
-        are no components (``fn`` may change frame, e.g. by restricting
-        to a coordinate hyperplane).
-        """
-        out: Dict[Hashable, Series] = {}
-        frm = None
-        for k, s in self.comps.items():
-            r = fn(s)
-            frm = r.frame
-            if not r.is_zero():
-                out[k] = r
-        if frm is None:
-            frm = fn(Series.zero(self.frame)).frame
+    def __mul__(self, other: Series) -> "LinSeries":
+        """Multiply by an ordinary series in the same frame."""
+        frm = self.frame
+        if frm != other.frame:
+            raise ValueError("incompatible frames")
+        terms = sorted((frm.wdeg(e), e, c) for e, c in other.coeffs.items())
+        out: Dict[Exponent, LinRow] = {}
+        for ea, row in self.rows.items():
+            limit = frm.order - frm.wdeg(ea)
+            for wb, eb, cb in terms:
+                if wb > limit:
+                    break
+                exp = tuple(x + y for x, y in zip(ea, eb))
+                if frm.admits(exp):
+                    _add_row(out, exp, row, cb)
         return LinSeries(frm, out)
 
     def partial(self, var: str) -> "LinSeries":
-        return self.map(lambda s: s.partial(var))
+        i = self.frame.index(var)
+        out: Dict[Exponent, LinRow] = {}
+        for exp, row in self.rows.items():
+            k = exp[i]
+            if k:
+                out[exp[:i] + (k - 1,) + exp[i + 1:]] = {
+                    t: c * k for t, c in row.items()}
+        return LinSeries(self.frame, out)
+
+    def project(self, target: Frame,
+                rename: Optional[Mapping[str, str]] = None) -> "LinSeries":
+        """:meth:`Series.project` of every coefficient."""
+        move = projection(self.frame, target, rename)
+        out: Dict[Exponent, LinRow] = {}
+        for exp, row in self.rows.items():
+            t = move(exp)
+            if t is not None:
+                out[t] = dict(row)
+        return LinSeries(target, out)
+
+    def relabel(self, fn: Callable[[Hashable], Hashable]) -> "LinSeries":
+        """Rename the unknowns by an injective map of tags."""
+        return LinSeries(self.frame, {
+            exp: {fn(t): c for t, c in row.items()}
+            for exp, row in self.rows.items()})
+
+    def conj(self) -> "LinSeries":
+        """Formal conjugate: conjugated coefficients, and each jet tag
+        swapped with its conjugate by :func:`bar_key`."""
+        return LinSeries(self.frame, {
+            exp: {bar_key(t): c.conjugate() for t, c in row.items()}
+            for exp, row in self.rows.items()})
 
     def substitute(self, bindings: Mapping[str, Series]) -> "LinSeries":
-        return self.map(lambda s: s.substitute(bindings))
+        """:meth:`Series.substitute` of every coefficient, from one power
+        table of the bindings; each monomial is formed once."""
+        target = substitution_target(self.frame, bindings)
+        table = power_table([bindings[v] for v in self.frame.vars], self.rows)
+        out: Dict[Exponent, LinRow] = {}
+        for exp, row in self.rows.items():
+            for e, c in table_monomial(table, exp).coeffs.items():
+                _add_row(out, e, row, c)
+        return LinSeries(target, out)
 
-    def conj(self, rename=None,
-             keymap: Optional[Callable[[Hashable], Hashable]] = None) -> "LinSeries":
-        """Formal conjugate: conjugates the series and relabels unknowns."""
-        out: Dict[Hashable, Series] = {}
-        frm = self.frame
-        for k, s in self.comps.items():
-            nk = keymap(k) if keymap else k
-            r = s.conj(rename)
-            frm = r.frame
-            out[nk] = r
-        return LinSeries(frm, out)
-
-    def coefficient_row(self, exp) -> Dict[Hashable, Scalar]:
+    def coefficient_row(self, exp: Exponent) -> LinRow:
         """The linear form attached to one series coefficient."""
-        row: Dict[Hashable, Scalar] = {}
-        for k, s in self.comps.items():
-            c = s.coeffs.get(exp)
-            if c is not None:
-                row[k] = c
-        return row
+        return self.rows.get(exp, {})
 
     def support(self):
-        exps = set()
-        for s in self.comps.values():
-            exps.update(s.support())
-        return exps
-
-    def evaluate(self, assignment: Mapping[Hashable, Scalar]) -> Series:
-        """Contract the unknowns with concrete scalar values."""
-        out = Series.zero(self.frame)
-        for k, s in self.comps.items():
-            v = assignment.get(k)
-            if v is not None and not v.is_zero():
-                out = out + s.scale(v)
-        return out
+        return self.rows.keys()
 
 
 def bar_key(key: Hashable) -> Hashable:

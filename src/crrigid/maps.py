@@ -31,6 +31,16 @@ def self_map_frame(n: int, order: int) -> Frame:
     return Frame(names, order, (1,) * (n - 1) + (2,))
 
 
+def require_order(needed: int, *germs) -> None:
+    """Raise unless every germ (map, source or target) is expanded to at
+    least order ``needed``; a solver would read the missing terms as zero
+    and answer for another germ."""
+    have = min(g.frame.order for g in germs)
+    if have < needed:
+        raise ValueError(f"this solve needs the germs expanded to order "
+                         f"{needed}; they are expanded to order {have}")
+
+
 class MapGerm:
     """A germ of a holomorphic map vanishing at the origin."""
 

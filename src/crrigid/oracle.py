@@ -18,7 +18,7 @@ from crrigid.scalars import ZERO, Scalar, I as IMAG
 from crrigid.series import Frame, Series, power_table, table_monomial
 from crrigid.linseries import LinSeries, bar_key
 from crrigid.geometry import Source, Target, target_vars
-from crrigid.maps import MapGerm, pull_back
+from crrigid.maps import MapGerm, pull_back, require_order
 from crrigid.linalg import Eliminator, rref
 
 Row = Dict[int, Scalar]
@@ -117,14 +117,9 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
             mono = table_monomial(holo_pow, exp)
             monob = table_monomial(anti_pow, exp)
             last = exp
-        j = key[1]
-        s = r_on[j] * mono
-        if not s.is_zero():
-            comps[key] = s
-        sb = rb_on[j] * monob
-        if not sb.is_zero():
-            comps[bar_key(key)] = sb
-    return LinSeries(r_on[0].frame, comps)
+        comps[key] = r_on[key[1]] * mono
+        comps[bar_key(key)] = rb_on[key[1]] * monob
+    return LinSeries.from_tags(r_on[0].frame, comps)
 
 
 @dataclass
@@ -161,7 +156,10 @@ def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
                             if k not in proj]
         col = {k: i for i, k in enumerate(keys)}
         elim = Eliminator(2 * len(keys))
-        for exp in sorted(residual.support(), key=residual.frame.wdeg):
+        # by weighted order, ties by exponent: of the orders tried, the
+        # one needing the fewest row operations on the corpus
+        wdeg = residual.frame.wdeg
+        for exp in sorted(residual.support(), key=lambda e: (wdeg(e), e)):
             for r in realify_row(residual.coefficient_row(exp), col):
                 elim.add_row(r)
         kernel = projected_kernel(elim.kernel_basis(), 2 * len(proj_keys))
@@ -193,7 +191,8 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
                  keq: int = 16) -> TruncatedSolve:
     """Independent deformation-space computation by brute truncation:
     :func:`truncated_solve` of the deformation equation, projected onto
-    the 4-jet."""
+    the 4-jet.  The germs must be expanded to order keq + 1."""
+    require_order(keq + 1, H, source, target)
     return truncated_solve(
         lambda K: deformation_residual(H, source, target, K, K)[0],
         target.n, (1, 2), jet_unknowns(target.n, (1, 2), 4), keq)
@@ -209,8 +208,9 @@ def infinitesimal_automorphisms(target: Target, keq: int = 9,
     M' with the jet of V as unknowns, by :func:`truncated_solve`.  The
     kernel is projected onto jets of order <= ``proj_order``
     (automorphisms of a Levi-nondegenerate germ are determined by their
-    2-jets).
+    2-jets).  The target must be expanded to order keq + 1.
     """
+    require_order(keq + 1, target)
     n = target.n
     names = target_vars(n)
     weights = (1,) * (n - 1) + (2,)

@@ -18,6 +18,7 @@ set numeric solver options, e.g. ``option work_order 17;``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -173,12 +174,13 @@ class _Expr:
 
 
 def _sqrt_scalar(n: int, line: int) -> Scalar:
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return Scalar(cand)
-    if n == 2:
-        return SQRT2
+    """sqrt(n) for n = k^2 or n = 2 k^2, the square roots in the field."""
+    k = math.isqrt(n)
+    if k * k == n:
+        return Scalar(k)
+    k = math.isqrt(n // 2)
+    if 2 * k * k == n:
+        return SQRT2 * k
     raise ParseError(
         f"sqrt({n}) is not representable in the coefficient field "
         f"Q(i, sqrt(2))", line)

@@ -40,14 +40,15 @@ harvested at two consecutive orders to certify stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
-from crrigid.scalars import ZERO, Scalar
+from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame
-from crrigid.linseries import LinSeries, bar_key
+from crrigid.linseries import LinRow, LinSeries
 from crrigid.linalg import Eliminator, adjugate3, det3, rref
 from crrigid.geometry import Source, Target
-from crrigid.maps import MapGerm, map_frame, nondegeneracy, pull_back
+from crrigid.maps import MapGerm, map_frame, nondegeneracy, pull_back, \
+    require_order
 from crrigid.oracle import jet_unknowns, realify_row, Row
 
 
@@ -58,32 +59,30 @@ class DegenerateMapError(ValueError):
 
 # -- the two reflection stages ----------------------------------------
 
+def formal_jet(keys: List[Hashable], frm: Frame) -> List[LinSeries]:
+    """J_j = sum of ("jet", j, m, n) z^m w^n over ``keys``, per component."""
+    J: List[Dict[tuple, LinRow]] = [{} for _ in range(3)]
+    for key in keys:
+        J[key[1]][tuple(key[2:])] = {key: Scalar(1)}
+    return [LinSeries(frm, rows) for rows in J]
+
+
 def conjugate_reflection(H: MapGerm, source: Source, target: Target,
-                         order: int, xfrm: Frame):
+                         order: int, xfrm: Frame, J: List[LinSeries]):
     """Stage 1: D-representations of the conjugate field.
 
     Returns D[h][(j1, j2)] for j1 + j2 <= 2: jet-linear series in x2 that
     represent (d/dchi)^j1 (d/dtau)^j2 alphabar_h on the first Segre set
-    {(chi, tau) = (x2, 0)} in terms of the (unbarred) 4-jet of alpha.
+    {(chi, tau) = (x2, 0)} in terms of the (unbarred) 4-jet J of alpha.
     Only d/dz up to order 2 is ever applied, so the chart carries a z-cap.
     """
     frm = source.zct_frame(order, zcap=2)
     holo, _ = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
-    zv, wstar = holo["z"], holo["w"]
 
     # the unknown replaced by its 4-jet polynomial evaluated on the germ
-    zpow = [Series.const(frm, 1)]
-    wpow = [Series.const(frm, 1)]
-    for _ in range(4):
-        zpow.append(zpow[-1] * zv)
-        wpow.append(wpow[-1] * wstar)
-    rhs = LinSeries.zero(frm)
-    for key in jet_unknowns(target.n, (1, 2), 4):
-        _, j, m, n = key
-        s = r_on[j] * (zpow[m] * wpow[n])
-        if not s.is_zero():
-            rhs = rhs + LinSeries.term(key, -s)
+    rhs = -sum((J[j].substitute(holo) * r_on[j] for j in range(3)),
+               LinSeries(frm))
     lhs = [list(rb_on)]
     rhs_k = [rhs]
     for _ in range(2):
@@ -92,18 +91,14 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
 
     ct = frame("chi", "tau", order=order, weights=(1, 2))
     M = [[s.project(ct) for s in row] for row in lhs]
-    b = [r.map(lambda s: s.project(ct)) for r in rhs_k]
+    b = [r.project(ct) for r in rhs_k]
     det = det3(M)
     if det.constant_term().is_zero():
         raise DegenerateMapError("conjugate reflection system is singular")
     detinv = det.invert_unit()
     adj = adjugate3(M)
-    sol = []
-    for h in range(3):
-        acc = LinSeries.zero(ct)
-        for k in range(3):
-            acc = acc + b[k] * adj[h][k]
-        sol.append(acc * detinv)
+    sol = [sum((b[k] * adj[h][k] for k in range(3)), LinSeries(ct)) * detinv
+           for h in range(3)]
 
     D: List[Dict[Tuple[int, int], LinSeries]] = []
     for h in range(3):
@@ -116,8 +111,7 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
                 for _ in range(j2):
                     d = d.partial("tau")
                 # restricted to tau = 0, chi renamed x2
-                reps[(j1, j2)] = d.map(
-                    lambda s: s.project(xfrm, {"chi": "x2"}))
+                reps[(j1, j2)] = d.project(xfrm, {"chi": "x2"})
         D.append(reps)
     return D
 
@@ -140,21 +134,12 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
     def dchi(ls: LinSeries) -> LinSeries:
         # chain rule on symbols ("dbar", h, j1, j2) for the chi/tau
         # derivatives of alphabar_h evaluated at (chi, Qbar(chi, z, w))
-        out: Dict[Hashable, Series] = {}
+        return (ls.partial("chi")
+                + ls.relabel(lambda k: k[:2] + (k[2] + 1, k[3]))
+                + ls.relabel(lambda k: k[:3] + (k[3] + 1,)) * qbar_chi)
 
-        def add(key, s):
-            if s.is_zero():
-                return
-            out[key] = out[key] + s if key in out else s
-
-        for (tag, h, j1, j2), s in ls.comps.items():
-            add((tag, h, j1, j2), s.partial("chi"))
-            add((tag, h, j1 + 1, j2), s)
-            add((tag, h, j1, j2 + 1), s * qbar_chi)
-        return LinSeries(frm, out)
-
-    rhs = LinSeries(frm, {("dbar", j, 0, 0): -rb_on[j] for j in range(3)
-                          if not rb_on[j].is_zero()})
+    rhs = LinSeries.from_tags(frm, {("dbar", j, 0, 0): -rb_on[j]
+                                    for j in range(3)})
     lhs = [list(r_on)]
     rhs_k = [rhs]
     for _ in range(2):
@@ -176,15 +161,11 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
 
     phi: List[LinSeries] = []
     for ell in range(3):
-        acc = LinSeries.zero(xfrm)
-        for k in range(3):
-            acc = acc + b[k] * adj[ell][k]
-        acc = acc * detinv
+        acc = sum((b[k] * adj[ell][k] for k in range(3)),
+                  LinSeries(xfrm)) * detinv
         # contract the symbols with the stage-1 representations
-        out = LinSeries.zero(xfrm)
-        for (tag, h, j1, j2), s in acc.comps.items():
-            out = out + D[h][(j1, j2)] * s
-        phi.append(out)
+        phi.append(sum((D[h][(j1, j2)] * s for (_, h, j1, j2), s
+                        in acc.by_tag().items()), LinSeries(xfrm)))
     return phi
 
 
@@ -241,8 +222,6 @@ class JetConditions:
     K: List[LinSeries]                             # candidate solution, (z, w)
     rows_pole: Dict[Tuple[int, int, int], Row]     # (l, a, m2) -> complex row
     rows_jet: Dict[Tuple[int, int, int], Row]      # (l, m, n) -> complex row
-    phi: List[LinSeries]
-    fiber: SegreFiber
 
 
 def jet_conditions(H: MapGerm, source: Source, target: Target,
@@ -259,7 +238,11 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
         raise DegenerateMapError("embedding is not 2-nondegenerate at 0")
 
     xfrm = frame("x1", "x2", order=kphi)
-    D = conjugate_reflection(H, source, target, kphi + 4, xfrm)
+    keys = jet_unknowns(target.n, (1, 2), 4)
+    # K's frame holds the whole 4-jet, also when kphi < 8
+    mf = map_frame(max(kphi, 8))
+    J = formal_jet(keys, mf)
+    D = conjugate_reflection(H, source, target, kphi + 4, xfrm, J)
     phi = direct_reflection(H, source, target, kphi + 2, xfrm, D)
     fiber = segre_fiber(source, kphi)
 
@@ -276,47 +259,29 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     for _ in range(kphi):
         uipow.append(uipow[-1] * fiber.Uinv.project(zf))
 
-    keys = jet_unknowns(target.n, (1, 2), 4)
-    mf = map_frame(kphi)
-    it = tf.index("t")
-    iz = tf.index("z")
     rows_pole: Dict[Tuple[int, int, int], Row] = {}
-    Kcomps: List[Dict[Hashable, Series]] = [dict() for _ in range(3)]
+    K: List[LinSeries] = []
     for ell in range(3):
-        for key, s in Psi[ell].comps.items():
-            strata: Dict[int, Dict[tuple, Scalar]] = {}
-            for exp, c in s.coeffs.items():
-                strata.setdefault(exp[it], {})[(exp[iz],)] = c
-            for m2, zco in strata.items():
-                prod = Series(zf, {e: c for e, c in zco.items()
-                                   if zf.admits(e)}) * uipow[m2]
-                for (m1,), c in prod.coeffs.items():
-                    a = m1 - 2 * m2
-                    if a < 0:
-                        row = rows_pole.setdefault((ell, a, m2), {})
-                        row[key] = row.get(key, ZERO) + c
-                    elif a + 2 * m2 <= kphi:
-                        comp = Kcomps[ell].setdefault(key, Series.zero(mf))
-                        Kcomps[ell][key] = comp + Series.monomial(
-                            mf, (a, m2), c)
-    rows_pole = {idx: {k: v for k, v in row.items() if not v.is_zero()}
-                 for idx, row in rows_pole.items()}
-    rows_pole = {idx: row for idx, row in rows_pole.items() if row}
-    K = [LinSeries(mf, {k: s for k, s in comps.items() if not s.is_zero()})
-         for comps in Kcomps]
+        # the z-series at each power m2 of t (tf caps z at kphi)
+        strata: Dict[int, Dict[tuple, LinRow]] = {}
+        for (m1, m2), row in Psi[ell].rows.items():
+            strata.setdefault(m2, {})[(m1,)] = row
+        krows: Dict[tuple, LinRow] = {}
+        for m2, zrows in strata.items():
+            prod = LinSeries(zf, zrows) * uipow[m2]
+            for (m1,), row in prod.rows.items():
+                a = m1 - 2 * m2
+                if a < 0:
+                    rows_pole[(ell, a, m2)] = row
+                elif a + 2 * m2 <= kphi:
+                    krows[(a, m2)] = row
+        K.append(LinSeries(mf, krows))
 
-    rows_jet: Dict[Tuple[int, int, int], Row] = {}
-    for ell in range(3):
-        for m in range(5):
-            for n in range(5 - m):
-                row = dict(K[ell].coefficient_row((m, n)))
-                if (m, n) != (0, 0):
-                    tag = ("jet", ell, m, n)
-                    row[tag] = row.get(tag, ZERO) - Scalar(1)
-                row = {k: v for k, v in row.items() if not v.is_zero()}
-                if row:
-                    rows_jet[(ell, m, n)] = row
-    return JetConditions(keys, K, rows_pole, rows_jet, phi, fiber)
+    diffs = [k - j for k, j in zip(K, J)]
+    rows_jet = {(ell, m, n): diffs[ell].coefficient_row((m, n))
+                for ell in range(3) for m in range(5) for n in range(5 - m)
+                if (m, n) in diffs[ell].support()}
+    return JetConditions(keys, K, rows_pole, rows_jet)
 
 
 def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
@@ -327,17 +292,13 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
     frm = source.zct_frame(order)
     holo, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
-    res = LinSeries.zero(frm)
+    res = LinSeries(frm)
     for ell in range(3):
         Kc = cond.K[ell].substitute(holo)
-        Kb = cond.K[ell].conj(keymap=bar_key).substitute(anti)
+        Kb = cond.K[ell].conj().substitute(anti)
         res = res + Kc * r_on[ell] + Kb * rb_on[ell]
-    out: Dict[tuple, Row] = {}
-    for exp in sorted(res.support(), key=lambda e: frm.wdeg(e)):
-        row = res.coefficient_row(exp)
-        if row:
-            out[exp] = row
-    return out
+    return {exp: res.coefficient_row(exp)
+            for exp in sorted(res.support(), key=frm.wdeg)}
 
 
 # -- assembled solver -------------------------------------------------
@@ -354,28 +315,24 @@ class DeformationSolve:
 
 
 def solve_deformation(H: MapGerm, source: Source, target: Target,
-                      work_order: int = 17,
-                      cond_orders: Optional[Tuple[int, int]] = None
-                      ) -> DeformationSolve:
+                      work_order: int = 17) -> DeformationSolve:
     """Dimension of the space of infinitesimal deformations of H.
 
     The pole and jet rows are complex-linear in the 4-jet; the residual
     rows also involve the conjugate jet.  Everything is realified over the
     84 real 4-jet coordinates and the kernel dimension is reported, with
-    stabilization over two consecutive residual harvest orders.
+    stabilization over the residual harvest orders work_order - 1 and
+    work_order.  The germs must be expanded to the order of the stage-1
+    frame, work_order + 5.
     """
-    if cond_orders is None:
-        cond_orders = (work_order - 1, work_order)
-    if max(cond_orders) > work_order:
-        raise ValueError("residual orders cannot exceed the working order")
+    require_order(work_order + 5, H, source, target)
     cond = jet_conditions(H, source, target, work_order)
     keys = cond.jet_keys
     col = {k: i for i, k in enumerate(keys)}
     ncols = 2 * len(keys)
 
-    last = max(cond_orders)
-    res_rows = residual_rows(cond, H, source, target, last)
-    wdeg = source.zct_frame(last).wdeg
+    res_rows = residual_rows(cond, H, source, target, work_order)
+    wdeg = source.zct_frame(work_order).wdeg
     # one elimination: the residual rows of each harvest order are added
     # to those of the lower orders; the reduced form is canonical, so
     # every kernel equals the one of a fresh elimination
@@ -385,7 +342,7 @@ def solve_deformation(H: MapGerm, source: Source, target: Target,
             elim.add_row(r)
     dims: Dict[int, int] = {}
     done = -1
-    for korder in sorted(cond_orders):
+    for korder in (work_order - 1, work_order):
         for exp, row in res_rows.items():
             if done < wdeg(exp) <= korder:
                 for r in realify_row(row, col):
@@ -395,5 +352,6 @@ def solve_deformation(H: MapGerm, source: Source, target: Target,
         dims[korder] = len(kernel)
     kernel_real = rref(kernel, ncols)
     stabilized = len(set(dims.values())) == 1
-    return DeformationSolve(cond, {last: res_rows}, dims, dims[last],
+    return DeformationSolve(cond, {work_order: res_rows}, dims,
+                            dims[work_order],
                             stabilized, kernel_real, keys)

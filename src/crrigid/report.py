@@ -9,15 +9,13 @@ inputs produce byte-identical reports.
 from __future__ import annotations
 
 import json
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Sequence
 
 from crrigid.scalars import Scalar
 from crrigid.linalg import Row
-from crrigid.geometry import Source, Target
-from crrigid.maps import MapGerm, nondegeneracy, transversality
+from crrigid.maps import nondegeneracy, transversality
 from crrigid.parser import ProblemSpec
-from crrigid.spaces import RigidityReport, GenericityCertificate, \
-    VERDICT_RIGID_VANISHING, VERDICT_RIGID_TRIVIAL, VERDICT_INCONCLUSIVE
+from crrigid.spaces import RigidityReport, GenericityCertificate
 
 
 def _scalar_str(s: Scalar) -> str:

@@ -3,8 +3,7 @@
 A :class:`Series` is a sparse hash-map from exponent tuples to
 :class:`~crrigid.scalars.Scalar` coefficients, truncated to a fixed total
 (weighted) degree recorded in its :class:`Frame`.  Frames may additionally
-impose per-variable degree caps and may allow bounded negative exponents
-("controlled Laurent extension") in designated variables.
+impose per-variable degree caps.
 
 Two series are compatible only if their frames agree exactly; all binary
 operations check this.
@@ -15,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from crrigid.scalars import ZERO, Scalar, scalar
 
@@ -26,13 +26,12 @@ NO_CAP = -1
 
 @dataclass(frozen=True)
 class Frame:
-    """Variable frame: names, truncation order, weights, caps, floors."""
+    """Variable frame: names, truncation order, weights, caps."""
 
     vars: Tuple[str, ...]
     order: int
     weights: Tuple[int, ...] = None  # type: ignore[assignment]
     caps: Tuple[int, ...] = None  # type: ignore[assignment]
-    floors: Tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         n = len(self.vars)
@@ -40,8 +39,6 @@ class Frame:
             object.__setattr__(self, "weights", (1,) * n)
         if self.caps is None:
             object.__setattr__(self, "caps", (NO_CAP,) * n)
-        if self.floors is None:
-            object.__setattr__(self, "floors", (0,) * n)
         if len(set(self.vars)) != n:
             raise ValueError("duplicate variable names")
 
@@ -52,8 +49,8 @@ class Frame:
         return sum(e * w for e, w in zip(exp, self.weights))
 
     def admits(self, exp: Exponent) -> bool:
-        for e, cap, floor in zip(exp, self.caps, self.floors):
-            if e < floor or (cap != NO_CAP and e > cap):
+        for e, cap in zip(exp, self.caps):
+            if cap != NO_CAP and e > cap:
                 return False
         return self.wdeg(exp) <= self.order
 
@@ -62,14 +59,12 @@ class Frame:
 
 
 def frame(*vars: str, order: int, weights: Optional[Iterable[int]] = None,
-          caps: Optional[Mapping[str, int]] = None,
-          floors: Optional[Mapping[str, int]] = None) -> Frame:
+          caps: Optional[Mapping[str, int]] = None) -> Frame:
     """Convenience constructor for :class:`Frame`."""
     n = len(vars)
     w = tuple(weights) if weights is not None else (1,) * n
     c = tuple((caps or {}).get(v, NO_CAP) for v in vars)
-    f = tuple((floors or {}).get(v, 0) for v in vars)
-    return Frame(tuple(vars), order, w, c, f)
+    return Frame(tuple(vars), order, w, c)
 
 
 class Series:
@@ -220,16 +215,11 @@ class Series:
 
     def partial(self, var: str) -> "Series":
         i = self.frame.index(var)
-        floor = self.frame.floors[i]
         out: Dict[Exponent, Scalar] = {}
         for exp, c in self.coeffs.items():
             k = exp[i]
-            if k == 0:
-                continue
-            nexp = exp[:i] + (k - 1,) + exp[i + 1:]
-            if nexp[i] < floor:
-                continue
-            out[nexp] = c * k
+            if k:
+                out[exp[:i] + (k - 1,) + exp[i + 1:]] = c * k
         return Series(self.frame, out)
 
     def conj(self, rename: Optional[Mapping[str, str]] = None) -> "Series":
@@ -249,9 +239,8 @@ class Series:
         # position j of the new exponent tuple (variable frm.vars[j]) takes the
         # exponent of the source variable that renames to frm.vars[j].
         for j, p in enumerate(perm):
-            if frm.weights[j] != frm.weights[p] or frm.caps[j] != frm.caps[p] \
-                    or frm.floors[j] != frm.floors[p]:
-                raise ValueError("rename must respect weights/caps/floors")
+            if frm.weights[j] != frm.weights[p] or frm.caps[j] != frm.caps[p]:
+                raise ValueError("rename must respect weights and caps")
         out: Dict[Exponent, Scalar] = {}
         for exp, c in self.coeffs.items():
             nexp = tuple(exp[p] for p in perm)
@@ -261,33 +250,16 @@ class Series:
     # -- substitution -------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "Series"]) -> "Series":
-        """Substitute a series for every variable.
-
-        Every variable of this frame must be bound.  Each binding must have
-        zero constant term and weighted vanishing order at least the weight
-        of the variable it replaces (this keeps truncation exact).  All
-        bindings must share one target frame.
-        """
-        frm = self.frame
-        if set(bindings) != set(frm.vars):
-            raise ValueError("substitute requires a binding for every variable")
-        target = None
-        for v in frm.vars:
-            b = bindings[v]
-            if target is None:
-                target = b.frame
-            elif b.frame != target:
-                raise ValueError("bindings with mismatched frames")
-            if not b.constant_term().is_zero():
-                raise ValueError(f"binding for {v} has nonzero constant term")
-            if b.vanishing_order() < frm.weights[frm.index(v)]:
-                raise ValueError(f"binding for {v} vanishes to too low an order")
-        assert target is not None
-        table = power_table([bindings[v] for v in frm.vars], self.coeffs)
-        out = Series.zero(target)
-        for exp, c in sorted(self.coeffs.items()):
-            out = out + table_monomial(table, exp).scale(c)
-        return out
+        """Substitute a series for every variable (checked by
+        :func:`substitution_target`)."""
+        target = substitution_target(self.frame, bindings)
+        table = power_table([bindings[v] for v in self.frame.vars],
+                            self.coeffs)
+        out: Dict[Exponent, Scalar] = {}
+        for exp, c in self.coeffs.items():
+            for e, m in table_monomial(table, exp).coeffs.items():
+                out[e] = out[e] + m * c if e in out else m * c
+        return Series(target, {e: c for e, c in out.items() if c})
 
     def rebase(self, target: Frame,
                rename: Optional[Mapping[str, str]] = None) -> "Series":
@@ -306,22 +278,12 @@ class Series:
         """Like :meth:`rebase`, but drops the terms the target cannot hold:
         those in a variable it lacks (restricting to {var = 0}) and those
         its truncation does not admit."""
-        names = [(rename or {}).get(v, v) for v in self.frame.vars]
-        pos = [target.vars.index(v) if v in target.vars else None
-               for v in names]
-        n = len(target.vars)
+        move = projection(self.frame, target, rename)
         out: Dict[Exponent, Scalar] = {}
         for exp, c in self.coeffs.items():
-            nexp = [0] * n
-            for p, e in zip(pos, exp):
-                if e:
-                    if p is None:
-                        break
-                    nexp[p] = e
-            else:
-                t = tuple(nexp)
-                if target.admits(t):
-                    out[t] = c
+            t = move(exp)
+            if t is not None:
+                out[t] = c
         return Series(target, out)
 
     # -- units --------------------------------------------------------
@@ -352,6 +314,54 @@ class Series:
         return g
 
 
+def substitution_target(frm: Frame, bindings: Mapping[str, Series]
+                        ) -> Frame:
+    """The frame a substitution into ``frm`` lands in.
+
+    Every variable of ``frm`` must be bound.  Each binding must have zero
+    constant term and weighted vanishing order at least the weight of the
+    variable it replaces (this keeps truncation exact).  All bindings must
+    share one target frame.
+    """
+    if set(bindings) != set(frm.vars):
+        raise ValueError("substitute requires a binding for every variable")
+    target = bindings[frm.vars[0]].frame
+    for v, w in zip(frm.vars, frm.weights):
+        b = bindings[v]
+        if b.frame != target:
+            raise ValueError("bindings with mismatched frames")
+        if not b.constant_term().is_zero():
+            raise ValueError(f"binding for {v} has nonzero constant term")
+        if b.vanishing_order() < w:
+            raise ValueError(f"binding for {v} vanishes to too low an order")
+    return target
+
+
+def projection(source: Frame, target: Frame,
+               rename: Optional[Mapping[str, str]] = None
+               ) -> Callable[[Exponent], Optional[Exponent]]:
+    """The exponent map of :meth:`Series.project`: an exponent of
+    ``source`` goes to its image in ``target`` (variables renamed by
+    ``rename``), or to None when it has a variable the target lacks or
+    the target does not admit it."""
+    names = [(rename or {}).get(v, v) for v in source.vars]
+    pos = [target.vars.index(v) if v in target.vars else None
+           for v in names]
+    n = len(target.vars)
+
+    def move(exp: Exponent) -> Optional[Exponent]:
+        nexp = [0] * n
+        for p, e in zip(pos, exp):
+            if e:
+                if p is None:
+                    return None
+                nexp[p] = e
+        t = tuple(nexp)
+        return t if target.admits(t) else None
+
+    return move
+
+
 def power_table(gens: Sequence[Series], exps: Iterable[Exponent]
                 ) -> List[List[Series]]:
     """Powers g^0, .., g^m of each generator g, m its largest exponent in
@@ -360,8 +370,6 @@ def power_table(gens: Sequence[Series], exps: Iterable[Exponent]
     top = [0] * len(gens)
     for exp in exps:
         for i, e in enumerate(exp):
-            if e < 0:
-                raise ValueError("cannot substitute into a Laurent series")
             if e > top[i]:
                 top[i] = e
     table = []

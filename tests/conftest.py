@@ -30,15 +30,14 @@ class ComputeCache:
     def spec(self, entry, order=24):
         return self._get(("spec", entry, order), lambda: load_corpus(entry, order))
 
-    def pipeline(self, entry, work_order=None, cond_orders=None):
+    def pipeline(self, entry, work_order=None):
         exp = EXPECTATIONS[entry]
         if work_order is None:
             work_order = exp.work_order
-        key = ("pipeline", entry, work_order, cond_orders)
         s = self.spec(entry)
-        return self._get(key, lambda: solve_deformation(
-            s.H, s.source, s.target, work_order=work_order,
-            cond_orders=cond_orders))
+        return self._get(("pipeline", entry, work_order),
+                         lambda: solve_deformation(s.H, s.source, s.target,
+                                                   work_order=work_order))
 
     def oracle(self, entry, keq=None):
         exp = EXPECTATIONS[entry]

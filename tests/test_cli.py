@@ -130,17 +130,12 @@ def test_selftest_exits_0(capsys):
     ("genericity", ("--oracle",)),
     ("deform --oracle", ("--with-oracle",)),
     ("rigidity", ("--with-oracle",)),
-    ("deform --oracle", ("--cond-order", "12")),
-    ("rigidity --oracle", ("--cond-order", "12")),
     ("check", ("--oracle",)),
     ("check", ("--with-oracle",)),
-    ("check", ("--cond-order", "12")),
     ("normal-coords", ("--oracle",)),
     ("normal-coords", ("--with-oracle",)),
-    ("normal-coords", ("--cond-order", "12")),
     ("automorphisms", ("--oracle",)),
     ("automorphisms", ("--with-oracle",)),
-    ("automorphisms", ("--cond-order", "12")),
     ("check", ("--aut-order", "5")),
     ("normal-coords", ("--aut-order", "5")),
     ("deform", ("--aut-order", "5")),

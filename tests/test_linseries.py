@@ -1,0 +1,101 @@
+"""Jet-linear series: each operation equals the same Series operation
+applied tag by tag."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crrigid.linseries import LinSeries, bar_key
+from crrigid.series import Series, frame
+
+from test_series import F, series_elems
+
+TAGS = (("jet", 0, 1, 0), ("jet", 1, 0, 1), ("jetbar", 2, 2, 0))
+
+
+@st.composite
+def linseries_elems(draw):
+    return LinSeries.from_tags(F, {t: draw(series_elems()) for t in TAGS})
+
+
+def tagwise(ls, op):
+    """op applied to the series of every tag, zero results dropped."""
+    out = {t: op(s) for t, s in ls.by_tag().items()}
+    return {t: s for t, s in out.items() if not s.is_zero()}
+
+
+@st.composite
+def bindings(draw):
+    """z and w bound to series of weighted order >= 1 and >= 2."""
+    def drop_below(s, w):
+        return Series(F, {e: c for e, c in s.coeffs.items()
+                          if F.wdeg(e) >= w})
+    return {"z": drop_below(draw(series_elems()), 1),
+            "w": drop_below(draw(series_elems()), 2)}
+
+
+@given(st.dictionaries(st.sampled_from(TAGS), series_elems()))
+@settings(max_examples=30, deadline=None)
+def test_from_tags_round_trip(comps):
+    ls = LinSeries.from_tags(F, comps)
+    assert ls.by_tag() == {t: s for t, s in comps.items() if not s.is_zero()}
+    assert (not ls.support()) == all(s.is_zero() for s in comps.values())
+
+
+@given(linseries_elems(), linseries_elems())
+@settings(max_examples=30, deadline=None)
+def test_add_and_sub(a, b):
+    sa, sb = a.by_tag(), b.by_tag()
+    zero = Series.zero(F)
+    for got, sign in ((a + b, 1), (a - b, -1)):
+        want = {t: sa.get(t, zero) + sb.get(t, zero).scale(sign)
+                for t in set(sa) | set(sb)}
+        assert got.by_tag() == {t: s for t, s in want.items()
+                                if not s.is_zero()}
+    assert not (a - a).support()
+
+
+@given(linseries_elems(), series_elems())
+@settings(max_examples=30, deadline=None)
+def test_mul_by_series(a, s):
+    assert (a * s).by_tag() == tagwise(a, lambda x: x * s)
+
+
+@given(linseries_elems())
+@settings(max_examples=30, deadline=None)
+def test_partial(a):
+    for var in ("z", "w"):
+        assert a.partial(var).by_tag() == tagwise(a, lambda x: x.partial(var))
+
+
+@given(linseries_elems())
+@settings(max_examples=30, deadline=None)
+def test_project_onto_capped_frame(a):
+    capped = frame("z", "w", order=5, weights=(1, 2), caps={"z": 2})
+    got = a.project(capped)
+    assert got.frame == capped
+    assert got.by_tag() == tagwise(a, lambda x: x.project(capped))
+
+
+@given(linseries_elems(), bindings())
+@settings(max_examples=20, deadline=None)
+def test_substitute(a, bind):
+    assert a.substitute(bind).by_tag() == \
+        tagwise(a, lambda x: x.substitute(bind))
+
+
+@given(linseries_elems())
+@settings(max_examples=30, deadline=None)
+def test_conj_swaps_jet_tags(a):
+    want = {bar_key(t): s.conj() for t, s in a.by_tag().items()}
+    assert a.conj().by_tag() == want
+
+
+@given(linseries_elems())
+@settings(max_examples=30, deadline=None)
+def test_coefficient_row(a):
+    comps = a.by_tag()
+    for e in [(m, n) for m in range(7) for n in range(4) if m + 2 * n <= 6]:
+        want = {t: s.coefficient(e) for t, s in comps.items()
+                if not s.coefficient(e).is_zero()}
+        assert a.coefficient_row(e) == want
+        assert (e in a.support()) == bool(want)

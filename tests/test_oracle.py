@@ -69,9 +69,11 @@ def test_residual_annihilated_by_known_deformation(cache):
     assignment = {("jet", 0, 1, 0): I, ("jet", 1, 2, 0): third,
                   ("jetbar", 0, 1, 0): -1 * I,
                   ("jetbar", 1, 2, 0): third.conjugate()}
-    evaluated = residual.evaluate({k: assignment.get(k, Scalar(0))
-                                   for k in residual.keys()})
-    assert evaluated.is_zero()
+    for exp in residual.support():
+        row = residual.coefficient_row(exp)
+        value = sum((c * assignment[k] for k, c in row.items()
+                     if k in assignment), Scalar(0))
+        assert value.is_zero(), exp
 
 
 def test_oracle_dimension_on_cubic_example(cache):

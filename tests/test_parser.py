@@ -53,6 +53,8 @@ def test_sqrt_literal():
     frm = frame("z", "w", order=8, weights=(1, 2))
     assert parse_expression("sqrt(4)", frm).constant_term() == Scalar(2)
     assert parse_expression("sqrt(2)", frm).constant_term() == SQRT2
+    assert parse_expression("sqrt(8)", frm).constant_term() == 2 * SQRT2
+    assert parse_expression("sqrt(18)", frm).constant_term() == 3 * SQRT2
     with pytest.raises(ParseError) as exc:
         parse_expression("sqrt(3)", frm)
     assert "Q(i, sqrt(2))" in str(exc.value)

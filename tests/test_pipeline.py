@@ -3,8 +3,12 @@
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
+from crrigid.corpus import load_corpus
 from crrigid.linalg import Eliminator, in_span, kernel_of, rank_of, same_span
-from crrigid.pipeline import segre_fiber
+from crrigid.oracle import direct_solve, infinitesimal_automorphisms
+from crrigid.pipeline import segre_fiber, solve_deformation
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
 
@@ -136,3 +140,16 @@ def test_pipeline_contains_known_cubic_solution(cache):
     vec = {2 * col[("jet", 0, 1, 0)] + 1: Scalar(1),
            2 * col[("jet", 1, 2, 0)] + 1: Scalar(1) / 3}
     assert in_span(vec, sol.kernel_real, 2 * len(sol.jet_keys))
+
+
+def test_germ_shorter_than_the_solve_raises():
+    """sphere-8 expanded to order 12 is too short for either route at the
+    default orders; read as zero, its missing terms would give a
+    stabilized dimension of 16 instead of 22."""
+    spec = load_corpus("sphere-8", order=12)
+    with pytest.raises(ValueError, match="to order 22; .* to order 12"):
+        solve_deformation(spec.H, spec.source, spec.target, work_order=17)
+    with pytest.raises(ValueError, match="to order 17; .* to order 12"):
+        direct_solve(spec.H, spec.source, spec.target, keq=16)
+    with pytest.raises(ValueError, match="to order 13; .* to order 12"):
+        infinitesimal_automorphisms(spec.target, keq=12)
