@@ -306,7 +306,7 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
 @dataclass
 class DeformationSolve:
     conditions: JetConditions
-    residuals: Dict[int, Dict[tuple, Row]]   # keyed by the largest order
+    residuals: Dict[tuple, Row]   # harvested to work_order
     dims: Dict[int, int]
     dim: int
     stabilized: bool
@@ -352,6 +352,5 @@ def solve_deformation(H: MapGerm, source: Source, target: Target,
         dims[korder] = len(kernel)
     kernel_real = rref(kernel, ncols)
     stabilized = len(set(dims.values())) == 1
-    return DeformationSolve(cond, {work_order: res_rows}, dims,
-                            dims[work_order],
+    return DeformationSolve(cond, res_rows, dims, dims[work_order],
                             stabilized, kernel_real, keys)

@@ -299,20 +299,6 @@ class Series:
             g = g * (two - self * g)
         return g
 
-    def sqrt_unit(self) -> "Series":
-        """Principal square root of a unit whose constant term is a positive
-        rational square."""
-        c0 = self.constant_term()
-        root = c0.sqrt_rational()
-        if root.is_zero():
-            raise ValueError("sqrt_unit needs a nonzero constant term")
-        g = Series.const(self.frame, root)
-        half = Scalar(Fraction(1, 2))
-        steps = max(1, math.ceil(math.log2(self.frame.order + 2)) + 1)
-        for _ in range(steps):
-            g = (g + self * g.invert_unit()).scale(half)
-        return g
-
 
 def substitution_target(frm: Frame, bindings: Mapping[str, Series]
                         ) -> Frame:

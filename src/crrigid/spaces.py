@@ -288,7 +288,6 @@ def genericity_certificate(sol: DeformationSolve,
     perturbations of the model embedding.
     """
     cond = sol.conditions
-    res = sol.residuals[max(sol.residuals)]
     keys = list(cond.jet_keys) + [bar_key(k) for k in cond.jet_keys]
     drop = set(free_slots)
     col = {k: i for i, k in enumerate(keys)}
@@ -308,7 +307,7 @@ def genericity_certificate(sol: DeformationSolve,
         push(row)
     for row in cond.rows_jet.values():
         push(row)
-    for row in res.values():
+    for row in sol.residuals.values():
         push(row)
     ncols = len(keys) - len(drop)
     rank = rank_of(rows, len(keys))

@@ -4,13 +4,33 @@ import json
 
 import pytest
 
+from crrigid import cli
 from crrigid.cli import main
+from crrigid.corpus import EXPECTATIONS
 
 
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _serve_from_cache(monkeypatch, cache, entry):
+    """Answer the command line's truncated solves of ``entry`` from the
+    shared ComputeCache, so that a test here checks what the command
+    line adds (report, message, exit code) without solving again."""
+    exp = EXPECTATIONS[entry]
+
+    def oracle(H, source, target, keq):
+        assert keq == exp.oracle_order
+        return cache.oracle(entry)
+
+    def automorphisms(target, keq):
+        assert keq == exp.aut_keq
+        return cache.automorphisms(entry)
+
+    monkeypatch.setattr(cli, "direct_solve", oracle)
+    monkeypatch.setattr(cli, "infinitesimal_automorphisms", automorphisms)
 
 
 def test_check_corpus_entry(capsys):
@@ -83,23 +103,32 @@ def test_degenerate_map_exits_2(capsys):
     assert "input error" in err
 
 
-def test_automorphisms_command(capsys):
+def test_automorphisms_command(monkeypatch, cache, capsys):
+    _serve_from_cache(monkeypatch, cache, "target-6-4")
     code, out, _ = _run(capsys, "automorphisms", "target-6-4",
                         "--aut-order", "11")
     assert code == 0
     doc = json.loads(out)
+    assert doc["command"] == "automorphisms"
     assert doc["dimension"] == 1
     assert doc["stabilized"] is True
 
 
-def test_deform_oracle_cubic(capsys):
-    code, out, _ = _run(capsys, "deform", "example-6-3", "--oracle",
-                        "--order", "17")
+def test_deform_oracle_cubic(monkeypatch, cache, capsys):
+    _serve_from_cache(monkeypatch, cache, "example-6-3")
+    code, out, err = _run(capsys, "deform", "example-6-3", "--oracle",
+                          "--order", "17")
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["command", "dimension", "stabilized",
+                         "dims_by_order", "basis"]
+    assert doc["command"] == "deform"
     assert doc["dimension"] == 1
-    basis = doc["basis"]
-    assert len(basis) == 1
+    assert doc["stabilized"] is True
+    assert doc["dims_by_order"] == {"(17, 17)": 1, "(18, 18)": 1}
+    [vec] = doc["basis"]
+    assert vec and all(k.split()[0] in ("re", "im") for k in vec)
+    assert err.strip()
 
 
 def test_problem_file_roundtrip(tmp_path, capsys):
@@ -111,7 +140,8 @@ def test_problem_file_roundtrip(tmp_path, capsys):
     json.loads(out)
 
 
-def test_reproduce_fast_entries(capsys):
+def test_reproduce_fast_entries(monkeypatch, cache, capsys):
+    _serve_from_cache(monkeypatch, cache, "target-6-4")
     code, _, err = _run(capsys, "reproduce", "example-6-4-t0")
     assert code == 0
     assert "reproduce example-6-4-t0: ok" in err

@@ -11,6 +11,7 @@ from crrigid.oracle import direct_solve, infinitesimal_automorphisms
 from crrigid.pipeline import segre_fiber, solve_deformation
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
+from test_series import sqrt_unit
 
 I = Scalar(0, 0, 1)
 
@@ -35,8 +36,7 @@ def test_fiber_closed_form_of_quartic_source(cache):
         * fiber.A1.rebase(frame("z", order=kphi)).rebase(tf) * fiber.psi
     # expand g(u) = -(1 - sqrt(1 - 2 i u)) / 2 and map u^n -> (-4)^n z^2n t^n
     uf = frame("u", order=kphi)
-    sq = (Series.const(uf, 1)
-          + Series.monomial(uf, (1,), -2 * I)).sqrt_unit()
+    sq = sqrt_unit(Series.const(uf, 1) + Series.monomial(uf, (1,), -2 * I))
     g = (Series.const(uf, 1) - sq).scale(Scalar(Fraction(-1, 2)))
     expect = Series(tf, {
         (2 * n, n): c * Scalar((-4) ** n)
