@@ -5,9 +5,9 @@ Usage:
     python3 scripts/corpus_digest.py > digest.txt
 
 Runs ``deform``, ``deform --oracle``, ``rigidity`` and ``genericity`` on
-every corpus entry that has a map, ``automorphisms target-6-4
---aut-order 11`` and ``selftest``, each in a fresh process on the
-``src/`` tree next to this script.  Each line holds the command, its
+every corpus entry that has a map, ``automorphisms target-6-4`` with
+``--aut-order 11`` and without a flag, and ``selftest``, each in a fresh
+process on the ``src/`` tree next to this script.  Each line holds the command, its
 exit code and the sha256 of its stdout.  Run it on two checkouts and
 diff the outputs: a change that keeps every report and exit code prints
 the same lines.
@@ -33,6 +33,7 @@ def commands():
                     ["genericity"]):
             yield cmd + [entry]
     yield ["automorphisms", "target-6-4", "--aut-order", "11"]
+    yield ["automorphisms", "target-6-4"]
     yield ["selftest"]
 
 

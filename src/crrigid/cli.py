@@ -4,8 +4,9 @@
 
 Commands: check, normal-coords, deform, rigidity, genericity,
 automorphisms, reproduce, selftest.  The JSON report goes to stdout, a
-one-line human summary to stderr.  Exit codes: 0 success, 1 assertion
-failure, 2 input error.
+one-line human summary to stderr.  Exit codes: 0 success, 1 a solver
+failed to stabilize or an expectation failed, 2 input error.  A flag
+overrides the solver order a problem file sets with an ``option`` line.
 """
 
 from __future__ import annotations
@@ -13,38 +14,39 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from crrigid import report as rp
 from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text, load_corpus
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
-from crrigid.parser import ParseError, ProblemSpec, parse_problem
-from crrigid.pipeline import DegenerateMapError, solve_deformation
-from crrigid.spaces import NotMappedError, decide_rigidity, \
-    genericity_certificate, validate_embedding
+from crrigid.parser import SOLVER_ORDERS, ParseError, ProblemSpec, \
+    parse_problem
+from crrigid.pipeline import DegenerateMapError, condition_system, \
+    solve_deformation
+from crrigid.spaces import decide_rigidity, genericity_certificate, \
+    validate_embedding
 
 
-def _load(args):
+def _load(problem: str, order: Optional[int] = None,
+          aut_order: Optional[int] = None):
     """The problem and its solver orders (work, oracle, automorphism),
     with the germs expanded deep enough for each of them."""
-    order = (args.order or 17) + 7
-    if args.problem in CORPUS_IDS:
-        text = corpus_text(args.problem)
+    expand = (order or SOLVER_ORDERS["work_order"]) + 7
+    if problem in CORPUS_IDS:
+        text = corpus_text(problem)
     else:
         try:
-            with open(args.problem, "r", encoding="utf-8") as fh:
+            with open(problem, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ParseError(f"cannot read {args.problem}: {exc}")
-    spec = parse_problem(text, order=order)
-    wo = args.order or int(spec.options.get("work_order", 17))
-    oo = args.order or int(spec.options.get("oracle_order", 16))
-    ao = args.aut_order or 9
+            raise ParseError(f"cannot read {problem}: {exc}")
+    spec = parse_problem(text, order=expand)
+    wo, oo, ao = orders = spec.orders(order, aut_order)
     # the pipeline's stage-1 frame and the truncated solvers' K = keq + 1
     need = max(wo + 5, oo + 1, ao + 1)
-    if need > order:
+    if need > expand:
         spec = parse_problem(text, order=need)
-    return spec, (wo, oo, ao)
+    return spec, orders
 
 
 #: The options each command reads; the pipeline-only ones do not apply
@@ -74,104 +76,111 @@ def _check_flags(args) -> None:
             raise ParseError(f"{flag} does not apply to {route}")
 
 
-def _need_map(spec: ProblemSpec) -> None:
+def answer(command: str, spec: ProblemSpec, orders: Tuple[int, int, int],
+           oracle: bool = False, with_oracle: bool = False
+           ) -> Tuple[Dict, int]:
+    """The report of ``command`` on a parsed problem at its solver orders
+    (work, oracle, automorphism), and the exit code: 1 when a solve it
+    ran did not stabilize, else 0."""
+    wo, oo, ao = orders
+    if command == "normal-coords":
+        return rp.normal_coords_doc(spec), 0
+    if command == "automorphisms":
+        aut = infinitesimal_automorphisms(spec.target, keq=ao)
+        return rp.automorphisms_doc(aut), 0 if aut.stabilized else 1
     if spec.H is None:
         raise ParseError("this command needs a 'map:' statement")
-
-
-def _emit(doc, t0: float) -> None:
-    sys.stdout.write(rp.render(doc))
-    print(f"{rp.summary_line(doc)}  [{time.time() - t0:.1f}s]",
-          file=sys.stderr)
+    H, source, target = spec.H, spec.source, spec.target
+    validate_embedding(H, source, target)
+    if command == "check":
+        return rp.check_doc(spec), 0
+    if command == "genericity":
+        system = condition_system(H, source, target, wo)
+        return rp.genericity_doc(genericity_certificate(system)), 0
+    cross = direct_solve(H, source, target, keq=oo) \
+        if oracle or with_oracle else None
+    sol = cross if oracle else \
+        solve_deformation(H, source, target, work_order=wo)
+    if command == "rigidity":
+        rep = decide_rigidity(H, source, target, sol, aut_keq=ao)
+        stable = sol.stabilized and rep.aut_stabilized is not False
+        return rp.rigidity_doc(rep), 0 if stable else 1
+    doc = rp.deform_doc(sol, None if oracle else cross)
+    stable = all(s.stabilized for s in (sol, cross) if s is not None)
+    return doc, 0 if stable else 1
 
 
 def run(args) -> int:
     t0 = time.time()
-    cmd = args.command
     _check_flags(args)
-    if cmd == "selftest":
+    if args.command == "selftest":
         return _selftest(t0)
-    if cmd == "reproduce":
-        return _reproduce(args, t0)
-    spec, (wo, oo, ao) = _load(args)
-    if cmd == "normal-coords":
-        _emit(rp.normal_coords_doc(spec), t0)
-        return 0
-    if cmd == "automorphisms":
-        aut = infinitesimal_automorphisms(spec.target, keq=ao)
-        _emit(rp.automorphisms_doc(aut), t0)
-        return 0
-    _need_map(spec)
-    H, source, target = spec.H, spec.source, spec.target
-    validate_embedding(H, source, target)
-    if cmd == "check":
-        _emit(rp.check_doc(spec), t0)
-        return 0
-    if args.oracle:
-        sol = direct_solve(H, source, target, keq=oo)
-    else:
-        sol = solve_deformation(H, source, target, work_order=wo)
-    if cmd == "genericity":
-        _emit(rp.genericity_doc(genericity_certificate(sol)), t0)
-        return 0
-    if cmd == "rigidity":
-        doc = rp.rigidity_doc(decide_rigidity(H, source, target, sol,
-                                              aut_keq=ao))
-    else:
-        oracle = direct_solve(H, source, target, keq=oo) \
-            if args.with_oracle else None
-        doc = rp.deform_doc(sol, oracle)
-    _emit(doc, t0)
-    return 0 if sol.stabilized else 1
+    if args.command == "reproduce":
+        return _reproduce(args)
+    spec, orders = _load(args.problem, args.order, args.aut_order)
+    doc, code = answer(args.command, spec, orders, args.oracle,
+                       args.with_oracle)
+    sys.stdout.write(rp.render(doc))
+    print(f"{rp.summary_line(doc)}  [{time.time() - t0:.1f}s]",
+          file=sys.stderr)
+    return code
 
 
-def _reproduce_one(entry: str, t0: float) -> bool:
+def _mismatches(label: str, doc: Dict, code: int, **want) -> List[str]:
+    """What an answer gets wrong; exit code 1 means a solve that did not
+    stabilize."""
+    out = [f"{label}{key}: got {doc[key]!r}, expected {value!r}"
+           for key, value in want.items() if doc[key] != value]
+    return out + ([f"{label}exit code {code}"] if code else [])
+
+
+def _reproduce_one(entry: str) -> bool:
+    """Answer a corpus entry through the commands and check the answers
+    against its expectations: ``rigidity`` and ``deform --oracle``, whose
+    canonical bases must be equal, or ``automorphisms`` for an entry
+    without a map, or the degeneracy error of ``check``."""
+    t0 = time.time()
     exp = EXPECTATIONS[entry]
-    spec = load_corpus(entry, order=max(exp.work_order, exp.oracle_order) + 7)
-    failures = []
+    spec, orders = _load(entry)
     if exp.degenerate:
         try:
-            solve_deformation(spec.H, spec.source, spec.target,
-                              work_order=10)
-            failures.append("expected a degeneracy error, got none")
-        except DegenerateMapError:
-            pass
+            answer("check", spec, orders)
+            got = "no degeneracy error"
+            failures = ["expected a degeneracy error from validation"]
+        except DegenerateMapError as exc:
+            got, failures = f"degenerate ({exc})", []
     elif exp.aut_only:
-        aut = infinitesimal_automorphisms(spec.target, keq=exp.aut_keq)
-        if aut.dim != exp.aut_dim or not aut.stabilized:
-            failures.append(f"automorphism dim {aut.dim}, "
-                            f"expected {exp.aut_dim}")
+        doc, code = answer("automorphisms", spec, orders)
+        got = f"aut dim {doc['dimension']}"
+        failures = _mismatches("", doc, code, dimension=exp.aut_dim)
     else:
-        validate_embedding(spec.H, spec.source, spec.target)
-        sol = solve_deformation(spec.H, spec.source, spec.target,
-                                work_order=exp.work_order)
-        rep = decide_rigidity(spec.H, spec.source, spec.target, sol)
-        oracle = direct_solve(spec.H, spec.source, spec.target,
-                              keq=exp.oracle_order)
-        for name, got, want in (
-                ("dim", rep.dim, exp.dim),
-                ("verdict", rep.verdict, exp.verdict),
-                ("trivial dim", rep.trivial_dim, exp.trivial_dim),
-                ("automorphism dim", rep.aut_dim, exp.aut_dim),
-                ("oracle dim", oracle.dim, exp.dim),
-                ("stabilized", rep.stabilized, True),
-                ("oracle stabilized", oracle.stabilized, True)):
-            if got != want:
-                failures.append(f"{name}: got {got!r}, expected {want!r}")
+        doc, code = answer("rigidity", spec, orders)
+        orc, orc_code = answer("deform", spec, orders, oracle=True)
+        same = orc["basis"] == doc["basis"]
+        got = (f"dim {doc['dimension']}, oracle {orc['dimension']} "
+               f"({'same' if same else 'DIFFERENT'} span), {doc['verdict']}")
+        failures = _mismatches(
+            "", doc, code, dimension=exp.dim, verdict=exp.verdict,
+            trivial_dimension=exp.trivial_dim,
+            automorphism_dimension=exp.aut_dim)
+        failures += _mismatches("oracle ", orc, orc_code, dimension=exp.dim)
+        if not same:
+            failures.append("oracle basis differs from the pipeline's")
     status = "ok" if not failures else "FAIL"
-    print(f"reproduce {entry}: {status}  [{time.time() - t0:.1f}s]",
+    print(f"reproduce {entry}: {status}  {got}  [{time.time() - t0:.1f}s]",
           file=sys.stderr)
     for f in failures:
         print(f"  {f}", file=sys.stderr)
     return not failures
 
 
-def _reproduce(args, t0: float) -> int:
+def _reproduce(args) -> int:
     ids = CORPUS_IDS if args.problem in (None, "all") else [args.problem]
     for i in ids:
         if i not in CORPUS_IDS:
             raise ParseError(f"unknown corpus entry {i!r}")
-    ok = all(_reproduce_one(i, time.time()) for i in ids)
+    # a list, not a generator: the entries after a failure run too
+    ok = all([_reproduce_one(i) for i in ids])
     return 0 if ok else 1
 
 
@@ -184,17 +193,18 @@ def _selftest(t0: float) -> int:
         hyperquadric_hol0_basis(-1)
     except ArithmeticError as exc:
         failures.append(str(exc))
-    for eps in (1, -1):
-        from crrigid.geometry import Target
-        aut = infinitesimal_automorphisms(Target.hyperquadric(eps, 14),
-                                          keq=7)
-        if aut.dim != 10:
+    for eps in ("+1", "-1"):
+        spec = parse_problem("vars z w; source: hyperquadric; "
+                             f"target: hyperquadric {eps}; "
+                             "option aut_order 7;", order=14)
+        doc, _ = answer("automorphisms", spec, spec.orders())
+        if doc["dimension"] != 10:
             failures.append(f"hyperquadric eps={eps}: automorphism "
-                            f"dim {aut.dim}, expected 10")
+                            f"dim {doc['dimension']}, expected 10")
     spec = load_corpus("example-6-1", order=20)
-    sol = direct_solve(spec.H, spec.source, spec.target, keq=16)
-    if sol.dim != 10:
-        failures.append(f"model example at low order: dim {sol.dim}")
+    doc, _ = answer("deform", spec, spec.orders(), oracle=True)
+    if doc["dimension"] != 10:
+        failures.append(f"model example at low order: dim {doc['dimension']}")
     for f in failures:
         print(f"selftest: {f}", file=sys.stderr)
     print(f"selftest: {'ok' if not failures else 'FAIL'}  "
@@ -211,24 +221,22 @@ def main(argv: Optional[list] = None) -> int:
                     help="problem file or corpus id "
                          f"({', '.join(CORPUS_IDS)}, or 'all')")
     ap.add_argument("--order", type=int, default=None,
-                    help="working order of the solvers")
+                    help="working order of the solvers (default: the "
+                         "file's work_order and oracle_order, else 17 "
+                         "and 16)")
     ap.add_argument("--aut-order", type=int, default=None,
                     help="truncation order of the automorphism solver "
-                         "(default 9)")
+                         "(default: the file's aut_order, else 9)")
     ap.add_argument("--oracle", action="store_true",
                     help="use the brute-truncation solver")
     ap.add_argument("--with-oracle", action="store_true",
                     help="cross-check the result with the brute solver")
     args = ap.parse_intermixed_args(argv)
-    if args.command not in ("selftest",) and args.problem is None \
-            and args.command != "reproduce":
+    if args.command not in ("selftest", "reproduce") and args.problem is None:
         ap.error("missing problem file or corpus id")
     try:
         return run(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateMapError, NotMappedError, ValueError) as exc:
+    except ValueError as exc:    # ParseError, DegenerateMapError, NotMappedError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,7 @@
-"""Bundled example problems and their expected outcomes."""
+"""Bundled example problems and their expected outcomes.
+
+An entry's solver orders, where they differ from the defaults, are
+``option`` lines of its problem file."""
 
 from __future__ import annotations
 
@@ -16,9 +19,6 @@ class Expectation:
     trivial_dim: Optional[int] = None
     aut_dim: Optional[int] = None        # expected dim hol_0(M')
     degenerate: bool = False             # expect a degeneracy error
-    work_order: int = 17
-    oracle_order: int = 16               # brute-truncation solver order
-    aut_keq: int = 9                     # automorphism solver order
     aut_only: bool = False               # entry has no map
 
 
@@ -31,7 +31,7 @@ EXPECTATIONS: Dict[str, Expectation] = {
     "example-6-2": Expectation(dim=0, verdict=VERDICT_RIGID_VANISHING,
                                trivial_dim=0, aut_dim=0),
     "example-6-3": Expectation(dim=1, verdict=VERDICT_INCONCLUSIVE,
-                               trivial_dim=0, aut_dim=0, oracle_order=17),
+                               trivial_dim=0, aut_dim=0),
     "example-6-4": Expectation(dim=10, verdict=VERDICT_INCONCLUSIVE,
                                trivial_dim=0, aut_dim=0),
     "example-6-4-t2": Expectation(dim=10, verdict=VERDICT_INCONCLUSIVE,
@@ -42,7 +42,7 @@ EXPECTATIONS: Dict[str, Expectation] = {
     # + 8 further generators.
     "sphere-8": Expectation(dim=22, verdict=VERDICT_INCONCLUSIVE,
                             trivial_dim=10, aut_dim=10),
-    "target-6-4": Expectation(aut_dim=1, aut_only=True, aut_keq=11),
+    "target-6-4": Expectation(aut_dim=1, aut_only=True),
 }
 
 CORPUS_IDS: Tuple[str, ...] = tuple(EXPECTATIONS)

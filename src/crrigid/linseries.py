@@ -93,6 +93,7 @@ class LinSeries:
         if frm != other.frame:
             raise ValueError("incompatible frames")
         terms = sorted((frm.wdeg(e), e, c) for e, c in other.coeffs.items())
+        capped = frm.capped()
         out: Dict[Exponent, LinRow] = {}
         for ea, row in self.rows.items():
             limit = frm.order - frm.wdeg(ea)
@@ -100,7 +101,8 @@ class LinSeries:
                 if wb > limit:
                     break
                 exp = tuple(x + y for x, y in zip(ea, eb))
-                if frm.admits(exp):
+                # the break bounds the weighted degree; only caps remain
+                if not (capped and any(exp[i] > c for i, c in capped)):
                     _add_row(out, exp, row, cb)
         return LinSeries(frm, out)
 

@@ -106,7 +106,7 @@ class MapGerm:
         jac = self.jacobian0()
         inv = _invert_matrix(jac)
         ident = MapGerm.identity(frm)
-        phi = _matvec_germ(inv, ident)
+        phi = MapGerm(_matvec_series(inv, ident.components))
         for _ in range(frm.order + 2):
             err = [c - i for c, i in zip(self.compose(phi).components,
                                          ident.components)]
@@ -144,10 +144,6 @@ def _matvec_series(m: List[List[Scalar]], vec: Sequence[Series]) -> List[Series]
                 acc = acc + s.scale(c)
         out.append(acc)
     return out
-
-
-def _matvec_germ(m: List[List[Scalar]], germ: MapGerm) -> MapGerm:
-    return MapGerm(_matvec_series(m, germ.components))
 
 
 # -- analysis of embeddings M -> M' -----------------------------------
@@ -188,28 +184,18 @@ class NondegeneracyCheck:
     two_nondegenerate: bool
 
 
-def gradient_rows_on_M(H: MapGerm, source: Source, target: Target,
-                       order: int, kmax: int):
-    """The pulled-back gradient r(H, Hbar) and its chi-derivatives on the
-    (z, chi, w) parametrization of the complexified source germ.
-
-    Returns (rows, frame): rows[k][j] = (d/dchi)^k applied to r_j(H, Hbar).
-    """
-    frm = source.zcw_frame(order)
-    # only r_j is needed here, so Target.gradient_on (which also forms
-    # rbar_j) is not used
-    bind = pull_back(H, source.chart(frm))
-    r_on = [g.substitute(bind) for g in target.gradient()]
-    rows = [r_on]
-    for _ in range(kmax):
-        rows.append([s.partial("chi") for s in rows[-1]])
-    return rows, frm
-
-
 def nondegeneracy(H: MapGerm, source: Source, target: Target,
                   order: int = 8, kmax: int = 4) -> NondegeneracyCheck:
+    """Finite nondegeneracy of H at 0: the spans at 0 of the rows
+    rows[k][j] = (d/dchi)^k r_j(H, Hbar), the pulled-back gradient on the
+    (z, chi, w) parametrization of the complexified source germ."""
     from crrigid.linalg import det3, Eliminator
-    rows, frm = gradient_rows_on_M(H, source, target, order, kmax)
+    # only r_j is needed here, so Target.gradient_on (which also forms
+    # rbar_j) is not used
+    bind = pull_back(H, source.chart(source.zcw_frame(order)))
+    rows = [[g.substitute(bind) for g in target.gradient()]]
+    for _ in range(kmax):
+        rows.append([s.partial("chi") for s in rows[-1]])
     n = target.n
     elim = Eliminator(n)
     dims = []

@@ -123,17 +123,18 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
 
 
 @dataclass
-class TruncatedSolve:
-    dims: Dict[Tuple[int, int], int]   # (K, K) -> projected dim
+class KernelSolve:
+    """A solved deformation or automorphism space, from either route."""
+    dims: Dict[Hashable, int]    # truncation (K, K) or harvest order -> dim
     dim: int
     stabilized: bool
-    kernel_real: List[Row]             # canonical basis, projected jet
-    jet_keys: List[Hashable]           # projected jet tags, column k <-> 2k/2k+1
+    kernel_real: List[Row]       # canonical basis, projected jet
+    jet_keys: List[Hashable]     # projected jet tags, column k <-> 2k/2k+1
 
 
 def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
                     weights: Tuple[int, ...], proj_keys: List[Hashable],
-                    keq: int) -> TruncatedSolve:
+                    keq: int) -> KernelSolve:
     """Kernel of a truncated tangency equation, projected onto the jet
     tags ``proj_keys``.
 
@@ -164,8 +165,8 @@ def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
                 elim.add_row(r)
         kernel = projected_kernel(elim.kernel_basis(), 2 * len(proj_keys))
         dims[(K, K)] = len(kernel)
-    return TruncatedSolve(dims, dims[(keq + 1, keq + 1)],
-                          len(set(dims.values())) == 1, kernel, proj_keys)
+    return KernelSolve(dims, dims[(keq + 1, keq + 1)],
+                       len(set(dims.values())) == 1, kernel, proj_keys)
 
 
 # -- deformation oracle -----------------------------------------------
@@ -188,7 +189,7 @@ def deformation_residual(H: MapGerm, source: Source, target: Target,
 
 
 def direct_solve(H: MapGerm, source: Source, target: Target,
-                 keq: int = 16) -> TruncatedSolve:
+                 keq: int) -> KernelSolve:
     """Independent deformation-space computation by brute truncation:
     :func:`truncated_solve` of the deformation equation, projected onto
     the 4-jet.  The germs must be expanded to order keq + 1."""
@@ -200,8 +201,8 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
 
 # -- infinitesimal automorphisms of a target germ ---------------------
 
-def infinitesimal_automorphisms(target: Target, keq: int = 9,
-                                proj_order: int = 2) -> TruncatedSolve:
+def infinitesimal_automorphisms(target: Target, keq: int,
+                                proj_order: int = 2) -> KernelSolve:
     """dim of the space of infinitesimal CR automorphisms of M' fixing 0.
 
     Solves Re sum_j rho_{Z_j}(Z, conj Z) V_j(Z) = 0 on the graph chart of

@@ -13,7 +13,7 @@ Expressions support +, -, *, /, integer ^, parentheses, integer literals,
 Rational map components (denominator nonzero at 0) are expanded into
 truncated series at parse time.  A ``target(2):`` header declares a
 2-dimensional target germ (used for automorphism runs).  ``option`` lines
-set numeric solver options, e.g. ``option work_order 17;``.
+set the solver orders of :data:`SOLVER_ORDERS`, e.g. ``option work_order 17;``.
 """
 
 from __future__ import annotations
@@ -39,12 +39,26 @@ class ParseError(ValueError):
         self.line = line
 
 
+#: The solver orders an ``option`` line may set, and their defaults.
+SOLVER_ORDERS: Dict[str, int] = {"work_order": 17, "oracle_order": 16,
+                                 "aut_order": 9}
+
+
 @dataclass
 class ProblemSpec:
     source: Source
     target: Target
     H: Optional[MapGerm]
-    options: Dict[str, Fraction] = field(default_factory=dict)
+    options: Dict[str, int] = field(default_factory=dict)
+
+    def orders(self, order: Optional[int] = None,
+               aut_order: Optional[int] = None) -> Tuple[int, int, int]:
+        """The (work, oracle, automorphism) solver orders: ``order`` for
+        the first two and ``aut_order`` for the last when given, else the
+        file's ``option`` line, else the default."""
+        opt = {**SOLVER_ORDERS, **self.options}
+        return (order or opt["work_order"], order or opt["oracle_order"],
+                aut_order or opt["aut_order"])
 
 
 # -- tokenizer --------------------------------------------------------
@@ -225,7 +239,7 @@ _HEAD = re.compile(r"^(vars|source|target|map|option)\s*(\((\d+)\))?\s*:?\s*",
 def parse_problem(text: str, order: int = 24) -> ProblemSpec:
     """Parse a problem file into germs expanded to the given order."""
     source = target = Hmap = None
-    options: Dict[str, Fraction] = {}
+    options: Dict[str, int] = {}
     declared_vars: Optional[Tuple[str, ...]] = None
     for stmt, line in _statements(text):
         m = _HEAD.match(stmt)
@@ -242,10 +256,14 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
             parts = rest.split()
             if len(parts) != 2:
                 raise ParseError("option takes a name and a value", line)
-            try:
-                options[parts[0]] = Fraction(parts[1])
-            except ValueError:
-                raise ParseError(f"bad option value {parts[1]!r}", line)
+            name, value = parts
+            if name not in SOLVER_ORDERS:
+                raise ParseError(f"unknown option {name!r}; known: "
+                                 f"{', '.join(SOLVER_ORDERS)}", line)
+            if not re.fullmatch(r"[0-9]+", value) or int(value) < 1:
+                raise ParseError(f"option {name} takes a positive integer, "
+                                 f"not {value!r}", line)
+            options[name] = int(value)
         elif kind == "source":
             source = _parse_source(rest, order, line)
         elif kind == "target":

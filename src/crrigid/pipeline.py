@@ -49,7 +49,7 @@ from crrigid.linalg import Eliminator, adjugate3, det3, rref
 from crrigid.geometry import Source, Target
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, pull_back, \
     require_order
-from crrigid.oracle import jet_unknowns, realify_row, Row
+from crrigid.oracle import KernelSolve, jet_unknowns, realify_row, Row
 
 
 class DegenerateMapError(ValueError):
@@ -225,7 +225,7 @@ class JetConditions:
 
 
 def jet_conditions(H: MapGerm, source: Source, target: Target,
-                   work_order: int = 17) -> JetConditions:
+                   work_order: int) -> JetConditions:
     """Pole and jet conditions of the parametrized candidate solution.
 
     ``work_order`` bounds the trusted weighted degree; internally one more
@@ -304,53 +304,62 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
 # -- assembled solver -------------------------------------------------
 
 @dataclass
-class DeformationSolve:
-    conditions: JetConditions
-    residuals: Dict[tuple, Row]   # harvested to work_order
-    dims: Dict[int, int]
-    dim: int
-    stabilized: bool
-    kernel_real: List[Row]
-    jet_keys: List[Hashable]
+class ConditionSystem:
+    """Conditions (i)-(iii) at one working order, before elimination."""
+    jet: JetConditions
+    residuals: Dict[tuple, Row]   # (z, chi, tau) exponent -> row
+    frame: Frame                  # the residual's frame, at the work order
 
 
-def solve_deformation(H: MapGerm, source: Source, target: Target,
-                      work_order: int = 17) -> DeformationSolve:
-    """Dimension of the space of infinitesimal deformations of H.
+def condition_system(H: MapGerm, source: Source, target: Target,
+                     work_order: int) -> ConditionSystem:
+    """The pole, jet and residual rows of H, the residual harvested to
+    ``work_order``.  The germs must be expanded to the order of the
+    stage-1 frame, work_order + 5."""
+    require_order(work_order + 5, H, source, target)
+    cond = jet_conditions(H, source, target, work_order)
+    return ConditionSystem(
+        cond, residual_rows(cond, H, source, target, work_order),
+        source.zct_frame(work_order))
+
+
+def solve_conditions(system: ConditionSystem) -> KernelSolve:
+    """The real kernel of a condition system.
 
     The pole and jet rows are complex-linear in the 4-jet; the residual
     rows also involve the conjugate jet.  Everything is realified over the
     84 real 4-jet coordinates and the kernel dimension is reported, with
     stabilization over the residual harvest orders work_order - 1 and
-    work_order.  The germs must be expanded to the order of the stage-1
-    frame, work_order + 5.
+    work_order.
     """
-    require_order(work_order + 5, H, source, target)
-    cond = jet_conditions(H, source, target, work_order)
-    keys = cond.jet_keys
+    keys = system.jet.jet_keys
     col = {k: i for i, k in enumerate(keys)}
     ncols = 2 * len(keys)
-
-    res_rows = residual_rows(cond, H, source, target, work_order)
-    wdeg = source.zct_frame(work_order).wdeg
+    work_order, wdeg = system.frame.order, system.frame.wdeg
     # one elimination: the residual rows of each harvest order are added
     # to those of the lower orders; the reduced form is canonical, so
     # every kernel equals the one of a fresh elimination
     elim = Eliminator(ncols)
-    for row in list(cond.rows_pole.values()) + list(cond.rows_jet.values()):
+    for row in (list(system.jet.rows_pole.values())
+                + list(system.jet.rows_jet.values())):
         for r in realify_row(row, col):
             elim.add_row(r)
     dims: Dict[int, int] = {}
     done = -1
     for korder in (work_order - 1, work_order):
-        for exp, row in res_rows.items():
+        for exp, row in system.residuals.items():
             if done < wdeg(exp) <= korder:
                 for r in realify_row(row, col):
                     elim.add_row(r)
         done = korder
         kernel = elim.kernel_basis()
         dims[korder] = len(kernel)
-    kernel_real = rref(kernel, ncols)
-    stabilized = len(set(dims.values())) == 1
-    return DeformationSolve(cond, res_rows, dims, dims[work_order],
-                            stabilized, kernel_real, keys)
+    return KernelSolve(dims, dims[work_order], len(set(dims.values())) == 1,
+                       rref(kernel, ncols), keys)
+
+
+def solve_deformation(H: MapGerm, source: Source, target: Target,
+                      work_order: int) -> KernelSolve:
+    """Dimension of the space of infinitesimal deformations of H: the
+    kernel of its :func:`condition_system` at ``work_order``."""
+    return solve_conditions(condition_system(H, source, target, work_order))

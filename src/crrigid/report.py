@@ -11,15 +11,10 @@ from __future__ import annotations
 import json
 from typing import Dict, Hashable, List, Sequence
 
-from crrigid.scalars import Scalar
 from crrigid.linalg import Row
 from crrigid.maps import nondegeneracy, transversality
 from crrigid.parser import ProblemSpec
 from crrigid.spaces import RigidityReport, GenericityCertificate
-
-
-def _scalar_str(s: Scalar) -> str:
-    return str(s)
 
 
 def _vector_doc(vec: Row, jet_keys: Sequence[Hashable]) -> Dict[str, str]:
@@ -29,7 +24,7 @@ def _vector_doc(vec: Row, jet_keys: Sequence[Hashable]) -> Dict[str, str]:
         k = jet_keys[c // 2]
         part = "re" if c % 2 == 0 else "im"
         _, j, m, n = k
-        out[f"{part} d{m}{n} V{j+1}"] = _scalar_str(vec[c])
+        out[f"{part} d{m}{n} V{j+1}"] = str(vec[c])
     return out
 
 
@@ -50,7 +45,7 @@ def check_doc(spec: ProblemSpec) -> Dict:
         doc["span_dims"] = nd.span_dims
         doc["k0"] = nd.k0
         doc["two_nondegenerate"] = nd.two_nondegenerate
-        doc["s0"] = _scalar_str(nd.s0)
+        doc["s0"] = str(nd.s0)
     return doc
 
 
@@ -62,7 +57,7 @@ def normal_coords_doc(spec: ProblemSpec, order: int = 8) -> Dict:
         if sum(e * w for e, w in zip(exp, src.Q.frame.weights)) <= order:
             name = " ".join(f"{v}^{e}" for v, e in zip(src.Q.frame.vars, exp)
                             if e)
-            terms[name or "1"] = _scalar_str(src.Q.coeffs[exp])
+            terms[name or "1"] = str(src.Q.coeffs[exp])
     doc["Q"] = terms
     return doc
 
@@ -135,5 +130,6 @@ def summary_line(doc: Dict) -> str:
                 f"k0={doc.get('k0')} "
                 f"levi_signature={doc.get('target_levi_signature')}")
     if cmd == "automorphisms":
-        return f"dim hol_0(M') = {doc['dimension']}"
+        tail = "" if doc["stabilized"] else " (NOT stabilized)"
+        return f"dim hol_0(M') = {doc['dimension']}{tail}"
     return cmd or ""

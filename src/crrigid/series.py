@@ -54,6 +54,10 @@ class Frame:
                 return False
         return self.wdeg(exp) <= self.order
 
+    def capped(self) -> Tuple[Tuple[int, int], ...]:
+        """(index, cap) of each capped variable."""
+        return tuple((i, c) for i, c in enumerate(self.caps) if c != NO_CAP)
+
     def zero_exp(self) -> Exponent:
         return (0,) * len(self.vars)
 
@@ -176,7 +180,7 @@ class Series:
         if len(a) > len(b):
             a, b = b, a
         order = frm.order
-        admits = frm.admits
+        capped = frm.capped()
         out: Dict[Exponent, Scalar] = {}
         for wa, ea, ca in a:
             limit = order - wa
@@ -184,7 +188,8 @@ class Series:
                 if wb > limit:
                     break
                 exp = tuple(x + y for x, y in zip(ea, eb))
-                if not admits(exp):
+                # the break bounds the weighted degree; only caps remain
+                if capped and any(exp[i] > c for i, c in capped):
                     continue
                 prod = ca * cb
                 if prod.is_zero():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from crrigid.scalars import ZERO, Scalar, I as IMAG
 from crrigid.series import Series, frame, power_table, table_monomial
@@ -21,9 +21,9 @@ from crrigid.linalg import Row, in_span, rank_of, rref
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, \
     embedding_residual, pull_back, transversality
-from crrigid.oracle import TruncatedSolve, infinitesimal_automorphisms, \
+from crrigid.oracle import KernelSolve, infinitesimal_automorphisms, \
     jet_unknowns
-from crrigid.pipeline import DeformationSolve, DegenerateMapError
+from crrigid.pipeline import ConditionSystem, DegenerateMapError
 
 
 class NotMappedError(ValueError):
@@ -152,11 +152,11 @@ def jet_row_of_field(V: Sequence[Series], n: int = 3) -> Row:
 class TrivialSubspace:
     rows: List[Row]          # canonical basis of the 4-jets of V o H
     dim: int                 # rank of the restriction
-    aut: TruncatedSolve      # the target automorphism computation
+    aut: KernelSolve         # the target automorphism computation
 
 
 def trivial_subspace(H: MapGerm, source: Source, target: Target,
-                     aut_keq: int = 9) -> TrivialSubspace:
+                     aut_keq: int) -> TrivialSubspace:
     """The trivial deformations V o H, V an infinitesimal automorphism of
     the target fixing 0, as 4-jet vectors of the embedding."""
     aut = infinitesimal_automorphisms(target, keq=aut_keq, proj_order=4)
@@ -195,7 +195,7 @@ class RigidityReport:
     trivial_contained: Optional[bool]
     levi_nondegenerate: bool
     verdict: str
-    deformations: object           # DeformationSolve or TruncatedSolve
+    deformations: KernelSolve
     trivial: Optional[TrivialSubspace]
 
 
@@ -216,8 +216,7 @@ def validate_embedding(H: MapGerm, source: Source, target: Target,
 
 
 def decide_rigidity(H: MapGerm, source: Source, target: Target,
-                    sol: Union[DeformationSolve, TruncatedSolve],
-                    aut_keq: int = 9) -> RigidityReport:
+                    sol: KernelSolve, aut_keq: int) -> RigidityReport:
     """Apply the sufficient rigidity criteria to a deformation solve of H.
 
     ``sol`` is the solve being judged, from either route; H is expected
@@ -273,21 +272,20 @@ class GenericityCertificate:
     free_slots: Tuple[Hashable, ...]
 
 
-def genericity_certificate(sol: DeformationSolve,
+def genericity_certificate(system: ConditionSystem,
                            free_slots: Sequence[Hashable] = FREE_SLOTS
                            ) -> GenericityCertificate:
-    """Full-rank certificate of the condition system of a pipeline solve.
+    """Full-rank certificate of a condition system of the pipeline.
 
     The jet and its formal conjugate are treated as independent complex
-    unknowns; the pole, jet and residual rows (at the largest harvest
-    order of ``sol``) together with their formal conjugates are
-    collected, the columns of ``free_slots`` are deleted, and the
-    remaining matrix must have full column rank.  When it does, every
+    unknowns; the pole, jet and residual rows together with their formal
+    conjugates are collected, the columns of ``free_slots`` are deleted,
+    and the remaining matrix must have full column rank.  When it does, every
     solution of the system is determined by the free slots alone, which
     is the linear-algebra content of the genericity statement for
     perturbations of the model embedding.
     """
-    cond = sol.conditions
+    cond = system.jet
     keys = list(cond.jet_keys) + [bar_key(k) for k in cond.jet_keys]
     drop = set(free_slots)
     col = {k: i for i, k in enumerate(keys)}
@@ -307,7 +305,7 @@ def genericity_certificate(sol: DeformationSolve,
         push(row)
     for row in cond.rows_jet.values():
         push(row)
-    for row in sol.residuals.values():
+    for row in system.residuals.values():
         push(row)
     ncols = len(keys) - len(drop)
     rank = rank_of(rows, len(keys))

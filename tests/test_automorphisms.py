@@ -4,7 +4,6 @@ from crrigid.geometry import Target
 from crrigid.linalg import in_span, rank_of
 from crrigid.oracle import infinitesimal_automorphisms
 from crrigid.spaces import hyperquadric_hol0_basis
-from crrigid.scalars import Scalar
 
 
 def _field_rows(fields, result):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,21 +17,20 @@ def _run(capsys, *argv):
 
 
 def _serve_from_cache(monkeypatch, cache, entry):
-    """Answer the command line's truncated solves of ``entry`` from the
-    shared ComputeCache, so that a test here checks what the command
-    line adds (report, message, exit code) without solving again."""
-    exp = EXPECTATIONS[entry]
-
-    def oracle(H, source, target, keq):
-        assert keq == exp.oracle_order
-        return cache.oracle(entry)
-
-    def automorphisms(target, keq):
-        assert keq == exp.aut_keq
-        return cache.automorphisms(entry)
-
-    monkeypatch.setattr(cli, "direct_solve", oracle)
-    monkeypatch.setattr(cli, "infinitesimal_automorphisms", automorphisms)
+    """Answer the command line's solves of ``entry`` from the shared
+    ComputeCache, after checking that the command asked for them at the
+    orders the entry's problem file states, so that a test here checks
+    what the command line adds without solving again."""
+    wo, oo, ao = cache.orders(entry)
+    for name, order, get in (
+            ("solve_deformation", wo, cache.pipeline),
+            ("direct_solve", oo, cache.oracle),
+            ("infinitesimal_automorphisms", ao, cache.automorphisms),
+            ("decide_rigidity", ao, cache.rigidity)):
+        def serve(*args, order=order, get=get, **kwargs):
+            assert list(kwargs.values()) == [order]
+            return get(entry)
+        monkeypatch.setattr(cli, name, serve)
 
 
 def test_check_corpus_entry(capsys):
@@ -104,14 +104,23 @@ def test_degenerate_map_exits_2(capsys):
 
 
 def test_automorphisms_command(monkeypatch, cache, capsys):
+    # at the order its problem file states, without a flag
     _serve_from_cache(monkeypatch, cache, "target-6-4")
-    code, out, _ = _run(capsys, "automorphisms", "target-6-4",
-                        "--aut-order", "11")
+    code, out, _ = _run(capsys, "automorphisms", "target-6-4")
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "automorphisms"
     assert doc["dimension"] == 1
     assert doc["stabilized"] is True
+    assert doc["dims_by_order"] == {"(11, 11)": 1, "(12, 12)": 1}
+
+
+def test_automorphisms_not_stabilized_exits_1(capsys):
+    code, out, err = _run(capsys, "automorphisms", "target-6-4",
+                          "--aut-order", "9")
+    assert code == 1
+    assert json.loads(out)["stabilized"] is False
+    assert "NOT stabilized" in err
 
 
 def test_deform_oracle_cubic(monkeypatch, cache, capsys):
@@ -131,6 +140,16 @@ def test_deform_oracle_cubic(monkeypatch, cache, capsys):
     assert err.strip()
 
 
+def test_unstabilized_cross_check_exits_1(monkeypatch, cache, capsys):
+    _serve_from_cache(monkeypatch, cache, "example-6-3")
+    served = cli.direct_solve
+    monkeypatch.setattr(cli, "direct_solve", lambda *args, **kwargs: replace(
+        served(*args, **kwargs), stabilized=False))
+    code, out, _ = _run(capsys, "deform", "example-6-3", "--with-oracle")
+    assert code == 1
+    assert json.loads(out)["oracle_stabilized"] is False
+
+
 def test_problem_file_roundtrip(tmp_path, capsys):
     from crrigid.corpus import corpus_text
     path = tmp_path / "prob.crr"
@@ -148,6 +167,18 @@ def test_reproduce_fast_entries(monkeypatch, cache, capsys):
     code, _, err = _run(capsys, "reproduce", "target-6-4")
     assert code == 0
     assert "reproduce target-6-4: ok" in err
+
+
+def test_reproduce_reports_a_wrong_expectation(monkeypatch, cache, capsys):
+    _serve_from_cache(monkeypatch, cache, "example-6-3")
+    monkeypatch.setitem(EXPECTATIONS, "example-6-3",
+                        replace(EXPECTATIONS["example-6-3"], dim=2))
+    code, _, err = _run(capsys, "reproduce", "example-6-3")
+    assert code == 1
+    assert ("reproduce example-6-3: FAIL  dim 1, oracle 1 (same span), "
+            "inconclusive") in err
+    assert "  dimension: got 1, expected 2" in err
+    assert "  oracle dimension: got 1, expected 2" in err
 
 
 def test_selftest_exits_0(capsys):

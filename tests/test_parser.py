@@ -67,12 +67,31 @@ def test_parse_problem_minimal():
     source: imag(w) = z*conj(z);
     target: hyperquadric +1;
     map: (z, 0*z, w);
-    option order 12;
+    option work_order 12;
     """
     spec = parse_problem(text, order=16)
     assert spec.source.Q.coefficient((1, 1, 0)) == 2 * I
     assert spec.target.hyperquadric_eps() == 1
-    assert spec.options.get("order") == Fraction(12)
+    assert spec.options == {"work_order": 12}
+    # the flag, else the file's option, else the default
+    assert spec.orders() == (12, 16, 9)
+    assert spec.orders(order=10, aut_order=7) == (10, 10, 7)
+
+
+_PROBLEM = ("vars z w;\nsource: imag(w) = z*conj(z);\n"
+            "target: hyperquadric +1;\nmap: (z, 0*z, w);\n")
+
+
+def test_option_value_must_be_a_positive_integer():
+    with pytest.raises(ParseError, match="line 5: option oracle_order "
+                                         "takes a positive integer"):
+        parse_problem(_PROBLEM + "option oracle_order 25/2;\n", order=8)
+
+
+def test_unknown_option_rejected():
+    with pytest.raises(ParseError, match="line 5: unknown option "
+                                         "'work_ordr'"):
+        parse_problem(_PROBLEM + "option work_ordr 5;\n", order=8)
 
 
 def test_parse_errors_carry_line_numbers():

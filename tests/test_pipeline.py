@@ -71,7 +71,7 @@ _HALVED_COLUMNS = {(2, 0, 3), (2, 0, 4), (1, 0, 2)}
 
 
 def _pipeline_pole_rows_derivative_convention(cache):
-    cond = cache.pipeline("example-6-1").conditions
+    cond = cache.system("example-6-1").jet
     out = {}
     for idx, row in cond.rows_pole.items():
         conv = {}
