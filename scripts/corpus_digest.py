@@ -4,10 +4,11 @@
 Usage:
     python3 scripts/corpus_digest.py > digest.txt
 
-Runs ``deform``, ``deform --oracle``, ``rigidity`` and ``genericity`` on
-every corpus entry that has a map, ``automorphisms target-6-4`` with
-``--aut-order 11`` and without a flag, and ``selftest``, each in a fresh
-process on the ``src/`` tree next to this script.  Each line holds the command, its
+Runs ``check`` and ``normal-coords`` on every corpus entry, ``deform``,
+``deform --oracle``, ``rigidity`` and ``genericity`` on every corpus
+entry that has a map, ``automorphisms target-6-4`` with ``--aut-order
+11`` and without a flag, and ``selftest``, each in a fresh process on
+the ``src/`` tree next to this script.  Each line holds the command, its
 exit code and the sha256 of its stdout.  Run it on two checkouts and
 diff the outputs: a change that keeps every report and exit code prints
 the same lines.
@@ -27,6 +28,8 @@ from crrigid.corpus import EXPECTATIONS  # noqa: E402
 
 def commands():
     for entry, exp in EXPECTATIONS.items():
+        yield ["check", entry]
+        yield ["normal-coords", entry]
         if exp.aut_only:
             continue
         for cmd in (["deform"], ["deform", "--oracle"], ["rigidity"],

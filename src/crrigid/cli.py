@@ -19,19 +19,23 @@ from typing import Dict, List, Optional, Tuple
 from crrigid import report as rp
 from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text, load_corpus
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
-from crrigid.parser import SOLVER_ORDERS, ParseError, ProblemSpec, \
-    parse_problem
+from crrigid.parser import MIN_ORDER, SOLVER_ORDERS, ParseError, \
+    ProblemSpec, parse_problem
 from crrigid.pipeline import DegenerateMapError, condition_system, \
     solve_deformation
-from crrigid.spaces import decide_rigidity, genericity_certificate, \
-    validate_embedding
+from crrigid.spaces import VALIDATION_ORDER, decide_rigidity, \
+    genericity_certificate, validate_embedding
 
 
 def _load(problem: str, order: Optional[int] = None,
           aut_order: Optional[int] = None):
     """The problem and its solver orders (work, oracle, automorphism),
-    with the germs expanded deep enough for each of them."""
-    expand = (order or SOLVER_ORDERS["work_order"]) + 7
+    with the germs expanded deep enough for each of them and for
+    validation."""
+    # a flag below MIN_ORDER is reported by spec.orders, after a parse at
+    # an order every germ admits
+    expand = max(SOLVER_ORDERS["work_order"] if order is None else order,
+                 MIN_ORDER) + 7
     if problem in CORPUS_IDS:
         text = corpus_text(problem)
     else:
@@ -43,7 +47,7 @@ def _load(problem: str, order: Optional[int] = None,
     spec = parse_problem(text, order=expand)
     wo, oo, ao = orders = spec.orders(order, aut_order)
     # the pipeline's stage-1 frame and the truncated solvers' K = keq + 1
-    need = max(wo + 5, oo + 1, ao + 1)
+    need = max(wo + 5, oo + 1, ao + 1, VALIDATION_ORDER)
     if need > expand:
         spec = parse_problem(text, order=need)
     return spec, orders
@@ -53,9 +57,9 @@ def _load(problem: str, order: Optional[int] = None,
 #: when ``--oracle`` replaces the pipeline.  Any other option given is an
 #: input error.
 _READS = {
-    "check": ("--order",),
-    "normal-coords": ("--order",),
-    "automorphisms": ("--order", "--aut-order"),
+    "check": (),
+    "normal-coords": (),
+    "automorphisms": ("--aut-order",),
     "deform": ("--order", "--oracle", "--with-oracle"),
     "deform --oracle": ("--order", "--oracle"),
     "rigidity": ("--order", "--aut-order", "--oracle"),
@@ -102,7 +106,7 @@ def answer(command: str, spec: ProblemSpec, orders: Tuple[int, int, int],
     sol = cross if oracle else \
         solve_deformation(H, source, target, work_order=wo)
     if command == "rigidity":
-        rep = decide_rigidity(H, source, target, sol, aut_keq=ao)
+        rep = decide_rigidity(H, target, sol, aut_keq=ao)
         stable = sol.stabilized and rep.aut_stabilized is not False
         return rp.rigidity_doc(rep), 0 if stable else 1
     doc = rp.deform_doc(sol, None if oracle else cross)

@@ -55,11 +55,10 @@ def target_frame(n: int, order: int) -> Frame:
 class Source:
     """A hypersurface germ M in C^2 in normal coordinates w = Q(z, chi, tau)."""
 
-    def __init__(self, Q: Series, check: bool = True):
+    def __init__(self, Q: Series):
         self.Q = Q
         self.frame = Q.frame
-        if check:
-            self.verify_normal_form()
+        self.verify_normal_form()
 
     @property
     def order(self) -> int:
@@ -110,9 +109,8 @@ class Source:
 
     # -- parametrizations of the complexified germ --------------------
 
-    def zcw_frame(self, order: int, zcap: Optional[int] = None) -> Frame:
-        caps = {"z": zcap} if zcap is not None else None
-        return frame("z", "chi", "w", order=order, weights=(1, 1, 2), caps=caps)
+    def zcw_frame(self, order: int) -> Frame:
+        return frame("z", "chi", "w", order=order, weights=(1, 1, 2))
 
     def zct_frame(self, order: int, zcap: Optional[int] = None) -> Frame:
         caps = {"z": zcap} if zcap is not None else None
@@ -169,16 +167,6 @@ class Source:
             mono = Series.monomial(zfrm, (a,), c)
             out[j] = out.get(j, Series.zero(zfrm)) + mono
         return out
-
-    def levi_nondegenerate(self) -> bool:
-        """Levi nondegeneracy at 0 (coefficient of z chi in Q)."""
-        iz = self.frame.index("z")
-        ic = self.frame.index("chi")
-        it = self.frame.index("tau")
-        exp = [0, 0, 0]
-        exp[iz] = 1
-        exp[ic] = 1
-        return not self.Q.coefficient(tuple(exp)).is_zero()
 
 
 # normalization -------------------------------------------------------
@@ -258,19 +246,14 @@ class Target:
     """A hypersurface germ M' in C^n given by a complexified defining
     function rho(Z, zeta) with linear part (w1 - bw1) / 2i."""
 
-    def __init__(self, rho: Series, n: int, check: bool = True):
+    def __init__(self, rho: Series, n: int):
         self.rho = rho
         self.n = n
         self.frame = rho.frame
         self.swap = target_swap(n)
         if tuple(self.frame.vars) != target_vars(n):
             raise ValueError("target frame variables must be " + str(target_vars(n)))
-        if check:
-            self.verify()
-
-    @property
-    def order(self) -> int:
-        return self.frame.order
+        self.verify()
 
     @staticmethod
     def hyperquadric(eps: int, order: int, n: int = 3) -> "Target":
@@ -383,14 +366,3 @@ class Target:
     def levi_nondegenerate(self) -> bool:
         p, q = self.levi_signature()
         return p + q == self.n - 1
-
-    def hyperquadric_eps(self) -> Optional[int]:
-        """If M' is exactly a hyperquadric {Im w = |z1|^2 + eps |z2|^2},
-        return eps; otherwise None."""
-        if self.n != 3:
-            return None
-        for eps in (1, -1):
-            model = Target.hyperquadric(eps, self.order, self.n)
-            if model.rho == self.rho:
-                return eps
-        return None

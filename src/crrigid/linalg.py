@@ -8,11 +8,12 @@ of a solution space deterministic once a column order is fixed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, TypeVar
 
 from crrigid.scalars import Scalar
 
 Row = Dict[int, Scalar]
+R = TypeVar("R")    # a ring element: a Scalar or a Series
 
 
 class Eliminator:
@@ -95,23 +96,12 @@ def rank_of(rows: Iterable[Row], ncols: int) -> int:
     return elim.rank
 
 
-def kernel_of(rows: Iterable[Row], ncols: int) -> List[Row]:
-    elim = Eliminator(ncols)
-    for r in rows:
-        elim.add_row(r)
-    return elim.kernel_basis()
-
-
 def rref(vectors: List[Row], ncols: int) -> List[Row]:
     """Canonical reduced row form of a list of vectors (for span comparison)."""
     elim = Eliminator(ncols)
     for v in vectors:
         elim.add_row(v)
     return [elim.pivot_rows[p] for p in sorted(elim.pivot_rows)]
-
-
-def same_span(a: List[Row], b: List[Row], ncols: int) -> bool:
-    return rref(a, ncols) == rref(b, ncols)
 
 
 def in_span(vec: Row, basis: List[Row], ncols: int) -> bool:
@@ -121,19 +111,14 @@ def in_span(vec: Row, basis: List[Row], ncols: int) -> bool:
     return not elim.reduce(dict(vec))
 
 
-def det3(m: List[List]) -> Optional[Scalar]:
-    """Determinant of a 3x3 (or 2x2) matrix of ring elements."""
-    n = len(m)
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    raise ValueError("det3 supports 2x2 and 3x3 only")
+def det3(m: List[List[R]]) -> R:
+    """Determinant of a 3x3 matrix of ring elements."""
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def adjugate3(m: List[List]) -> List[List]:
+def adjugate3(m: List[List[R]]) -> List[List[R]]:
     """Adjugate of a 3x3 matrix of ring elements (adj(m) @ m = det * I)."""
     c = [[None] * 3 for _ in range(3)]
     for i in range(3):

@@ -43,6 +43,18 @@ class ParseError(ValueError):
 SOLVER_ORDERS: Dict[str, int] = {"work_order": 17, "oracle_order": 16,
                                  "aut_order": 9}
 
+#: The least solver order: no frame of weighted order 1 holds w.
+MIN_ORDER = 2
+
+
+def solver_order(name: str, value: str, line: Optional[int] = None) -> int:
+    """A solver order given as ``value`` to the option or flag ``name``:
+    an integer >= :data:`MIN_ORDER`, else an input error."""
+    if not re.fullmatch(r"[0-9]+", value) or int(value) < MIN_ORDER:
+        raise ParseError(f"{name} takes a positive integer >= {MIN_ORDER}, "
+                         f"not {value!r}", line)
+    return int(value)
+
 
 @dataclass
 class ProblemSpec:
@@ -53,12 +65,17 @@ class ProblemSpec:
 
     def orders(self, order: Optional[int] = None,
                aut_order: Optional[int] = None) -> Tuple[int, int, int]:
-        """The (work, oracle, automorphism) solver orders: ``order`` for
-        the first two and ``aut_order`` for the last when given, else the
-        file's ``option`` line, else the default."""
+        """The (work, oracle, automorphism) solver orders: the flag
+        ``--order`` for the first two and ``--aut-order`` for the last when
+        given, else the file's ``option`` line, else the default.  A flag
+        value is checked as an ``option`` value is."""
         opt = {**SOLVER_ORDERS, **self.options}
-        return (order or opt["work_order"], order or opt["oracle_order"],
-                aut_order or opt["aut_order"])
+        if order is not None:
+            opt["work_order"] = opt["oracle_order"] = \
+                solver_order("--order", str(order))
+        if aut_order is not None:
+            opt["aut_order"] = solver_order("--aut-order", str(aut_order))
+        return opt["work_order"], opt["oracle_order"], opt["aut_order"]
 
 
 # -- tokenizer --------------------------------------------------------
@@ -260,10 +277,7 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
             if name not in SOLVER_ORDERS:
                 raise ParseError(f"unknown option {name!r}; known: "
                                  f"{', '.join(SOLVER_ORDERS)}", line)
-            if not re.fullmatch(r"[0-9]+", value) or int(value) < 1:
-                raise ParseError(f"option {name} takes a positive integer, "
-                                 f"not {value!r}", line)
-            options[name] = int(value)
+            options[name] = solver_order(f"option {name}", value, line)
         elif kind == "source":
             source = _parse_source(rest, order, line)
         elif kind == "target":

@@ -67,6 +67,19 @@ def formal_jet(keys: List[Hashable], frm: Frame) -> List[LinSeries]:
     return [LinSeries(frm, rows) for rows in J]
 
 
+def _cramer(M: List[List[Series]], b: List[LinSeries], frm: Frame,
+            singular: str) -> List[LinSeries]:
+    """x with M x = b by Cramer's rule, x_h = sum_k b_k adj(M)[h][k] / det M,
+    in the frame of b; raises ``singular`` unless det M is a unit."""
+    det = det3(M)
+    if det.constant_term().is_zero():
+        raise DegenerateMapError(singular)
+    detinv = det.invert_unit()
+    adj = adjugate3(M)
+    return [sum((b[k] * adj[h][k] for k in range(3)), LinSeries(frm)) * detinv
+            for h in range(3)]
+
+
 def conjugate_reflection(H: MapGerm, source: Source, target: Target,
                          order: int, xfrm: Frame, J: List[LinSeries]):
     """Stage 1: D-representations of the conjugate field.
@@ -90,15 +103,9 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
         rhs_k.append(rhs_k[-1].partial("z"))
 
     ct = frame("chi", "tau", order=order, weights=(1, 2))
-    M = [[s.project(ct) for s in row] for row in lhs]
-    b = [r.project(ct) for r in rhs_k]
-    det = det3(M)
-    if det.constant_term().is_zero():
-        raise DegenerateMapError("conjugate reflection system is singular")
-    detinv = det.invert_unit()
-    adj = adjugate3(M)
-    sol = [sum((b[k] * adj[h][k] for k in range(3)), LinSeries(ct)) * detinv
-           for h in range(3)]
+    sol = _cramer([[s.project(ct) for s in row] for row in lhs],
+                  [r.project(ct) for r in rhs_k], ct,
+                  "conjugate reflection system is singular")
 
     D: List[Dict[Tuple[int, int], LinSeries]] = []
     for h in range(3):
@@ -151,22 +158,12 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
     q12 = source.Q.substitute({"z": x1, "chi": x2,
                                "tau": Series.zero(xfrm)})
     bind = {"z": x1, "chi": x2, "w": q12}
-    M = [[s.substitute(bind) for s in row] for row in lhs]
-    b = [r.substitute(bind) for r in rhs_k]
-    det = det3(M)
-    if det.constant_term().is_zero():
-        raise DegenerateMapError("reflection system is singular")
-    detinv = det.invert_unit()
-    adj = adjugate3(M)
-
-    phi: List[LinSeries] = []
-    for ell in range(3):
-        acc = sum((b[k] * adj[ell][k] for k in range(3)),
-                  LinSeries(xfrm)) * detinv
-        # contract the symbols with the stage-1 representations
-        phi.append(sum((D[h][(j1, j2)] * s for (_, h, j1, j2), s
-                        in acc.by_tag().items()), LinSeries(xfrm)))
-    return phi
+    sol = _cramer([[s.substitute(bind) for s in row] for row in lhs],
+                  [r.substitute(bind) for r in rhs_k], xfrm,
+                  "reflection system is singular")
+    # contract the symbols with the stage-1 representations
+    return [sum((D[h][(j1, j2)] * s for (_, h, j1, j2), s
+                 in acc.by_tag().items()), LinSeries(xfrm)) for acc in sol]
 
 
 # -- fiber coordinate on the second Segre set -------------------------

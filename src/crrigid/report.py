@@ -14,7 +14,8 @@ from typing import Dict, Hashable, List, Sequence
 from crrigid.linalg import Row
 from crrigid.maps import nondegeneracy, transversality
 from crrigid.parser import ProblemSpec
-from crrigid.spaces import RigidityReport, GenericityCertificate
+from crrigid.spaces import FREE_SLOTS, GenericityCertificate, \
+    RigidityReport
 
 
 def _vector_doc(vec: Row, jet_keys: Sequence[Hashable]) -> Dict[str, str]:
@@ -34,23 +35,28 @@ def basis_doc(kernel: List[Row], jet_keys: Sequence[Hashable]
 
 
 def check_doc(spec: ProblemSpec) -> Dict:
+    """The check report of a problem with a map."""
     H, src, tgt = spec.H, spec.source, spec.target
-    doc: Dict = {"command": "check"}
-    doc["target_levi_signature"] = list(tgt.levi_signature())
-    doc["target_levi_nondegenerate"] = tgt.levi_nondegenerate()
-    if H is not None:
-        nd = nondegeneracy(H, src, tgt)
-        doc["immersion"] = H.is_immersion()
-        doc["transversal"] = transversality(H)
-        doc["span_dims"] = nd.span_dims
-        doc["k0"] = nd.k0
-        doc["two_nondegenerate"] = nd.two_nondegenerate
-        doc["s0"] = str(nd.s0)
-    return doc
+    nd = nondegeneracy(H, src, tgt)
+    return {
+        "command": "check",
+        "target_levi_signature": list(tgt.levi_signature()),
+        "target_levi_nondegenerate": tgt.levi_nondegenerate(),
+        "immersion": H.is_immersion(),
+        "transversal": transversality(H),
+        "span_dims": nd.span_dims,
+        "k0": nd.k0,
+        "two_nondegenerate": nd.two_nondegenerate,
+        "s0": str(nd.s0),
+    }
 
 
-def normal_coords_doc(spec: ProblemSpec, order: int = 8) -> Dict:
-    src = spec.source
+#: The weighted order up to which ``normal-coords`` prints Q.
+NORMAL_COORDS_ORDER = 8
+
+
+def normal_coords_doc(spec: ProblemSpec) -> Dict:
+    src, order = spec.source, NORMAL_COORDS_ORDER
     doc: Dict = {"command": "normal-coords", "order": order}
     terms = {}
     for exp in sorted(src.Q.coeffs):
@@ -96,7 +102,7 @@ def genericity_doc(cert: GenericityCertificate) -> Dict:
         "rank": cert.rank,
         "columns": cert.ncols,
         "full_rank": cert.certified,
-        "free_slots": [list(map(str, k)) for k in cert.free_slots],
+        "free_slots": [list(map(str, k)) for k in FREE_SLOTS],
     }
 
 

@@ -125,9 +125,6 @@ class Series:
             return self.frame.order + 1
         return min(self.frame.wdeg(e) for e in self.coeffs)
 
-    def support(self):
-        return self.coeffs.keys()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented

@@ -20,7 +20,7 @@ from crrigid.linseries import bar_key
 from crrigid.linalg import Row, in_span, rank_of, rref
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, \
-    embedding_residual, pull_back, transversality
+    embedding_residual, require_order, transversality
 from crrigid.oracle import KernelSolve, infinitesimal_automorphisms, \
     jet_unknowns
 from crrigid.pipeline import ConditionSystem, DegenerateMapError
@@ -32,16 +32,17 @@ class NotMappedError(ValueError):
 
 # -- closed-form automorphism algebra of the hyperquadrics ------------
 
-def hyperquadric_hol0_basis(eps: int, order: int = 8) -> List[List[Series]]:
+def hyperquadric_hol0_basis(eps: int) -> List[List[Series]]:
     """Real basis (10 fields) of the infinitesimal automorphisms fixing 0
     of the hyperquadric Im w' = |z1'|^2 + eps |z2'|^2.
 
-    Fields are returned as component triples over (z1, z2, w1); all are
-    polynomial of degree <= 2.  Parameters: a real dilation t, real
+    Fields are returned as component triples over (z1, z2, w1), in a
+    frame of order 8; all are polynomial of degree <= 2, and their
+    tangency is checked to order 8.  Parameters: a real dilation t, real
     rotations h11, h22, a complex rotation h12, complex parabolic
     directions b1, b2 and a real parabolic direction s.
     """
-    f = frame("z1", "z2", "w1", order=order, weights=(1, 1, 2))
+    f = frame("z1", "z2", "w1", order=8, weights=(1, 1, 2))
     z1, z2, w = (Series.variable(f, v) for v in ("z1", "z2", "w1"))
     zero = Series.zero(f)
     e = Scalar(eps)
@@ -63,7 +64,7 @@ def hyperquadric_hol0_basis(eps: int, order: int = 8) -> List[List[Series]]:
         lead[j] = w.scale(bval.conjugate() * ih)
         mix = z1.scale(bval) if j == 0 else z2.scale(bval * e)
         basis.append([lead[0] + z1 * mix, lead[1] + z2 * mix, w * mix])
-    _verify_tangent(Target.hyperquadric(eps, order), basis)
+    _verify_tangent(Target.hyperquadric(eps, 8), basis)
     return basis
 
 
@@ -83,53 +84,7 @@ def _verify_tangent(target: Target, fields: Sequence[Sequence[Series]]) -> None:
             raise ArithmeticError("field is not tangent to the target germ")
 
 
-# -- explicit deformation fields --------------------------------------
-
-def source_hol0_basis(order: int = 8) -> List[List[Series]]:
-    """Real basis (5 fields) of the infinitesimal automorphisms fixing 0
-    of the source hyperquadric Im w = |z|^2, as (z, w) component pairs."""
-    f = map_frame(order)
-    z, w = Series.variable(f, "z"), Series.variable(f, "w")
-    zero = Series.zero(f)
-    ih = Scalar(0, 0, Fraction(1, 2))
-    basis = [
-        [z, w.scale(Scalar(2))],          # dilation
-        [z.scale(IMAG), zero],            # rotation
-        [z * w, w * w],                   # parabolic s
-    ]
-    for b in (Scalar(1), IMAG):           # parabolic b
-        basis.append([w.scale(b.conjugate() * ih) + (z * z).scale(b),
-                      (z * w).scale(b)])
-    return basis
-
-
-def pushforward(H: MapGerm, X: Sequence[Series]) -> List[Series]:
-    """The field dH(X) along H, for X a field in the source variables."""
-    mf = H.frame
-    Xs = [x.rebase(mf) for x in X]
-    out = []
-    for comp in H.components:
-        s = Series.zero(mf)
-        for var, x in zip(mf.vars, Xs):
-            s = s + comp.partial(var) * x
-        out.append(s)
-    return out
-
-
-def field_residual(V: Sequence[Series], H: MapGerm, source: Source,
-                   target: Target, order: int) -> Series:
-    """Re sum_j rho_{Z_j}(H, conj H) V_j on the complexified source germ;
-    zero (to the working order) iff V is an infinitesimal deformation."""
-    frm = source.zct_frame(order)
-    holo, anti = chart = source.chart(frm)
-    r_on, rb_on = target.gradient_on(pull_back(H, chart))
-    res = Series.zero(frm)
-    for j in range(target.n):
-        Vc = V[j].substitute(holo)
-        Vb = V[j].conj().substitute(anti)
-        res = res + r_on[j] * Vc + rb_on[j] * Vb
-    return res
-
+# -- 4-jets of fields ------------------------------------------------
 
 def jet_row_of_field(V: Sequence[Series], n: int = 3) -> Row:
     """Realified 4-jet vector of a field, in the solver's column order."""
@@ -155,7 +110,7 @@ class TrivialSubspace:
     aut: KernelSolve         # the target automorphism computation
 
 
-def trivial_subspace(H: MapGerm, source: Source, target: Target,
+def trivial_subspace(H: MapGerm, target: Target,
                      aut_keq: int) -> TrivialSubspace:
     """The trivial deformations V o H, V an infinitesimal automorphism of
     the target fixing 0, as 4-jet vectors of the embedding."""
@@ -199,15 +154,22 @@ class RigidityReport:
     trivial: Optional[TrivialSubspace]
 
 
-def validate_embedding(H: MapGerm, source: Source, target: Target,
-                       order: int = 10) -> None:
+#: The weighted order to which :func:`validate_embedding` checks that H
+#: maps the source germ into the target germ.
+VALIDATION_ORDER = 10
+
+
+def validate_embedding(H: MapGerm, source: Source, target: Target) -> None:
     """Raise if H is not a transversal 2-nondegenerate embedding of the
-    source germ into the target germ."""
+    source germ into the target germ, or if the germs are expanded below
+    :data:`VALIDATION_ORDER`."""
+    require_order(VALIDATION_ORDER, H, source, target)
     if not H.is_immersion():
         raise DegenerateMapError("map is not an immersion at 0")
     if not transversality(H):
         raise DegenerateMapError("map is not transversal at 0")
-    if not embedding_residual(H, source, target, order).is_zero():
+    if not embedding_residual(H, source, target,
+                              VALIDATION_ORDER).is_zero():
         raise NotMappedError(
             "map does not send the source germ into the target germ")
     nd = nondegeneracy(H, source, target)
@@ -215,8 +177,8 @@ def validate_embedding(H: MapGerm, source: Source, target: Target,
         raise DegenerateMapError("embedding is not 2-nondegenerate at 0")
 
 
-def decide_rigidity(H: MapGerm, source: Source, target: Target,
-                    sol: KernelSolve, aut_keq: int) -> RigidityReport:
+def decide_rigidity(H: MapGerm, target: Target, sol: KernelSolve,
+                    aut_keq: int) -> RigidityReport:
     """Apply the sufficient rigidity criteria to a deformation solve of H.
 
     ``sol`` is the solve being judged, from either route; H is expected
@@ -233,7 +195,7 @@ def decide_rigidity(H: MapGerm, source: Source, target: Target,
     aut_dim = aut_stab = triv_dim = contained = None
     triv = None
     if levi:
-        triv = trivial_subspace(H, source, target, aut_keq=aut_keq)
+        triv = trivial_subspace(H, target, aut_keq=aut_keq)
         aut_dim = triv.aut.dim
         aut_stab = triv.aut.stabilized
         triv_dim = triv.dim
@@ -269,17 +231,14 @@ class GenericityCertificate:
     rank: int
     ncols: int            # number of complement columns
     certified: bool       # full column rank on the complement
-    free_slots: Tuple[Hashable, ...]
 
 
-def genericity_certificate(system: ConditionSystem,
-                           free_slots: Sequence[Hashable] = FREE_SLOTS
-                           ) -> GenericityCertificate:
+def genericity_certificate(system: ConditionSystem) -> GenericityCertificate:
     """Full-rank certificate of a condition system of the pipeline.
 
     The jet and its formal conjugate are treated as independent complex
     unknowns; the pole, jet and residual rows together with their formal
-    conjugates are collected, the columns of ``free_slots`` are deleted,
+    conjugates are collected, the columns of :data:`FREE_SLOTS` are deleted,
     and the remaining matrix must have full column rank.  When it does, every
     solution of the system is determined by the free slots alone, which
     is the linear-algebra content of the genericity statement for
@@ -287,7 +246,7 @@ def genericity_certificate(system: ConditionSystem,
     """
     cond = system.jet
     keys = list(cond.jet_keys) + [bar_key(k) for k in cond.jet_keys]
-    drop = set(free_slots)
+    drop = set(FREE_SLOTS)
     col = {k: i for i, k in enumerate(keys)}
 
     rows: List[Row] = []
@@ -309,5 +268,4 @@ def genericity_certificate(system: ConditionSystem,
         push(row)
     ncols = len(keys) - len(drop)
     rank = rank_of(rows, len(keys))
-    return GenericityCertificate(rank, ncols, rank == ncols,
-                                 tuple(free_slots))
+    return GenericityCertificate(rank, ncols, rank == ncols)

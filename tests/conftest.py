@@ -61,8 +61,7 @@ class ComputeCache:
         def make():
             s = self.spec(entry)
             validate_embedding(s.H, s.source, s.target)
-            return decide_rigidity(s.H, s.source, s.target,
-                                   self.pipeline(entry),
+            return decide_rigidity(s.H, s.target, self.pipeline(entry),
                                    aut_keq=self.orders(entry)[2])
         return self._get(("rigidity", entry), make)
 

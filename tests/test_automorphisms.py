@@ -31,7 +31,7 @@ def test_hyperquadric_dimensions_match_closed_form():
         res = infinitesimal_automorphisms(Target.hyperquadric(eps, 16), keq=7)
         assert res.stabilized
         assert res.dim == 10
-        basis = hyperquadric_hol0_basis(eps, order=8)
+        basis = hyperquadric_hol0_basis(eps)
         rows = _field_rows(basis, res)
         ncols = 2 * len(res.jet_keys)
         assert rank_of(rows, ncols) == 10

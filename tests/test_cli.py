@@ -7,7 +7,7 @@ import pytest
 
 from crrigid import cli
 from crrigid.cli import main
-from crrigid.corpus import EXPECTATIONS
+from crrigid.corpus import EXPECTATIONS, corpus_text
 
 
 def _run(capsys, *argv):
@@ -73,10 +73,29 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "input error" in err
 
 
-def test_options_before_problem(capsys):
-    code, out, _ = _run(capsys, "check", "--order", "17", "example-6-1")
+def test_options_before_problem(monkeypatch, cache, capsys):
+    _serve_from_cache(monkeypatch, cache, "target-6-4")
+    code, out, _ = _run(capsys, "automorphisms", "--aut-order", "11",
+                        "target-6-4")
     assert code == 0
-    assert json.loads(out)["command"] == "check"
+    assert json.loads(out)["command"] == "automorphisms"
+
+
+@pytest.mark.parametrize("flags, option, name", [
+    (("--order", "0"), "", "--order"),
+    (("--order", "1"), "", "--order"),
+    (("--order", "-3"), "", "--order"),
+    (("--aut-order", "1"), "", "--aut-order"),
+    ((), "option work_order 1;\n", "option work_order"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v.strip())
+def test_solver_order_below_2_exits_2(tmp_path, capsys, flags, option, name):
+    # no frame of weighted order 1 holds w
+    path = tmp_path / "p.crr"
+    path.write_text(corpus_text("example-6-1") + option)
+    code, out, err = _run(capsys, "rigidity", str(path), *flags)
+    assert code == 2
+    assert not out
+    assert f"{name} takes a positive integer >= 2" in err
 
 
 def test_genericity_validates_the_map(tmp_path, capsys):
@@ -88,6 +107,16 @@ def test_genericity_validates_the_map(tmp_path, capsys):
     assert code == 2
     assert not out
     assert "input error" in err
+
+
+def test_validation_expands_the_germs_it_reads(capsys):
+    # validation reads the germs at order 10, deeper than --order 2 needs
+    code, out, err = _run(capsys, "rigidity", "sphere-8", "--order", "2",
+                          "--aut-order", "2")
+    assert code == 1, err
+    doc = json.loads(out)
+    assert doc["command"] == "rigidity"
+    assert doc["stabilized"] is False
 
 
 def test_rigidity_not_stabilized_exits_1(capsys):
@@ -151,7 +180,6 @@ def test_unstabilized_cross_check_exits_1(monkeypatch, cache, capsys):
 
 
 def test_problem_file_roundtrip(tmp_path, capsys):
-    from crrigid.corpus import corpus_text
     path = tmp_path / "prob.crr"
     path.write_text(corpus_text("example-6-1"))
     code, out, _ = _run(capsys, "check", str(path))
@@ -197,6 +225,9 @@ def test_selftest_exits_0(capsys):
     ("normal-coords", ("--with-oracle",)),
     ("automorphisms", ("--oracle",)),
     ("automorphisms", ("--with-oracle",)),
+    ("check", ("--order", "17")),
+    ("normal-coords", ("--order", "17")),
+    ("automorphisms", ("--order", "17")),
     ("check", ("--aut-order", "5")),
     ("normal-coords", ("--aut-order", "5")),
     ("deform", ("--aut-order", "5")),

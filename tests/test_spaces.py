@@ -10,10 +10,11 @@ from crrigid.maps import MapGerm, map_frame
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
 from crrigid.spaces import (FREE_SLOTS, NotMappedError, _verify_tangent,
-                            field_residual, hyperquadric_hol0_basis,
-                            jet_row_of_field, pushforward, source_hol0_basis,
+                            hyperquadric_hol0_basis, jet_row_of_field,
                             validate_embedding)
 from crrigid.pipeline import DegenerateMapError
+
+from closed_forms import field_residual, pushforward, source_hol0_basis
 
 I = Scalar(0, 0, 1)
 
@@ -21,7 +22,7 @@ I = Scalar(0, 0, 1)
 def test_hyperquadric_bases_have_dimension_ten():
     # construction runs an exact tangency check and raises on failure
     for eps in (1, -1):
-        basis = hyperquadric_hol0_basis(eps, order=8)
+        basis = hyperquadric_hol0_basis(eps)
         assert len(basis) == 10
 
 
@@ -109,6 +110,15 @@ def test_validate_embedding_errors():
     t0 = load_corpus("example-6-4-t0", order=16)
     with pytest.raises(DegenerateMapError):
         validate_embedding(t0.H, t0.source, t0.target)
+
+
+def test_validate_embedding_needs_the_order_it_reads():
+    # sphere-8 maps by a rational H: cut at order 9 it would look unmapped
+    spec = load_corpus("sphere-8", order=9)
+    with pytest.raises(ValueError, match="expanded to order 10; they are "
+                                         "expanded to order 9") as exc:
+        validate_embedding(spec.H, spec.source, spec.target)
+    assert not isinstance(exc.value, NotMappedError)
 
 
 def test_free_slots():
