@@ -5,13 +5,13 @@ Usage:
     python3 scripts/corpus_digest.py > digest.txt
 
 Runs ``check`` and ``normal-coords`` on every corpus entry, ``deform``,
-``deform --oracle``, ``rigidity`` and ``genericity`` on every corpus
-entry that has a map, ``automorphisms target-6-4`` with ``--aut-order
-11`` and without a flag, and ``selftest``, each in a fresh process on
-the ``src/`` tree next to this script.  Each line holds the command, its
-exit code and the sha256 of its stdout.  Run it on two checkouts and
-diff the outputs: a change that keeps every report and exit code prints
-the same lines.
+``deform --oracle``, ``deform --with-oracle``, ``rigidity`` and
+``genericity`` on every corpus entry that has a map, ``automorphisms
+target-6-4`` with ``--aut-order 11`` and without a flag, and
+``selftest``, each in a fresh process on the ``src/`` tree next to this
+script.  Each line holds the command, its exit code and the sha256 of
+its stdout.  Run it on two checkouts and diff the outputs: a change that
+keeps every report and exit code prints the same lines.
 """
 
 import hashlib
@@ -32,7 +32,8 @@ def commands():
         yield ["normal-coords", entry]
         if exp.aut_only:
             continue
-        for cmd in (["deform"], ["deform", "--oracle"], ["rigidity"],
+        for cmd in (["deform"], ["deform", "--oracle"],
+                    ["deform", "--with-oracle"], ["rigidity"],
                     ["genericity"]):
             yield cmd + [entry]
     yield ["automorphisms", "target-6-4", "--aut-order", "11"]

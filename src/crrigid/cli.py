@@ -24,7 +24,7 @@ from crrigid.parser import MIN_ORDER, SOLVER_ORDERS, ParseError, \
 from crrigid.pipeline import DegenerateMapError, condition_system, \
     solve_deformation
 from crrigid.spaces import VALIDATION_ORDER, decide_rigidity, \
-    genericity_certificate, validate_embedding
+    genericity_certificate, hyperquadric_hol0_basis, validate_embedding
 
 
 def _load(problem: str, order: Optional[int] = None,
@@ -118,6 +118,8 @@ def run(args) -> int:
     t0 = time.time()
     _check_flags(args)
     if args.command == "selftest":
+        if args.problem is not None:
+            raise ParseError("selftest takes no problem argument")
         return _selftest(t0)
     if args.command == "reproduce":
         return _reproduce(args)
@@ -190,7 +192,6 @@ def _reproduce(args) -> int:
 
 def _selftest(t0: float) -> int:
     """Fast internal consistency checks."""
-    from crrigid.spaces import hyperquadric_hol0_basis
     failures = []
     try:
         hyperquadric_hol0_basis(1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from crrigid.scalars import Scalar, I as IMAG
+from crrigid.scalars import ZERO, Scalar, I as IMAG
 from crrigid.series import Frame, Series, frame, solve_implicit
 
 # canonical frames ----------------------------------------------------
@@ -343,25 +343,18 @@ class Target:
     def levi_signature(self) -> Tuple[int, int]:
         """(positive, negative) eigenvalue counts of the Levi matrix."""
         h = self.levi_matrix()
-        m = len(h)
-        if m == 1:
-            s = h[0][0].sign()
-            return (1, 0) if s > 0 else ((0, 1) if s < 0 else (0, 0))
-        if m == 2:
+        if len(h) not in (1, 2):
+            raise ValueError("levi_signature supports targets in C^2 and C^3")
+        if len(h) == 2:
             det = h[0][0] * h[1][1] - h[0][1] * h[1][0]
             if det.sign() < 0:
                 return (1, 1)
             if det.sign() > 0:
                 return (2, 0) if h[0][0].sign() > 0 else (0, 2)
-            # rank <= 1
-            for diag in (h[0][0], h[1][1]):
-                s = diag.sign()
-                if s:
-                    return (1, 0) if s > 0 else (0, 1)
-            if not h[0][1].is_zero():
-                return (1, 1)
-            return (0, 0)
-        raise ValueError("levi_signature supports targets in C^2 and C^3")
+        # rank <= 1, so the trace is the one eigenvalue that may be
+        # nonzero (h is Hermitian: det = 0 with a zero diagonal forces h = 0)
+        s = sum((h[j][j] for j in range(len(h))), ZERO).sign()
+        return (1, 0) if s > 0 else ((0, 1) if s < 0 else (0, 0))
 
     def levi_nondegenerate(self) -> bool:
         p, q = self.levi_signature()

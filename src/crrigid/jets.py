@@ -1,0 +1,137 @@
+"""The jet coordinates every answer is stated in.
+
+Unknown tags used in this package:
+
+* ``("jet", j, e...)``     -- Taylor coefficient of component j at the
+  exponent e (z^m w^n for a deformation field)
+* ``("jetbar", j, e...)``  -- its formal complex conjugate
+* ``("dbar", h, j1, j2)``  -- placeholder for a derivative of a conjugated
+  component along the first conjugate Segre set (resolved mid-pipeline)
+
+A solve works over the real coordinates of an ordered list of jet tags:
+column 2k holds Re, column 2k+1 holds Im of tag k.  Only this module
+turns a tag index into a real column or back.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+from typing import Dict, Hashable, List, Sequence
+
+from crrigid.linalg import Row
+from crrigid.scalars import ZERO, Scalar, I as IMAG
+from crrigid.series import Series
+
+
+def bar_key(key: Hashable) -> Hashable:
+    """Swap ("jet", ...) and ("jetbar", ...) tags."""
+    tag = key[0]
+    if tag == "jet":
+        return ("jetbar",) + tuple(key[1:])
+    if tag == "jetbar":
+        return ("jet",) + tuple(key[1:])
+    raise ValueError(f"cannot conjugate unknown tag {key!r}")
+
+
+def jet_unknowns(ncomp: int, nvars_weights: Sequence[int], kmax: int,
+                 by_weight: bool = False) -> List[Hashable]:
+    """Ordered unknown tags ("jet", j, exp...) with 1 <= deg(exp) <= kmax.
+
+    With ``by_weight`` the degree bound uses the weighted degree
+    sum(w_i e_i); this matters for soundness of the truncated solvers: an
+    equation row of weighted order W only involves jet coordinates of
+    weighted degree <= W, so a weighted unknown set never silently drops
+    contributions of admissible rows.
+    """
+    nv = len(nvars_weights)
+    exps = []
+    for exp in product(*(range(kmax + 1) for _ in range(nv))):
+        deg = sum(e * w for e, w in zip(exp, nvars_weights)) if by_weight \
+            else sum(exp)
+        if deg > kmax or sum(exp) == 0:
+            continue
+        exps.append(exp)
+    exps.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+    keys = []
+    for exp in exps:
+        for j in range(ncomp):
+            keys.append(("jet", j) + tuple(exp))
+    return keys
+
+
+#: The 4-jet of a deformation field over (z, w), into C^3: validation
+#: rejects any other target as not 2-nondegenerate.
+JET4: List[Hashable] = jet_unknowns(3, (1, 2), 4)
+#: The largest weighted degree (z-degree + 2 w-degree) in :data:`JET4`.
+JET4_ORDER = max(m + 2 * n for (_, _, m, n) in JET4)
+
+
+def column_count(keys: Sequence[Hashable]) -> int:
+    """The number of real columns over ``keys``."""
+    return 2 * len(keys)
+
+
+def column_label(c: int, keys: Sequence[Hashable]) -> str:
+    """The report name of real column c over (z, w) jet tags: "im d12 V3"
+    is the imaginary part of the z w^2 coefficient of component 3."""
+    _, j, m, n = keys[c // 2]
+    return f"{'im' if c % 2 else 're'} d{m}{n} V{j + 1}"
+
+
+def coordinate(vec: Row, k: int) -> Scalar:
+    """The complex coordinate of tag k in a real vector."""
+    return vec.get(2 * k, ZERO) + vec.get(2 * k + 1, ZERO) * IMAG
+
+
+def realify_row(row, col: Dict[Hashable, int]) -> List[Row]:
+    """Split a complex-linear row in (Lambda, conj Lambda) into real-linear
+    rows over (Re Lambda, Im Lambda).
+
+    ``col`` numbers the unbarred unknown tags.  The row contributes its
+    nonzero real and imaginary parts, at most two real rows.
+    """
+    re_row: Row = {}
+    im_row: Row = {}
+    for key, coef in row.items():
+        # with Lam = x + i y, c Lam = c x + i c y and c conj Lam = c x - i c y
+        if key[0] == "jet":
+            k, t = col[key], coef * IMAG
+        else:
+            k, t = col[bar_key(key)], -coef * IMAG
+        for cidx, c in ((2 * k, coef), (2 * k + 1, t)):
+            rp, ip = c.real_part(), c.imag_part()
+            if not rp.is_zero():
+                re_row[cidx] = re_row.get(cidx, ZERO) + rp
+            if not ip.is_zero():
+                im_row[cidx] = im_row.get(cidx, ZERO) + ip
+    out = []
+    for r in (re_row, im_row):
+        r = {c: v for c, v in r.items() if not v.is_zero()}
+        if r:
+            out.append(r)
+    return out
+
+
+def field_row(V: Sequence[Series], keys: Sequence[Hashable] = JET4) -> Row:
+    """The real vector of a field's jet over ``keys``: tag ("jet", j, e...)
+    reads the coefficient of the exponent e in V[j]."""
+    out: Row = {}
+    for k, key in enumerate(keys):
+        c = V[key[1]].coefficient(key[2:])
+        rp, ip = c.real_part(), c.imag_part()
+        if not rp.is_zero():
+            out[2 * k] = rp
+        if not ip.is_zero():
+            out[2 * k + 1] = ip
+    return out
+
+
+@dataclass
+class KernelSolve:
+    """A solved deformation or automorphism space, from either route."""
+    dims: Dict[Hashable, int]    # truncation (K, K) or harvest order -> dim
+    dim: int
+    stabilized: bool
+    kernel_real: List[Row]       # canonical basis over the real columns
+    jet_keys: List[Hashable]     # the tags of those columns

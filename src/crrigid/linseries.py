@@ -7,20 +7,15 @@ formal unknowns Lambda_k.  A :class:`LinSeries` stores it the way its
 callers read it: one sparse row ``{tag: Scalar}`` per exponent, the
 linear form of that coefficient.  Every operation touches each monomial
 once, whatever the number of unknowns, and forms a module over
-:class:`~crrigid.series.Series`.
-
-Unknown tags used in this package:
-
-* ``("jet", j, m, n)``     -- Taylor coefficient of component j at z^m w^n
-* ``("jetbar", j, m, n)``  -- its formal complex conjugate
-* ``("dbar", h, j1, j2)``  -- placeholder for a derivative of a conjugated
-  component along the first conjugate Segre set (resolved mid-pipeline)
+:class:`~crrigid.series.Series`.  The unknown tags are those of
+:mod:`crrigid.jets`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Mapping, Optional
 
+from crrigid.jets import bar_key
 from crrigid.scalars import Scalar
 from crrigid.series import (Exponent, Frame, Series, power_table, projection,
                             substitution_target, table_monomial)
@@ -157,13 +152,3 @@ class LinSeries:
 
     def support(self):
         return self.rows.keys()
-
-
-def bar_key(key: Hashable) -> Hashable:
-    """Swap ("jet", ...) and ("jetbar", ...) tags."""
-    tag = key[0]
-    if tag == "jet":
-        return ("jetbar",) + tuple(key[1:])
-    if tag == "jetbar":
-        return ("jet",) + tuple(key[1:])
-    raise ValueError(f"cannot conjugate unknown tag {key!r}")

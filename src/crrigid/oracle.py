@@ -11,81 +11,15 @@ for target germs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-from crrigid.scalars import ZERO, Scalar, I as IMAG
 from crrigid.series import Frame, Series, power_table, table_monomial
-from crrigid.linseries import LinSeries, bar_key
+from crrigid.linseries import LinSeries
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, pull_back, require_order
-from crrigid.linalg import Eliminator, rref
-
-Row = Dict[int, Scalar]
-
-
-# -- unknown bookkeeping ----------------------------------------------
-
-def jet_unknowns(ncomp: int, nvars_weights: Sequence[int], kmax: int,
-                 by_weight: bool = False):
-    """Ordered unknown tags ("jet", j, exp...) with 1 <= deg(exp) <= kmax.
-
-    With ``by_weight`` the degree bound uses the weighted degree
-    sum(w_i e_i); this matters for soundness of the truncated solvers: an
-    equation row of weighted order W only involves jet coordinates of
-    weighted degree <= W, so a weighted unknown set never silently drops
-    contributions of admissible rows.
-    """
-    from itertools import product
-    nv = len(nvars_weights)
-    exps = []
-    for exp in product(*(range(kmax + 1) for _ in range(nv))):
-        deg = sum(e * w for e, w in zip(exp, nvars_weights)) if by_weight \
-            else sum(exp)
-        if deg > kmax or sum(exp) == 0:
-            continue
-        exps.append(exp)
-    exps.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
-    keys = []
-    for exp in exps:
-        for j in range(ncomp):
-            keys.append(("jet", j) + tuple(exp))
-    return keys
-
-
-def realify_row(row, col: Dict[Hashable, int]) -> List[Row]:
-    """Split a complex-linear row in (Lambda, conj Lambda) into real-linear
-    rows over (Re Lambda, Im Lambda).
-
-    ``col`` numbers the unbarred unknown tags; column 2k holds Re, 2k+1 Im
-    of unknown k.  The row contributes its nonzero real and imaginary
-    parts, at most two real rows.
-    """
-    re_row: Row = {}
-    im_row: Row = {}
-    for key, coef in row.items():
-        if key[0] == "jet":
-            k = col[key]
-            a, b = coef, ZERO
-        else:
-            k = col[bar_key(key)]
-            a, b = ZERO, coef
-        # (a Lam + b conj Lam) with Lam = x + i y contributes
-        # (a+b) x + i (a-b) y
-        s = a + b
-        t = (a - b) * IMAG
-        for cidx, c in ((2 * k, s), (2 * k + 1, t)):
-            rp, ip = c.real_part(), c.imag_part()
-            if not rp.is_zero():
-                re_row[cidx] = re_row.get(cidx, ZERO) + rp
-            if not ip.is_zero():
-                im_row[cidx] = im_row.get(cidx, ZERO) + ip
-    out = []
-    for r in (re_row, im_row):
-        r = {c: v for c, v in r.items() if not v.is_zero()}
-        if r:
-            out.append(r)
-    return out
+from crrigid.linalg import Eliminator, Row, rref
+from crrigid.jets import JET4, KernelSolve, bar_key, column_count, \
+    jet_unknowns, realify_row
 
 
 def projected_kernel(kernel: List[Row], ncols: int) -> List[Row]:
@@ -122,16 +56,6 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
     return LinSeries.from_tags(r_on[0].frame, comps)
 
 
-@dataclass
-class KernelSolve:
-    """A solved deformation or automorphism space, from either route."""
-    dims: Dict[Hashable, int]    # truncation (K, K) or harvest order -> dim
-    dim: int
-    stabilized: bool
-    kernel_real: List[Row]       # canonical basis, projected jet
-    jet_keys: List[Hashable]     # projected jet tags, column k <-> 2k/2k+1
-
-
 def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
                     weights: Tuple[int, ...], proj_keys: List[Hashable],
                     keq: int) -> KernelSolve:
@@ -156,14 +80,15 @@ def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
                                                     by_weight=True)
                             if k not in proj]
         col = {k: i for i, k in enumerate(keys)}
-        elim = Eliminator(2 * len(keys))
+        elim = Eliminator(column_count(keys))
         # by weighted order, ties by exponent: of the orders tried, the
         # one needing the fewest row operations on the corpus
         wdeg = residual.frame.wdeg
         for exp in sorted(residual.support(), key=lambda e: (wdeg(e), e)):
             for r in realify_row(residual.coefficient_row(exp), col):
                 elim.add_row(r)
-        kernel = projected_kernel(elim.kernel_basis(), 2 * len(proj_keys))
+        kernel = projected_kernel(elim.kernel_basis(),
+                                  column_count(proj_keys))
         dims[(K, K)] = len(kernel)
     return KernelSolve(dims, dims[(keq + 1, keq + 1)],
                        len(set(dims.values())) == 1, kernel, proj_keys)
@@ -196,7 +121,7 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
     require_order(keq + 1, H, source, target)
     return truncated_solve(
         lambda K: deformation_residual(H, source, target, K, K)[0],
-        target.n, (1, 2), jet_unknowns(target.n, (1, 2), 4), keq)
+        target.n, (1, 2), JET4, keq)
 
 
 # -- infinitesimal automorphisms of a target germ ---------------------

@@ -40,16 +40,16 @@ harvested at two consecutive orders to certify stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
 from crrigid.scalars import Scalar
-from crrigid.series import Frame, Series, frame
+from crrigid.series import Frame, Series, frame, reversion
 from crrigid.linseries import LinRow, LinSeries
-from crrigid.linalg import Eliminator, adjugate3, det3, rref
+from crrigid.linalg import Eliminator, Row, adjugate3, det3, rref
 from crrigid.geometry import Source, Target
-from crrigid.maps import MapGerm, map_frame, nondegeneracy, pull_back, \
-    require_order
-from crrigid.oracle import KernelSolve, jet_unknowns, realify_row, Row
+from crrigid.maps import MapGerm, map_frame, pull_back, require_order
+from crrigid.jets import JET4, JET4_ORDER, KernelSolve, column_count, \
+    realify_row
 
 
 class DegenerateMapError(ValueError):
@@ -59,10 +59,11 @@ class DegenerateMapError(ValueError):
 
 # -- the two reflection stages ----------------------------------------
 
-def formal_jet(keys: List[Hashable], frm: Frame) -> List[LinSeries]:
-    """J_j = sum of ("jet", j, m, n) z^m w^n over ``keys``, per component."""
+def formal_jet(frm: Frame) -> List[LinSeries]:
+    """J_j = sum of ("jet", j, m, n) z^m w^n over :data:`JET4`, per
+    component."""
     J: List[Dict[tuple, LinRow]] = [{} for _ in range(3)]
-    for key in keys:
+    for key in JET4:
         J[key[1]][tuple(key[2:])] = {key: Scalar(1)}
     return [LinSeries(frm, rows) for rows in J]
 
@@ -173,6 +174,7 @@ class SegreFiber:
     A1: Series      # Q_chi(z, 0, 0), vanishing to first order in z
     Uinv: Series    # z^2 / A1(z)^2, a unit
     psi: Series     # fiber inverse: Q(z, A1(z) psi(z, t), 0) = A1(z)^2 t
+    lift: Series    # A1(z) psi(z, t), in the frame of psi
 
 
 def segre_fiber(source: Source, kphi: int) -> SegreFiber:
@@ -187,35 +189,32 @@ def segre_fiber(source: Source, kphi: int) -> SegreFiber:
     pf = frame("z", "u", order=2 * kphi, caps={"z": kphi, "u": kphi})
     psihat = Series.variable(pf, "u")
     upow = psihat
-    A1p = A1.project(frame("z", order=kphi))
+    zk = frame("z", order=kphi)
     for j in range(2, kphi + 1):
         upow = upow * Series.variable(pf, "u")
         Aj = A.get(j)
         if Aj is None:
             continue
-        Cj = (Aj * (A1 ** (j - 2))).project(frame("z", order=kphi))
+        Cj = (Aj * (A1 ** (j - 2))).project(zk)
         psihat = psihat + upow * Cj.rebase(pf)
     tf = frame("z", "t", order=2 * kphi, caps={"z": kphi, "t": kphi})
-    from crrigid.series import reversion
     psi = reversion(psihat, ("z",), "u", "t", tf)
 
     # check the defining identity Q(z, A1 psi, 0) = A1^2 t on the kept ball
     zD = Series.variable(tf, "z")
-    lift = A1.project(frame("z", order=kphi)).rebase(tf) * psi
+    lift = A1.project(zk).rebase(tf) * psi
     qcheck = source.Q.substitute({"z": zD, "chi": lift,
                                   "tau": Series.zero(tf)})
-    b_t = ((A1 * A1).project(frame("z", order=kphi)).rebase(tf)
-           * Series.variable(tf, "t"))
+    b_t = (A1 * A1).project(zk).rebase(tf) * Series.variable(tf, "t")
     if qcheck != b_t:
         raise ArithmeticError("fiber inversion failed to verify")
-    return SegreFiber(A1, Uinv, psi)
+    return SegreFiber(A1, Uinv, psi, lift)
 
 
 # -- conditions -------------------------------------------------------
 
 @dataclass
 class JetConditions:
-    jet_keys: List[Hashable]                       # unbarred 4-jet tags
     K: List[LinSeries]                             # candidate solution, (z, w)
     rows_pole: Dict[Tuple[int, int, int], Row]     # (l, a, m2) -> complex row
     rows_jet: Dict[Tuple[int, int, int], Row]      # (l, m, n) -> complex row
@@ -230,25 +229,17 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     (which occur already in the quadric model) are available exactly.
     """
     kphi = work_order + 1
-    nd = nondegeneracy(H, source, target)
-    if not nd.two_nondegenerate:
-        raise DegenerateMapError("embedding is not 2-nondegenerate at 0")
-
     xfrm = frame("x1", "x2", order=kphi)
-    keys = jet_unknowns(target.n, (1, 2), 4)
-    # K's frame holds the whole 4-jet, also when kphi < 8
-    mf = map_frame(max(kphi, 8))
-    J = formal_jet(keys, mf)
+    # K's frame holds the whole 4-jet, also when kphi < JET4_ORDER
+    mf = map_frame(max(kphi, JET4_ORDER))
+    J = formal_jet(mf)
     D = conjugate_reflection(H, source, target, kphi + 4, xfrm, J)
     phi = direct_reflection(H, source, target, kphi + 2, xfrm, D)
     fiber = segre_fiber(source, kphi)
 
     # Psi_l(z, t) = phi_l(z, A1(z) psi(z, t))
-    tf = fiber.psi.frame
-    lift = (fiber.A1.project(frame("z", order=kphi)).rebase(tf)
-            * fiber.psi)
-    zt = Series.variable(tf, "z")
-    Psi = [p.substitute({"x1": zt, "x2": lift}) for p in phi]
+    zt = Series.variable(fiber.psi.frame, "z")
+    Psi = [p.substitute({"x1": zt, "x2": fiber.lift}) for p in phi]
 
     # t -> w / B(z) stratum by stratum: B^m2 = z^(2 m2) / Uinv^m2
     zf = frame("z", order=kphi)
@@ -275,10 +266,11 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
         K.append(LinSeries(mf, krows))
 
     diffs = [k - j for k, j in zip(K, J)]
+    # K(0) = 0, and the 4-jet of K is Lambda
+    slots = [(ell, 0, 0) for ell in range(3)] + [key[1:] for key in JET4]
     rows_jet = {(ell, m, n): diffs[ell].coefficient_row((m, n))
-                for ell in range(3) for m in range(5) for n in range(5 - m)
-                if (m, n) in diffs[ell].support()}
-    return JetConditions(keys, K, rows_pole, rows_jet)
+                for ell, m, n in slots if (m, n) in diffs[ell].support()}
+    return JetConditions(K, rows_pole, rows_jet)
 
 
 def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
@@ -329,9 +321,8 @@ def solve_conditions(system: ConditionSystem) -> KernelSolve:
     stabilization over the residual harvest orders work_order - 1 and
     work_order.
     """
-    keys = system.jet.jet_keys
-    col = {k: i for i, k in enumerate(keys)}
-    ncols = 2 * len(keys)
+    col = {k: i for i, k in enumerate(JET4)}
+    ncols = column_count(JET4)
     work_order, wdeg = system.frame.order, system.frame.wdeg
     # one elimination: the residual rows of each harvest order are added
     # to those of the lower orders; the reduced form is canonical, so
@@ -352,7 +343,7 @@ def solve_conditions(system: ConditionSystem) -> KernelSolve:
         kernel = elim.kernel_basis()
         dims[korder] = len(kernel)
     return KernelSolve(dims, dims[work_order], len(set(dims.values())) == 1,
-                       rref(kernel, ncols), keys)
+                       rref(kernel, ncols), JET4)
 
 
 def solve_deformation(H: MapGerm, source: Source, target: Target,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Hashable, List, Sequence
 
+from crrigid.jets import column_label
 from crrigid.linalg import Row
 from crrigid.maps import nondegeneracy, transversality
 from crrigid.parser import ProblemSpec
@@ -18,20 +19,11 @@ from crrigid.spaces import FREE_SLOTS, GenericityCertificate, \
     RigidityReport
 
 
-def _vector_doc(vec: Row, jet_keys: Sequence[Hashable]) -> Dict[str, str]:
-    """One kernel vector: real 4-jet coordinates, sorted by column."""
-    out: Dict[str, str] = {}
-    for c in sorted(vec):
-        k = jet_keys[c // 2]
-        part = "re" if c % 2 == 0 else "im"
-        _, j, m, n = k
-        out[f"{part} d{m}{n} V{j+1}"] = str(vec[c])
-    return out
-
-
 def basis_doc(kernel: List[Row], jet_keys: Sequence[Hashable]
               ) -> List[Dict[str, str]]:
-    return [_vector_doc(v, jet_keys) for v in kernel]
+    """Each kernel vector by its real 4-jet coordinates, sorted by column."""
+    return [{column_label(c, jet_keys): str(vec[c]) for c in sorted(vec)}
+            for vec in kernel]
 
 
 def check_doc(spec: ProblemSpec) -> Dict:
@@ -78,7 +70,8 @@ def deform_doc(sol, oracle=None) -> Dict:
     if oracle is not None:
         doc["oracle_dimension"] = oracle.dim
         doc["oracle_stabilized"] = oracle.stabilized
-        doc["oracle_agrees"] = oracle.dim == sol.dim
+        doc["oracle_agrees"] = (oracle.dim == sol.dim
+                                and oracle.kernel_real == sol.kernel_real)
     return doc
 
 

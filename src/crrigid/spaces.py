@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
-from crrigid.scalars import ZERO, Scalar, I as IMAG
+from crrigid.scalars import Scalar, I as IMAG
 from crrigid.series import Series, frame, power_table, table_monomial
-from crrigid.linseries import bar_key
 from crrigid.linalg import Row, in_span, rank_of, rref
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, \
     embedding_residual, require_order, transversality
-from crrigid.oracle import KernelSolve, infinitesimal_automorphisms, \
-    jet_unknowns
+from crrigid.jets import JET4, JET4_ORDER, KernelSolve, bar_key, \
+    column_count, coordinate, field_row
+from crrigid.oracle import infinitesimal_automorphisms
 from crrigid.pipeline import ConditionSystem, DegenerateMapError
 
 
@@ -84,23 +84,6 @@ def _verify_tangent(target: Target, fields: Sequence[Sequence[Series]]) -> None:
             raise ArithmeticError("field is not tangent to the target germ")
 
 
-# -- 4-jets of fields ------------------------------------------------
-
-def jet_row_of_field(V: Sequence[Series], n: int = 3) -> Row:
-    """Realified 4-jet vector of a field, in the solver's column order."""
-    keys = jet_unknowns(n, (1, 2), 4)
-    out: Row = {}
-    for k, key in enumerate(keys):
-        _, j, m, nn = key
-        c = V[j].coefficient((m, nn))
-        rp, ip = c.real_part(), c.imag_part()
-        if not rp.is_zero():
-            out[2 * k] = rp
-        if not ip.is_zero():
-            out[2 * k + 1] = ip
-    return out
-
-
 # -- trivial deformations: automorphisms restricted along the map -----
 
 @dataclass
@@ -115,7 +98,7 @@ def trivial_subspace(H: MapGerm, target: Target,
     """The trivial deformations V o H, V an infinitesimal automorphism of
     the target fixing 0, as 4-jet vectors of the embedding."""
     aut = infinitesimal_automorphisms(target, keq=aut_keq, proj_order=4)
-    mf = map_frame(8)    # the 4-jet has weighted degree <= 8
+    mf = map_frame(JET4_ORDER)
     exps = [tuple(key[2:]) for key in aut.jet_keys]
     table = power_table([c.project(mf) for c in H.components], exps)
     VoH = [[Series.zero(mf)] * target.n for _ in aut.kernel_real]
@@ -125,11 +108,10 @@ def trivial_subspace(H: MapGerm, target: Target,
             mono, last = table_monomial(table, exp), exp
         j = key[1]
         for V, vec in zip(VoH, aut.kernel_real):
-            lam = vec.get(2 * k, ZERO) + vec.get(2 * k + 1, ZERO) * IMAG
+            lam = coordinate(vec, k)
             if not lam.is_zero():
                 V[j] = V[j] + mono.scale(lam)
-    rows = rref([jet_row_of_field(V, target.n) for V in VoH],
-                2 * len(jet_unknowns(target.n, (1, 2), 4)))
+    rows = rref([field_row(V) for V in VoH], column_count(JET4))
     return TrivialSubspace(rows, len(rows), aut)
 
 
@@ -189,7 +171,7 @@ def decide_rigidity(H: MapGerm, target: Target, sol: KernelSolve,
     silent.
     """
     dim = sol.dim
-    ncols = 2 * len(sol.jet_keys)
+    ncols = column_count(sol.jet_keys)
     levi = target.levi_nondegenerate()
 
     aut_dim = aut_stab = triv_dim = contained = None
@@ -245,13 +227,12 @@ def genericity_certificate(system: ConditionSystem) -> GenericityCertificate:
     perturbations of the model embedding.
     """
     cond = system.jet
-    keys = list(cond.jet_keys) + [bar_key(k) for k in cond.jet_keys]
+    keys = JET4 + [bar_key(k) for k in JET4]
     drop = set(FREE_SLOTS)
     col = {k: i for i, k in enumerate(keys)}
-
     rows: List[Row] = []
-
-    def push(crow: Dict[Hashable, Scalar]) -> None:
+    for crow in [*cond.rows_pole.values(), *cond.rows_jet.values(),
+                 *system.residuals.values()]:
         for source_row in (crow,
                            {bar_key(k): v.conjugate()
                             for k, v in crow.items()}):
@@ -259,13 +240,6 @@ def genericity_certificate(system: ConditionSystem) -> GenericityCertificate:
                  if k not in drop and not v.is_zero()}
             if r:
                 rows.append(r)
-
-    for row in cond.rows_pole.values():
-        push(row)
-    for row in cond.rows_jet.values():
-        push(row)
-    for row in system.residuals.values():
-        push(row)
     ncols = len(keys) - len(drop)
     rank = rank_of(rows, len(keys))
     return GenericityCertificate(rank, ncols, rank == ncols)

@@ -3,8 +3,9 @@
 The isotropy groups of the sphere and of the hyperquadrics (criterion 9),
 the source reparametrization fields of the sphere and their pushforwards
 along an embedding (criterion 6), the tangency residual of an explicit
-field, and the kernel of a row set.  The library computes none of these;
-the tests import them from here as they import from ``test_series``.
+field, the cubic example's deformation field, and the kernel of a row
+set.  The library computes none of these; the tests import them from
+here as they import from ``test_series``.
 """
 
 from fractions import Fraction
@@ -152,6 +153,13 @@ def field_residual(V: Sequence[Series], H: MapGerm, source: Source,
         Vb = V[j].conj().substitute(anti)
         res = res + r_on[j] * Vc + rb_on[j] * Vb
     return res
+
+
+def cubic_deformation(frm: Frame) -> List[Series]:
+    """(i z, i z^2 / 3, 0), which spans the deformations of example-6-3."""
+    z = Series.variable(frm, "z")
+    return [z.scale(IMAG), (z * z).scale(IMAG * Fraction(1, 3)),
+            Series.zero(frm)]
 
 
 # -- linear algebra ---------------------------------------------------

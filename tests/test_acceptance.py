@@ -16,22 +16,24 @@ import pytest
 
 from crrigid.corpus import EXPECTATIONS, load_corpus
 from crrigid.geometry import Source, Target, defining_frame, normalize_defining
+from crrigid.jets import JET4, column_count, field_row
 from crrigid.linalg import in_span, rank_of, rref
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, transversality
-from crrigid.oracle import direct_solve
+from crrigid.oracle import direct_solve, infinitesimal_automorphisms
 from crrigid.pipeline import DegenerateMapError, condition_system, \
     solve_deformation
 from crrigid.scalars import Scalar
 from crrigid.series import Series
 from crrigid.spaces import (VERDICT_INCONCLUSIVE, VERDICT_RIGID_TRIVIAL,
                             VERDICT_RIGID_VANISHING, genericity_certificate,
-                            hyperquadric_hol0_basis, jet_row_of_field)
+                            hyperquadric_hol0_basis)
 
-from closed_forms import (apply_isotropy, field_residual, pushforward,
-                          source_hol0_basis, source_isotropy, target_isotropy)
+from closed_forms import (apply_isotropy, cubic_deformation, field_residual,
+                          pushforward, source_hol0_basis, source_isotropy,
+                          target_isotropy)
 
 I = Scalar(0, 0, 1)
-NC = 2 * 42   # real 4-jet coordinates
+NC = column_count(JET4)   # real 4-jet coordinates
 
 
 def _line(num, ok, text):
@@ -51,7 +53,6 @@ def test_criterion_01_quartic_dimension_and_verdict(cache):
 
 def test_criterion_02_fiber_and_published_rows(cache):
     from crrigid.pipeline import segre_fiber
-    from crrigid.series import frame
     import test_pipeline as tp
     spec = cache.spec("example-6-1")
     fiber = segre_fiber(spec.source, 12)
@@ -75,14 +76,9 @@ def test_criterion_03_perturbed_example_dimension_zero(cache):
 def test_criterion_04_cubic_example_dimension_one(cache):
     sol = cache.pipeline("example-6-3")
     spec = cache.spec("example-6-3")
-    frm = spec.H.frame
-    z = Series.variable(frm, "z")
-    V = [z.scale(I), (z * z).scale(I * Fraction(1, 3)), Series.zero(frm)]
+    V = cubic_deformation(spec.H.frame)
     res_ok = field_residual(V, spec.H, spec.source, spec.target, 12).is_zero()
-    col = {k: i for i, k in enumerate(sol.jet_keys)}
-    vec = {2 * col[("jet", 0, 1, 0)] + 1: Scalar(1),
-           2 * col[("jet", 1, 2, 0)] + 1: Scalar(1) / 3}
-    span_ok = in_span(vec, sol.kernel_real, NC)
+    span_ok = in_span(field_row(V), sol.kernel_real, NC)
     ok = sol.dim == 1 and sol.stabilized and res_ok and span_ok
     _line(4, ok, "cubic example: dimension 1 with residual-verified "
           "basis field (i z, i z^2 / 3, 0)")
@@ -172,8 +168,8 @@ def test_criterion_06_sphere_embedding(cache, sphere_fields):
         field_residual(V, spec.H, spec.source, spec.target, 18).is_zero()
         for V in X + push)
     rows_triv = list(triv.rows)
-    rows_push = [jet_row_of_field(V) for V in push]
-    rows_X = [jet_row_of_field(V) for V in X]
+    rows_push = [field_row(V) for V in push]
+    rows_X = [field_row(V) for V in X]
     span_ok = all(in_span(r, sol.kernel_real, NC)
                   for r in rows_triv + rows_push + rows_X)
     structure_ok = (triv.dim == exp.trivial_dim and residual_ok and span_ok
@@ -203,24 +199,10 @@ def test_criterion_06_sphere_embedding(cache, sphere_fields):
 def test_criterion_07_automorphism_dimensions(cache):
     ok = True
     for eps in (1, -1):
-        from crrigid.oracle import infinitesimal_automorphisms
         res = infinitesimal_automorphisms(Target.hyperquadric(eps, 16), keq=7)
-        basis = hyperquadric_hol0_basis(eps)
-        rows = []
-        col = {k: i for i, k in enumerate(res.jet_keys)}
-        for V in basis:
-            row = {}
-            for j, comp in enumerate(V):
-                for exp, c in comp.coeffs.items():
-                    key = ("jet", j) + exp
-                    if key not in col:
-                        continue
-                    if not c.real_part().is_zero():
-                        row[2 * col[key]] = c.real_part()
-                    if not c.imag_part().is_zero():
-                        row[2 * col[key] + 1] = c.imag_part()
-            rows.append(row)
-        ncols = 2 * len(res.jet_keys)
+        rows = [field_row(V, res.jet_keys)
+                for V in hyperquadric_hol0_basis(eps)]
+        ncols = column_count(res.jet_keys)
         ok = ok and res.dim == 10 and res.stabilized \
             and rank_of(rows, ncols) == 10 \
             and all(in_span(r, res.kernel_real, ncols) for r in rows)

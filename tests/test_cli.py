@@ -8,6 +8,7 @@ import pytest
 from crrigid import cli
 from crrigid.cli import main
 from crrigid.corpus import EXPECTATIONS, corpus_text
+from crrigid.jets import field_row
 
 
 def _run(capsys, *argv):
@@ -16,15 +17,16 @@ def _run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _serve_from_cache(monkeypatch, cache, entry):
+def _serve_from_cache(monkeypatch, cache, entry, **oracle):
     """Answer the command line's solves of ``entry`` from the shared
     ComputeCache, after checking that the command asked for them at the
     orders the entry's problem file states, so that a test here checks
-    what the command line adds without solving again."""
+    what the command line adds without solving again.  ``oracle`` replaces
+    fields of the served oracle solve."""
     wo, oo, ao = cache.orders(entry)
     for name, order, get in (
             ("solve_deformation", wo, cache.pipeline),
-            ("direct_solve", oo, cache.oracle),
+            ("direct_solve", oo, lambda e: replace(cache.oracle(e), **oracle)),
             ("infinitesimal_automorphisms", ao, cache.automorphisms),
             ("decide_rigidity", ao, cache.rigidity)):
         def serve(*args, order=order, get=get, **kwargs):
@@ -170,13 +172,21 @@ def test_deform_oracle_cubic(monkeypatch, cache, capsys):
 
 
 def test_unstabilized_cross_check_exits_1(monkeypatch, cache, capsys):
-    _serve_from_cache(monkeypatch, cache, "example-6-3")
-    served = cli.direct_solve
-    monkeypatch.setattr(cli, "direct_solve", lambda *args, **kwargs: replace(
-        served(*args, **kwargs), stabilized=False))
+    _serve_from_cache(monkeypatch, cache, "example-6-3", stabilized=False)
     code, out, _ = _run(capsys, "deform", "example-6-3", "--with-oracle")
     assert code == 1
     assert json.loads(out)["oracle_stabilized"] is False
+
+
+def test_cross_check_compares_spans(monkeypatch, cache, capsys):
+    # an oracle kernel of the same dimension, spanned by the map's 4-jet
+    other = field_row(cache.spec("example-6-3").H.components)
+    _serve_from_cache(monkeypatch, cache, "example-6-3", kernel_real=[other])
+    code, out, _ = _run(capsys, "deform", "example-6-3", "--with-oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle_dimension"] == doc["dimension"] == 1
+    assert doc["oracle_agrees"] is False
 
 
 def test_problem_file_roundtrip(tmp_path, capsys):
@@ -213,6 +223,14 @@ def test_selftest_exits_0(capsys):
     code, _, err = _run(capsys, "selftest")
     assert code == 0
     assert "selftest: ok" in err
+
+
+@pytest.mark.parametrize("problem", ["example-6-2", "/nonexistent.crr"])
+def test_selftest_with_a_problem_exits_2(capsys, problem):
+    code, out, err = _run(capsys, "selftest", problem)
+    assert code == 2
+    assert not out
+    assert "input error: selftest takes no problem argument" in err
 
 
 @pytest.mark.parametrize("command, flags", [

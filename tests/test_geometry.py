@@ -6,6 +6,7 @@ import pytest
 
 from crrigid.geometry import (Source, Target, check_defining_reality,
                               defining_frame, normalize_defining)
+from crrigid.parser import parse_problem
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
 
@@ -62,6 +63,19 @@ def test_target_hyperquadric_levi_signature():
     assert plus.levi_signature() == (2, 0)
     assert minus.levi_signature() == (1, 1)
     assert plus.levi_nondegenerate() and minus.levi_nondegenerate()
+
+
+@pytest.mark.parametrize("target, signature", [
+    ("target: imag(w1) = z1*conj(z1)", (1, 0)),
+    ("target: imag(w1) = -z2*conj(z2)", (0, 1)),
+    ("target: imag(w1) = z1^2*conj(z1) + conj(z1)^2*z1", (0, 0)),
+    ("target: imag(w1) = z1*conj(z2) + z2*conj(z1)", (1, 1)),
+    ("target(2): imag(w1) = -z1*conj(z1)", (0, 1)),
+    ("target(2): imag(w1) = (z1*conj(z1))^2", (0, 0)),
+])
+def test_target_levi_signature(target, signature):
+    spec = parse_problem(f"vars z w; source: hyperquadric; {target};", 8)
+    assert spec.target.levi_signature() == signature
 
 
 def test_target_reality_enforced():

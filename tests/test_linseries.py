@@ -4,7 +4,8 @@ applied tag by tag."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrigid.linseries import LinSeries, bar_key
+from crrigid.jets import bar_key
+from crrigid.linseries import LinSeries
 from crrigid.series import Series, frame
 
 from test_series import F, series_elems

@@ -5,10 +5,9 @@ import pytest
 from crrigid.corpus import load_corpus
 from crrigid.maps import (MapGerm, embedding_residual, nondegeneracy,
                           transversality)
-from crrigid.oracle import jet_unknowns
+from crrigid.jets import field_row, jet_unknowns
 from crrigid.scalars import Scalar
 from crrigid.series import Series
-from crrigid.spaces import jet_row_of_field
 
 from closed_forms import apply_isotropy, source_isotropy, target_isotropy
 
@@ -63,7 +62,7 @@ def test_degenerate_image_in_hyperplane():
 def test_jet_row_of_quartic_embedding():
     spec = _quartic_embedding()
     col = {k: i for i, k in enumerate(jet_unknowns(3, (1, 2), 4))}
-    row = jet_row_of_field(spec.H.components)
+    row = field_row(spec.H.components)
     # H = (z, z^2, w): three real 4-jet coordinates, all equal to one
     assert row == {2 * col[("jet", 0, 1, 0)]: Scalar(1),
                    2 * col[("jet", 1, 2, 0)]: Scalar(1),

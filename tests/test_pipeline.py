@@ -6,12 +6,13 @@ from math import factorial
 import pytest
 
 from crrigid.corpus import load_corpus
+from crrigid.jets import column_count, field_row
 from crrigid.linalg import Eliminator, in_span, rank_of, rref
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
 from crrigid.pipeline import segre_fiber, solve_deformation
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
-from closed_forms import kernel_of
+from closed_forms import cubic_deformation, kernel_of
 from test_series import sqrt_unit
 
 I = Scalar(0, 0, 1)
@@ -136,10 +137,8 @@ def test_pipeline_dimension_quartic(cache):
 def test_pipeline_contains_known_cubic_solution(cache):
     sol = cache.pipeline("example-6-3")
     assert sol.dim == 1
-    col = {k: i for i, k in enumerate(sol.jet_keys)}
-    vec = {2 * col[("jet", 0, 1, 0)] + 1: Scalar(1),
-           2 * col[("jet", 1, 2, 0)] + 1: Scalar(1) / 3}
-    assert in_span(vec, sol.kernel_real, 2 * len(sol.jet_keys))
+    vec = field_row(cubic_deformation(cache.spec("example-6-3").H.frame))
+    assert in_span(vec, sol.kernel_real, column_count(sol.jet_keys))
 
 
 def test_germ_shorter_than_the_solve_raises():

@@ -1,20 +1,19 @@
 """Deformation spaces, trivial solutions, verdicts, genericity."""
 
-from fractions import Fraction
-
 import pytest
 
 from crrigid.corpus import load_corpus
 from crrigid.geometry import Source, Target
 from crrigid.maps import MapGerm, map_frame
+from crrigid.jets import field_row, jet_unknowns
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
 from crrigid.spaces import (FREE_SLOTS, NotMappedError, _verify_tangent,
-                            hyperquadric_hol0_basis, jet_row_of_field,
-                            validate_embedding)
+                            hyperquadric_hol0_basis, validate_embedding)
 from crrigid.pipeline import DegenerateMapError
 
-from closed_forms import field_residual, pushforward, source_hol0_basis
+from closed_forms import (cubic_deformation, field_residual, pushforward,
+                          source_hol0_basis)
 
 I = Scalar(0, 0, 1)
 
@@ -74,7 +73,7 @@ def test_field_residual_of_known_solution(cache):
     spec = cache.spec("example-6-3")
     frm = spec.H.frame
     z = Series.variable(frm, "z")
-    V = [z.scale(I), (z * z).scale(I * Fraction(1, 3)), Series.zero(frm)]
+    V = cubic_deformation(frm)
     assert field_residual(V, spec.H, spec.source, spec.target, 12).is_zero()
     bad = [z, Series.zero(frm), Series.zero(frm)]
     assert not field_residual(bad, spec.H, spec.source,
@@ -85,8 +84,7 @@ def test_jet_row_of_field_coordinates():
     frm = map_frame(8)
     z = Series.variable(frm, "z")
     w = Series.variable(frm, "w")
-    row = jet_row_of_field([z.scale(1 + I), Series.zero(frm), w * w])
-    from crrigid.oracle import jet_unknowns
+    row = field_row([z.scale(1 + I), Series.zero(frm), w * w])
     keys = jet_unknowns(3, (1, 2), 4)
     col = {k: i for i, k in enumerate(keys)}
     assert row[2 * col[("jet", 0, 1, 0)]] == Scalar(1)
