@@ -74,15 +74,6 @@ class Source:
             + Series.monomial(frm, (1, 1, 0), IMAG * 2)
         return Source(Q)
 
-    @staticmethod
-    def from_defining(rho: Series) -> "Source":
-        """Normalize a complexified defining function rho(z, w, chi, tau).
-
-        rho must vanish at 0, be real (rho(z, w, chi, tau) =
-        conj-rho(chi, tau, z, w)) and have linear part (w - tau) / 2i.
-        """
-        return Source(normalize_defining(rho))
-
     # -- invariant checks ---------------------------------------------
 
     def verify_normal_form(self) -> None:
@@ -176,13 +167,19 @@ def check_defining_reality(rho: Series) -> None:
         raise ValueError("defining function is not real")
 
 
-def normalize_defining(rho: Series) -> Series:
-    """Straighten a complexified defining function into normal coordinates:
-    the graph Q(z, chi, tau) of the germ, in the frame (z, chi, tau).
+def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
+    """Straighten a complexified defining function rho(z, w, chi, tau)
+    into normal coordinates: the graph Q(z, chi, tau) of the germ, in the
+    frame (z, chi, tau), and the change g.
 
-    Solves rho = 0 for w, then constructs the unique change of coordinates
+    rho must vanish at 0, be real (rho(z, w, chi, tau) =
+    conj-rho(chi, tau, z, w)) and have linear part (w - tau) / 2i.  Solves
+    rho = 0 for w, then constructs the unique change of coordinates
     (z, w) -> (z, w + i g(z, w)) with g = O(2), g(0, w) real, that makes
-    the graph satisfy Q(z, 0, tau) = Q(0, chi, tau) = tau.
+    the graph satisfy Q(z, 0, tau) = Q(0, chi, tau) = tau: the point
+    (z, w) in normal coordinates is (z, w + i g(z, w)) in the given ones.
+    g is a series in (z, w) with weights (1, 2), None when the graph is
+    already normal.
     """
     if not rho.constant_term().is_zero():
         raise ValueError("defining function must vanish at 0")
@@ -198,7 +195,7 @@ def normalize_defining(rho: Series) -> Series:
     z0 = Series.zero(sfrm)
     if qtilde.substitute({"z": zv, "chi": z0, "tau": tv}) == tv \
             and qtilde.substitute({"z": z0, "chi": cv, "tau": tv}) == tv:
-        return qtilde
+        return qtilde, None
 
     # step 1: G(w) = g(0, w) from  w + i G - Qtilde(0, 0, w - i G) = 0
     gfrm = frame("w", "y", order=order, weights=(2, 2))
@@ -236,8 +233,7 @@ def normalize_defining(rho: Series) -> Series:
     FQ = yq + g_zy.scale(IMAG) - qtilde.substitute({
         "z": zq, "chi": cq, "tau": tq - gbar_ct.scale(IMAG),
     })
-    Q = solve_implicit(FQ, "y", ("z", "chi", "tau"), sfrm)
-    return Q
+    return solve_implicit(FQ, "y", ("z", "chi", "tau"), sfrm), g
 
 
 # target germs --------------------------------------------------------

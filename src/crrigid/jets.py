@@ -10,16 +10,17 @@ Unknown tags used in this package:
 
 A solve works over the real coordinates of an ordered list of jet tags:
 column 2k holds Re, column 2k+1 holds Im of tag k.  Only this module
-turns a tag index into a real column or back.
+turns a tag index into a real column or back, and :func:`harvest_kernel`
+is the one elimination both solvers read their kernel from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Hashable, List, Sequence
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-from crrigid.linalg import Row
+from crrigid.linalg import Eliminator, Row, rref
 from crrigid.scalars import ZERO, Scalar, I as IMAG
 from crrigid.series import Series
 
@@ -135,3 +136,43 @@ class KernelSolve:
     stabilized: bool
     kernel_real: List[Row]       # canonical basis over the real columns
     jet_keys: List[Hashable]     # the tags of those columns
+
+
+def projected_kernel(kernel: List[Row], ncols: int) -> List[Row]:
+    """Canonical basis of the span of ``kernel`` projected onto its first
+    ``ncols`` columns; its length is the projected dimension."""
+    return rref([{c: v for c, v in vec.items() if c < ncols}
+                 for vec in kernel], ncols)
+
+
+def harvest_kernel(lead: List[Hashable], rest: Sequence[Hashable],
+                   base: Iterable[Dict[Hashable, Scalar]],
+                   harvests: Iterable[Tuple[Hashable, Iterable[Dict]]]
+                   ) -> KernelSolve:
+    """The real kernel of complex rows harvested at consecutive orders,
+    projected onto the tags ``lead``.
+
+    One elimination over the real columns of ``lead + rest`` takes the
+    rows ``base``, then the new rows of each harvest (order, rows), and
+    records the kernel projected onto ``lead`` after each order; the
+    reduced row form is canonical, so each kernel is that of a fresh
+    elimination.  The answer is the last order's, stabilized when every
+    order gives one dimension.
+    """
+    keys = list(lead) + list(rest)
+    col = {k: i for i, k in enumerate(keys)}
+    elim = Eliminator(column_count(keys))
+
+    def add(rows: Iterable[Dict[Hashable, Scalar]]) -> None:
+        for row in rows:
+            for r in realify_row(row, col):
+                elim.add_row(r)
+
+    add(base)
+    dims: Dict[Hashable, int] = {}
+    for order, rows in harvests:
+        add(rows)
+        kernel = projected_kernel(elim.kernel_basis(), column_count(lead))
+        dims[order] = len(kernel)
+    return KernelSolve(dims, len(kernel), len(set(dims.values())) == 1,
+                       kernel, lead)

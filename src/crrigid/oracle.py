@@ -13,20 +13,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-from crrigid.series import Frame, Series, power_table, table_monomial
+from crrigid.series import Series, power_table, table_monomial
 from crrigid.linseries import LinSeries
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, pull_back, require_order
-from crrigid.linalg import Eliminator, Row, rref
-from crrigid.jets import JET4, KernelSolve, bar_key, column_count, \
-    jet_unknowns, realify_row
-
-
-def projected_kernel(kernel: List[Row], ncols: int) -> List[Row]:
-    """Canonical basis of the span of ``kernel`` projected onto its first
-    ``ncols`` columns; its length is the projected dimension."""
-    return rref([{c: v for c, v in vec.items() if c < ncols}
-                 for vec in kernel], ncols)
+from crrigid.jets import JET4, KernelSolve, bar_key, harvest_kernel, \
+    jet_unknowns
 
 
 # -- the truncated tangency equation ----------------------------------
@@ -62,42 +54,39 @@ def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
     """Kernel of a truncated tangency equation, projected onto the jet
     tags ``proj_keys``.
 
-    For K in (keq, keq + 1): the unknowns are the jet coordinates of the
-    n components of weighted degree <= K (variable weights ``weights``),
-    and every coefficient of ``residual_at(K)``, all of weighted order
-    <= K, is harvested.  An equation of weighted order W involves only
-    jet coordinates of weighted degree <= W, so each harvested row is
-    complete and the projected kernel can only overcount the true
-    dimension.  Stabilization requires the two projected dimensions to
-    agree.
+    The unknowns are the jet coordinates of the n components of weighted
+    degree <= keq + 1 (variable weights ``weights``).  At truncation keq
+    every coefficient of ``residual_at(keq)``, all of weighted order
+    <= keq, is harvested; at keq + 1 the coefficients of weighted order
+    keq + 1 of ``residual_at(keq + 1)`` are added.  An equation of
+    weighted order W involves only jet coordinates of weighted degree
+    <= W, so each harvested row is complete and the projected kernel can
+    only overcount the true dimension.  Stabilization requires the two
+    projected dimensions to agree.
     """
-    dims: Dict[Tuple[int, int], int] = {}
     proj = set(proj_keys)
-    for K in (keq, keq + 1):
+    # the projected jet occupies the leading columns
+    rest = [k for k in jet_unknowns(n, weights, keq + 1, by_weight=True)
+            if k not in proj]
+
+    def harvest(K: int):
+        # the new rows of residual_at(K), by weighted order, ties by
+        # exponent: of the orders tried, the one needing the fewest row
+        # operations on the corpus
         residual = residual_at(K)
-        # the projected jet occupies the leading columns
-        keys = proj_keys + [k for k in jet_unknowns(n, weights, K,
-                                                    by_weight=True)
-                            if k not in proj]
-        col = {k: i for i, k in enumerate(keys)}
-        elim = Eliminator(column_count(keys))
-        # by weighted order, ties by exponent: of the orders tried, the
-        # one needing the fewest row operations on the corpus
         wdeg = residual.frame.wdeg
-        for exp in sorted(residual.support(), key=lambda e: (wdeg(e), e)):
-            for r in realify_row(residual.coefficient_row(exp), col):
-                elim.add_row(r)
-        kernel = projected_kernel(elim.kernel_basis(),
-                                  column_count(proj_keys))
-        dims[(K, K)] = len(kernel)
-    return KernelSolve(dims, dims[(keq + 1, keq + 1)],
-                       len(set(dims.values())) == 1, kernel, proj_keys)
+        exps = [e for e in residual.support() if K == keq or wdeg(e) == K]
+        return (K, K), (residual.coefficient_row(e)
+                        for e in sorted(exps, key=lambda e: (wdeg(e), e)))
+
+    # residual_at(keq + 1) is built once the order-keq rows are eliminated
+    return harvest_kernel(proj_keys, rest, [], map(harvest, (keq, keq + 1)))
 
 
 # -- deformation oracle -----------------------------------------------
 
 def deformation_residual(H: MapGerm, source: Source, target: Target,
-                         work_order: int, kjet: int) -> Tuple[LinSeries, Frame]:
+                         work_order: int, kjet: int) -> LinSeries:
     """The deformation equation residual as a jet-linear series on the
     (z, chi, tau) parametrization of the complexified source germ.
 
@@ -110,7 +99,7 @@ def deformation_residual(H: MapGerm, source: Source, target: Target,
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
     keys = jet_unknowns(target.n, (1, 2), kjet, by_weight=True)
     return jet_residual(r_on, rb_on, [holo["z"], holo["w"]],
-                        [anti["z"], anti["w"]], keys), frm
+                        [anti["z"], anti["w"]], keys)
 
 
 def direct_solve(H: MapGerm, source: Source, target: Target,
@@ -120,7 +109,7 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
     the 4-jet.  The germs must be expanded to order keq + 1."""
     require_order(keq + 1, H, source, target)
     return truncated_solve(
-        lambda K: deformation_residual(H, source, target, K, K)[0],
+        lambda K: deformation_residual(H, source, target, K, K),
         target.n, (1, 2), JET4, keq)
 
 

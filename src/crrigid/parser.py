@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from crrigid.scalars import SQRT2, Scalar, I as IMAG
 from crrigid.series import Frame, Series
-from crrigid.geometry import Source, Target, defining_frame, target_frame, \
-    target_swap
+from crrigid.geometry import Source, Target, defining_frame, \
+    normalize_defining, target_frame, target_swap
 from crrigid.maps import MapGerm, map_frame
 
 
@@ -255,7 +255,7 @@ _HEAD = re.compile(r"^(vars|source|target|map|option)\s*(\((\d+)\))?\s*:?\s*",
 
 def parse_problem(text: str, order: int = 24) -> ProblemSpec:
     """Parse a problem file into germs expanded to the given order."""
-    source = target = Hmap = None
+    source = target = Hmap = change = None
     options: Dict[str, int] = {}
     declared_vars: Optional[Tuple[str, ...]] = None
     for stmt, line in _statements(text):
@@ -279,7 +279,7 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
                                  f"{', '.join(SOLVER_ORDERS)}", line)
             options[name] = solver_order(f"option {name}", value, line)
         elif kind == "source":
-            source = _parse_source(rest, order, line)
+            source, change = _parse_source(rest, order, line)
         elif kind == "target":
             n = int(m.group(3)) if m.group(3) else 3
             target = _parse_target(rest, n, order, line)
@@ -287,6 +287,11 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
             Hmap = _parse_map(rest, order, line)
     if source is None or target is None:
         raise ParseError("a problem file needs 'source:' and 'target:'")
+    if Hmap is not None and change is not None:
+        # the map in the source's normal coordinates: H(z, w + i g(z, w))
+        z, w = (Series.variable(change.frame, v) for v in ("z", "w"))
+        bind = {"z": z, "w": w + change.scale(IMAG)}
+        Hmap = MapGerm([c.substitute(bind) for c in Hmap.components])
     return ProblemSpec(source, target, Hmap, options)
 
 
@@ -297,15 +302,18 @@ def _split_equation(text: str, line: int) -> Tuple[str, str]:
     return lhs.strip(), rhs.strip()
 
 
-def _parse_source(rest: str, order: int, line: int) -> Source:
+def _parse_source(rest: str, order: int, line: int
+                  ) -> Tuple[Source, Optional[Series]]:
+    """The source germ and its :func:`normalize_defining` change g."""
     if rest.lower() in ("hyperquadric", "hyperquadric +1"):
-        return Source.hyperquadric(order)
+        return Source.hyperquadric(order), None
     lhs, rhs = _split_equation(rest, line)
     frm = defining_frame(order)
     left = parse_expression(lhs, frm, _SOURCE_SWAP, line)
     right = parse_expression(rhs, frm, _SOURCE_SWAP, line)
     # rho = Im w - (graph) has linear part (w - tau) / 2i
-    return Source.from_defining(left - right)
+    Q, change = normalize_defining(left - right)
+    return Source(Q), change
 
 
 def _parse_target(rest: str, n: int, order: int, line: int) -> Target:

@@ -45,11 +45,10 @@ from typing import Dict, List, Tuple
 from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame, reversion
 from crrigid.linseries import LinRow, LinSeries
-from crrigid.linalg import Eliminator, Row, adjugate3, det3, rref
+from crrigid.linalg import Row, adjugate3, det3
 from crrigid.geometry import Source, Target
 from crrigid.maps import MapGerm, map_frame, pull_back, require_order
-from crrigid.jets import JET4, JET4_ORDER, KernelSolve, column_count, \
-    realify_row
+from crrigid.jets import JET4, JET4_ORDER, KernelSolve, harvest_kernel
 
 
 class DegenerateMapError(ValueError):
@@ -316,34 +315,17 @@ def solve_conditions(system: ConditionSystem) -> KernelSolve:
     """The real kernel of a condition system.
 
     The pole and jet rows are complex-linear in the 4-jet; the residual
-    rows also involve the conjugate jet.  Everything is realified over the
-    84 real 4-jet coordinates and the kernel dimension is reported, with
+    rows also involve the conjugate jet.  :func:`harvest_kernel` realifies
+    them over the 84 real 4-jet coordinates and reports the kernel, with
     stabilization over the residual harvest orders work_order - 1 and
     work_order.
     """
-    col = {k: i for i, k in enumerate(JET4)}
-    ncols = column_count(JET4)
     work_order, wdeg = system.frame.order, system.frame.wdeg
-    # one elimination: the residual rows of each harvest order are added
-    # to those of the lower orders; the reduced form is canonical, so
-    # every kernel equals the one of a fresh elimination
-    elim = Eliminator(ncols)
-    for row in (list(system.jet.rows_pole.values())
-                + list(system.jet.rows_jet.values())):
-        for r in realify_row(row, col):
-            elim.add_row(r)
-    dims: Dict[int, int] = {}
-    done = -1
-    for korder in (work_order - 1, work_order):
-        for exp, row in system.residuals.items():
-            if done < wdeg(exp) <= korder:
-                for r in realify_row(row, col):
-                    elim.add_row(r)
-        done = korder
-        kernel = elim.kernel_basis()
-        dims[korder] = len(kernel)
-    return KernelSolve(dims, dims[work_order], len(set(dims.values())) == 1,
-                       rref(kernel, ncols), JET4)
+    jet, residuals = system.jet, system.residuals.items()
+    return harvest_kernel(
+        JET4, [], [*jet.rows_pole.values(), *jet.rows_jet.values()],
+        [(work_order - 1, [r for e, r in residuals if wdeg(e) < work_order]),
+         (work_order, [r for e, r in residuals if wdeg(e) == work_order])])
 
 
 def solve_deformation(H: MapGerm, source: Source, target: Target,

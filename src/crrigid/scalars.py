@@ -55,12 +55,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not (self.na or self.nb or self.nc or self.ne)
 
-    def is_real(self) -> bool:
-        return not (self.nc or self.ne)
-
-    def is_rational(self) -> bool:
-        return not (self.nb or self.nc or self.ne)
-
     def __bool__(self) -> bool:
         return bool(self.na or self.nb or self.nc or self.ne)
 
@@ -199,13 +193,6 @@ class Scalar:
             return hash(self.na if self.nd == 1
                         else Fraction(self.na, self.nd))
         return hash((self.na, self.nb, self.nc, self.ne, self.nd))
-
-    # -- conversions --------------------------------------------------
-
-    def __complex__(self) -> complex:
-        rt = math.sqrt(2)
-        return complex(float(self.a) + float(self.b) * rt,
-                       float(self.c) + float(self.e) * rt)
 
     # -- printing -----------------------------------------------------
 

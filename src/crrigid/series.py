@@ -130,9 +130,6 @@ class Series:
             return NotImplemented
         return self.frame == other.frame and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.frame, frozenset(self.coeffs.items())))
-
     # -- linear structure ---------------------------------------------
 
     def _assert_compatible(self, other: "Series") -> None:
@@ -263,13 +260,12 @@ class Series:
                 out[e] = out[e] + m * c if e in out else m * c
         return Series(target, {e: c for e, c in out.items() if c})
 
-    def rebase(self, target: Frame,
-               rename: Optional[Mapping[str, str]] = None) -> "Series":
+    def rebase(self, target: Frame) -> "Series":
         """Reinterpret in another frame over (a superset of) the variables.
 
         Raises unless the target holds every term of this series.
         """
-        out = self.project(target, rename)
+        out = self.project(target)
         if len(out.coeffs) != len(self.coeffs):
             raise ValueError("series has terms the target frame does not "
                              "admit")

@@ -44,7 +44,7 @@ def source_isotropy(lam, r, u, c, order: int) -> MapGerm:
     rotation (1, 0, u, 0) has the inverse (1, 0, conj u, 0).
     """
     lam, r, u, c = (x if isinstance(x, Scalar) else scalar(x) for x in (lam, r, u, c))
-    if not (lam.is_real() and lam.sign() > 0 and r.is_real()):
+    if not (lam == lam.conjugate() and lam.sign() > 0 and r == r.conjugate()):
         raise ValueError("lam must be positive real, r real")
     if not (u * u.conjugate() - Scalar(1)).is_zero():
         raise ValueError("u must be unimodular")
@@ -70,7 +70,7 @@ def target_isotropy(lam, r, U: Sequence[Sequence], c: Sequence, eps: int,
     r = r if isinstance(r, Scalar) else scalar(r)
     U = [[x if isinstance(x, Scalar) else scalar(x) for x in row] for row in U]
     c = [x if isinstance(x, Scalar) else scalar(x) for x in c]
-    if not (lam.is_real() and lam.sign() > 0 and r.is_real()):
+    if not (lam == lam.conjugate() and lam.sign() > 0 and r == r.conjugate()):
         raise ValueError("lam must be positive real, r real")
     _check_eps_unitary(U, eps)
     frm = self_map_frame(3, order)

@@ -278,7 +278,7 @@ def test_criterion_10_genericity_certificates(cache):
                 dfrm, _exp(dfrm, "chi", m, "tau", n), c.conjugate())
         rho = (w - tau).scale(Scalar(0, 0, Fraction(-1, 2))) \
             - z * chi - F * Fbar
-        src = Source(normalize_defining(rho))
+        src = Source(normalize_defining(rho)[0])
         mf = map_frame(order)
         zm, wm = Series.variable(mf, "z"), Series.variable(mf, "w")
         Fm = zm * zm

@@ -197,6 +197,22 @@ def test_problem_file_roundtrip(tmp_path, capsys):
     json.loads(out)
 
 
+def test_map_follows_the_source_into_normal_coordinates(tmp_path, capsys):
+    # the source is not in normal coordinates (|z^2 + w^2|^2 has pure w
+    # terms); the map is stated in the file's coordinates
+    path = tmp_path / "prob.crr"
+    path.write_text("vars z w;\n"
+                    "source: imag(w) = z*conj(z)"
+                    " + (z^2 + w^2)*conj(z^2 + w^2);\n"
+                    "target: hyperquadric +1;\n"
+                    "map: (z, z^2 + w^2, w);\n")
+    code, out, _ = _run(capsys, "deform", str(path), "--with-oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dimension"] == doc["oracle_dimension"] == 10
+    assert doc["oracle_agrees"] is True
+
+
 def test_reproduce_fast_entries(monkeypatch, cache, capsys):
     _serve_from_cache(monkeypatch, cache, "target-6-4")
     code, _, err = _run(capsys, "reproduce", "example-6-4-t0")

@@ -34,7 +34,9 @@ def test_reality_check():
 
 
 def test_normalize_quartic_source():
-    src = Source(normalize_defining(_rho_quartic()))  # verifies normal form
+    Q, change = normalize_defining(_rho_quartic())
+    assert change is None               # |z|^4 keeps the graph normal
+    src = Source(Q)                     # verifies normal form
     # leading terms: Q = tau + 2i z chi + ..., Levi nondegenerate
     assert src.Q.coefficient((1, 1, 0)) == 2 * I
 
@@ -43,7 +45,7 @@ def test_hyperquadric_source_is_exact():
     src = Source.hyperquadric(ORDER)
     assert set(src.Q.coeffs) == {(0, 0, 1), (1, 1, 0)}
     assert src.Q.coefficient((1, 1, 0)) == 2 * I
-    Q = normalize_defining(
+    Q, _ = normalize_defining(
         _rho_quartic() + (Series.variable(defining_frame(ORDER), "z")
                           * Series.variable(defining_frame(ORDER), "chi")) ** 2)
     # adding back |z|^4 cancels the quartic term: sphere again
@@ -86,7 +88,7 @@ def test_target_reality_enforced():
 
 
 def test_segre_fiber_data_of_quartic():
-    src = Source.from_defining(_rho_quartic())
+    src = Source(normalize_defining(_rho_quartic())[0])
     zf = frame("z", order=8)
     A = src.segre_coefficients(zf)
     # Q(z, chi, 0) = 2i z chi + ... : first Segre coefficient 2i z
@@ -95,5 +97,5 @@ def test_segre_fiber_data_of_quartic():
 
 def test_source_reality_identity():
     # w = Q(z, chi, Qbar(chi, z, w)) holds exactly in the kept orders
-    src = Source.from_defining(_rho_quartic())
+    src = Source(normalize_defining(_rho_quartic())[0])
     src.verify_normal_form()  # would raise on failure

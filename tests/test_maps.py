@@ -90,7 +90,6 @@ def test_source_isotropy_preserves_sphere():
 
 def test_target_isotropy_preserves_hyperquadric():
     from crrigid.geometry import Target
-    from crrigid.series import frame
     eps = 1
     tgt = Target.hyperquadric(eps, 12)
     sig = target_isotropy(2, 1, [[Scalar(0), Scalar(1)],

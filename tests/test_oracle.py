@@ -1,8 +1,9 @@
 """Brute-truncation solver: bookkeeping and a small end-to-end check."""
 
-from crrigid.jets import column_count, field_row, jet_unknowns, realify_row
+from crrigid.jets import column_count, field_row, harvest_kernel, \
+    jet_unknowns, projected_kernel, realify_row
 from crrigid.linalg import in_span
-from crrigid.oracle import deformation_residual, projected_kernel
+from crrigid.oracle import deformation_residual
 from crrigid.scalars import Scalar
 
 from closed_forms import cubic_deformation
@@ -60,12 +61,28 @@ def test_projected_dim():
     assert projected_kernel(kern, 2) == []
 
 
+def test_harvest_kernel_on_hand_made_rows():
+    lead = [("jet", 0, 1, 0), ("jet", 0, 0, 1)]
+    rest = [("jet", 0, 2, 0)]
+    one = Scalar(1)
+    res = harvest_kernel(
+        lead, rest,
+        [{lead[0]: one}],                          # lam_0 = 0
+        [(1, [{rest[0]: one, lead[1]: -one}]),     # lam_rest = lam_1
+         (2, [{lead[1]: one, ("jetbar", 0, 0, 1): -one}])])  # Im lam_1 = 0
+    # the base rows count: lam_0 is not free at order 1
+    assert res.dims == {1: 2, 2: 1}
+    assert res.dim == 1 and not res.stabilized
+    # Re lam_1 = Re lam_rest, projected onto the leading tags
+    assert res.kernel_real == [{2: one}]
+    assert res.jet_keys == lead
+
+
 def test_residual_annihilated_by_known_deformation(cache):
     """The one-dimensional kernel of the cubic example is a genuine
     solution: its jet assignment kills every harvested residual row."""
     spec = cache.spec("example-6-3")
-    residual, frm = deformation_residual(spec.H, spec.source, spec.target,
-                                         10, 10)
+    residual = deformation_residual(spec.H, spec.source, spec.target, 10, 10)
     # V = (i z, i z^2 / 3, 0)
     third = Scalar(0, 0, 1) / 3
     assignment = {("jet", 0, 1, 0): I, ("jet", 1, 2, 0): third,

@@ -17,7 +17,7 @@ F = frame("z", "w", order=6, weights=(1, 2))
 
 def sqrt_rational(x: Scalar) -> Scalar:
     """Exact square root of a nonnegative rational element."""
-    if not x.is_rational() or x.a < 0:
+    if x != Scalar(x.a) or x.a < 0:
         raise ValueError("sqrt_rational needs a nonnegative rational")
     num, den = x.a.numerator, x.a.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
