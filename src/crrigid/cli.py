@@ -24,7 +24,7 @@ from crrigid.parser import MIN_ORDER, SOLVER_ORDERS, ParseError, \
 from crrigid.pipeline import DegenerateMapError, condition_system, \
     solve_deformation
 from crrigid.spaces import VALIDATION_ORDER, decide_rigidity, \
-    genericity_certificate, hyperquadric_hol0_basis, validate_embedding
+    genericity_certificate, validate_embedding
 
 
 def _load(problem: str, order: Optional[int] = None,
@@ -193,11 +193,6 @@ def _reproduce(args) -> int:
 def _selftest(t0: float) -> int:
     """Fast internal consistency checks."""
     failures = []
-    try:
-        hyperquadric_hol0_basis(1)
-        hyperquadric_hol0_basis(-1)
-    except ArithmeticError as exc:
-        failures.append(str(exc))
     for eps in ("+1", "-1"):
         spec = parse_problem("vars z w; source: hyperquadric; "
                              f"target: hyperquadric {eps}; "

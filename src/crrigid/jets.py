@@ -18,11 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from crrigid.linalg import Eliminator, Row, rref
-from crrigid.scalars import ZERO, Scalar, I as IMAG
+from crrigid.scalars import ZERO, Scalar, I as IMAG, reduced
 from crrigid.series import Series
+
+#: A complex-linear row over jet tags, {tag: Scalar}.
+LinRow = Dict[Hashable, Scalar]
 
 
 def bar_key(key: Hashable) -> Hashable:
@@ -85,33 +89,30 @@ def coordinate(vec: Row, k: int) -> Scalar:
     return vec.get(2 * k, ZERO) + vec.get(2 * k + 1, ZERO) * IMAG
 
 
-def realify_row(row, col: Dict[Hashable, int]) -> List[Row]:
+def realify_row(row: LinRow, col: Dict[Hashable, int]) -> List[Row]:
     """Split a complex-linear row in (Lambda, conj Lambda) into real-linear
     rows over (Re Lambda, Im Lambda).
 
     ``col`` numbers the unbarred unknown tags.  The row contributes its
     nonzero real and imaginary parts, at most two real rows.
     """
-    re_row: Row = {}
-    im_row: Row = {}
-    for key, coef in row.items():
-        # with Lam = x + i y, c Lam = c x + i c y and c conj Lam = c x - i c y
-        if key[0] == "jet":
-            k, t = col[key], coef * IMAG
-        else:
-            k, t = col[bar_key(key)], -coef * IMAG
-        for cidx, c in ((2 * k, coef), (2 * k + 1, t)):
-            rp, ip = c.real_part(), c.imag_part()
-            if not rp.is_zero():
-                re_row[cidx] = re_row.get(cidx, ZERO) + rp
-            if not ip.is_zero():
-                im_row[cidx] = im_row.get(cidx, ZERO) + ip
-    out = []
-    for r in (re_row, im_row):
-        r = {c: v for c, v in r.items() if not v.is_zero()}
-        if r:
-            out.append(r)
-    return out
+    # each part as numerators (x, y) of (x + y sqrt(2)) / d, d the lcm of nd
+    d = lcm(*[v.nd for v in row.values()])
+    parts: List[Dict[int, Tuple[int, int]]] = [{}, {}]    # Re, Im
+    for key, v in row.items():
+        m = d // v.nd
+        a, b, c, e = v.na * m, v.nb * m, v.nc * m, v.ne * m
+        # v = A + i C; with Lam = x + i y, v Lam = (A x - C y) + i (C x + A y)
+        # and v conj Lam = (A x + C y) + i (C x - A y)
+        k, s = (col[key], 1) if key[0] == "jet" else (col[bar_key(key)], -1)
+        for part, cidx, p, q in ((0, 2 * k, a, b), (1, 2 * k, c, e),
+                                 (0, 2 * k + 1, -s * c, -s * e),
+                                 (1, 2 * k + 1, s * a, s * b)):
+            if p or q:
+                x, y = parts[part].get(cidx, (0, 0))
+                parts[part][cidx] = (x + p, y + q)
+    return [r for r in ({c: reduced(x, y, 0, 0, d) for c, (x, y)
+                         in part.items() if x or y} for part in parts) if r]
 
 
 def field_row(V: Sequence[Series], keys: Sequence[Hashable] = JET4) -> Row:
@@ -146,8 +147,8 @@ def projected_kernel(kernel: List[Row], ncols: int) -> List[Row]:
 
 
 def harvest_kernel(lead: List[Hashable], rest: Sequence[Hashable],
-                   base: Iterable[Dict[Hashable, Scalar]],
-                   harvests: Iterable[Tuple[Hashable, Iterable[Dict]]]
+                   base: Iterable[LinRow],
+                   harvests: Iterable[Tuple[Hashable, Iterable[LinRow]]]
                    ) -> KernelSolve:
     """The real kernel of complex rows harvested at consecutive orders,
     projected onto the tags ``lead``.
@@ -163,7 +164,7 @@ def harvest_kernel(lead: List[Hashable], rest: Sequence[Hashable],
     col = {k: i for i, k in enumerate(keys)}
     elim = Eliminator(column_count(keys))
 
-    def add(rows: Iterable[Dict[Hashable, Scalar]]) -> None:
+    def add(rows: Iterable[LinRow]) -> None:
         for row in rows:
             for r in realify_row(row, col):
                 elim.add_row(r)

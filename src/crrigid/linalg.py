@@ -1,19 +1,109 @@
 """Exact linear algebra over Q(i, sqrt(2)) (and its real subfield).
 
-Rows are sparse dicts {column index: Scalar}.  The :class:`Eliminator`
-keeps a fully reduced (Gauss-Jordan) row set with pivots chosen at the
-smallest column index, which makes ranks, kernels and the canonical form
-of a solution space deterministic once a column order is fixed.
+Rows in and out are sparse dicts {column index: Scalar}; zero entries in
+are ignored.  The :class:`Eliminator` keeps a fully reduced (Gauss-Jordan)
+row set with pivots chosen at the smallest column index, which makes
+ranks, kernels and the canonical form of a solution space deterministic
+once a column order is fixed.
+
+Inside, a row is homogeneous and kept as a primitive integer row:
+{column: int} if rational, else {column: (a, b, c, e)} for (a + b sqrt(2))
++ i (c + e sqrt(2)).  A pivot row p is scaled by the norm conjugate of its
+pivot, a positive int P then, and a row r is reduced fraction-free
+(Bareiss, Math. Comp. 22, 1968), r <- (P r - f p) / gcd(P, f), with one
+content gcd per changed row.  Scalars are formed on output: p / P.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, TypeVar
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Tuple, TypeVar, Union
 
-from crrigid.scalars import Scalar
+from crrigid.scalars import Scalar, reduced
 
 Row = Dict[int, Scalar]
 R = TypeVar("R")    # a ring element: a Scalar or a Series
+
+# an entry of an integer row: an int in a rational row, else (a, b, c, e)
+IntRow = Dict[int, Union[int, Tuple[int, int, int, int]]]
+
+
+def _parts(v) -> Tuple[int, int, int, int]:
+    """An entry of an integer row as its numerators (a, b, c, e)."""
+    return v if type(v) is tuple else (v, 0, 0, 0)
+
+
+def _mul(x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The product of two elements given by their numerators (a, b, c, e)."""
+    (a1, b1, c1, e1), (a2, b2, c2, e2) = x, y
+    return (a1 * a2 - c1 * c2 + 2 * (b1 * b2 - e1 * e2),
+            a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
+            a1 * c2 + c1 * a2 + 2 * (b1 * e2 + e1 * b2),
+            a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _integer_row(row: Row) -> IntRow:
+    """The nonzero entries of ``row`` over their common denominator."""
+    d = lcm(*[v.nd for v in row.values()])   # zero has denominator 1
+    if not any(v.nb or v.nc or v.ne for v in row.values()):
+        return {c: v.na * (d // v.nd) for c, v in row.items() if v.na}
+    return {c: tuple(n * (d // v.nd) for n in (v.na, v.nb, v.nc, v.ne))
+            for c, v in row.items() if v}
+
+
+def _primitive(row: IntRow, lead: int) -> IntRow:
+    """``row`` times the norm conjugate of its entry at ``lead``, over the
+    gcd of its numerators (int entries if rational): that entry is > 0."""
+    x = row[lead]
+    if type(x) is int:
+        g = -gcd(*row.values()) if x < 0 else gcd(*row.values())
+        return row if g == 1 else {c: v // g for c, v in row.items()}
+    a, b, c, e = x
+    if b or c or e:
+        # x conj(x) = p + q sqrt(2) > 0, and p - q sqrt(2) > 0 too (the
+        # same sum of squares); for real x, x (a - b sqrt(2)) is rational
+        p, q = a * a + c * c + 2 * (b * b + e * e), 2 * (a * b + c * e)
+        u = _mul((a, b, -c, -e), (p, -q, 0, 0)) if c or e else (a, -b, 0, 0)
+        row = {col: _mul(u, v) for col, v in row.items()}
+    g = gcd(*(n for v in row.values() for n in v))
+    g = -g if row[lead][0] < 0 else g
+    if any(v[1] or v[2] or v[3] for v in row.values()):
+        return {col: tuple(n // g for n in v) for col, v in row.items()}
+    return {col: v[0] // g for col, v in row.items()}
+
+
+def _eliminate(row: IntRow, prow: IntRow, lead: int) -> IntRow:
+    """(P row - f prow) / gcd(P, f), for f the entry of ``row`` and P the
+    positive int entry of ``prow`` at ``lead``: the entry at lead cancels.
+    A rational ``row`` is updated in place."""
+    f, P = row[lead], prow[lead]
+    if type(f) is int and type(P) is int:
+        g = gcd(P, f)
+        m, k = P // g, f // g
+        if m != 1:
+            for c in row:
+                row[c] *= m
+        for c, v in prow.items():
+            s = row.get(c, 0) - k * v
+            if s:
+                row[c] = s
+            else:
+                del row[c]
+        return row
+    f, P = _parts(f), _parts(P)[0]
+    g = gcd(P, *f)
+    m, k = P // g, tuple(n // g for n in f)
+    row = {c: (m * a, m * b, m * x, m * e)
+           for c, (a, b, x, e) in zip(row, map(_parts, row.values()))}
+    for c, v in prow.items():
+        t = _mul(k, _parts(v))
+        a, b, x, e = row.get(c, (0, 0, 0, 0))
+        s = (a - t[0], b - t[1], x - t[2], e - t[3])
+        if s[0] or s[1] or s[2] or s[3]:
+            row[c] = s
+        else:
+            del row[c]
+    return row
 
 
 class Eliminator:
@@ -21,94 +111,73 @@ class Eliminator:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: Dict[int, Row] = {}  # pivot column -> normalized row
+        self._rows: Dict[int, IntRow] = {}   # pivot column -> primitive row
+        self._holders = {}  # column -> pivot columns of rows that may hold it
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_rows)
+        return len(self._rows)
 
-    def reduce(self, row: Row) -> Row:
-        """Fully reduce a row against the current pivots (row not stored).
-
-        Every entry sitting in a pivot column is eliminated, not just the
-        leading one; otherwise stored rows would not stay in reduced form
-        and the kernel basis would be wrong.
-        """
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        while row:
-            hits = [c for c in row if c in self.pivot_rows]
-            if not hits:
-                break
-            lead = min(hits)
-            piv = self.pivot_rows[lead]
-            factor = row[lead]
-            for c, v in piv.items():
-                cur = row.get(c)
-                s = (cur - factor * v) if cur is not None else -factor * v
-                if s.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = s
+    def _reduce(self, row: IntRow) -> IntRow:
+        """``row`` with every entry in a pivot column eliminated: a stored
+        row is zero in the other pivot columns, so one pass clears them."""
+        rows = self._rows
+        for c in [c for c in row if c in rows]:
+            row = _eliminate(row, rows[c], c)
         return row
 
     def add_row(self, row: Row) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        row = self.reduce(row)
-        if not row:
+        new = self._reduce(_integer_row(row))
+        if not new:
             return False
-        lead = min(row)
-        inv = row[lead].inverse()
-        norm = {c: v * inv for c, v in row.items()}
-        # back-eliminate the new pivot column from existing rows
-        for p, prow in self.pivot_rows.items():
-            f = prow.get(lead)
-            if f is None:
-                continue
-            for c, v in norm.items():
-                cur = prow.get(c)
-                s = (cur - f * v) if cur is not None else -f * v
-                if s.is_zero():
-                    prow.pop(c, None)
-                else:
-                    prow[c] = s
-        self.pivot_rows[lead] = norm
+        lead = min(new)
+        new = _primitive(new, lead)
+        rows, holders = self._rows, self._holders
+        held = [holders.setdefault(c, set()) for c in new if c != lead]
+        # back-eliminate the new pivot column from the rows that hold it
+        for q in holders.pop(lead, ()):
+            if lead in rows[q]:
+                rows[q] = _primitive(_eliminate(rows[q], new, lead), q)
+                for h in held:
+                    h.add(q)
+        for h in held:
+            h.add(lead)
+        rows[lead] = new
         return True
 
     def kernel_basis(self) -> List[Row]:
         """Canonical kernel basis (one vector per free column, unit there)."""
-        pivots = self.pivot_rows
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for f in free:
-            vec: Row = {f: Scalar(1)}
-            for p, prow in pivots.items():
-                v = prow.get(f)
-                if v is not None and not v.is_zero():
-                    vec[p] = -v
-            basis.append(vec)
-        return basis
+        rows = self._rows
+        basis = {f: {f: Scalar(1)} for f in range(self.ncols) if f not in rows}
+        for p, prow in rows.items():
+            d = -_parts(prow[p])[0]
+            for c, v in prow.items():
+                if c != p:
+                    basis[c][p] = reduced(*_parts(v), d)
+        return list(basis.values())
 
 
-def rank_of(rows: Iterable[Row], ncols: int) -> int:
+def _eliminated(rows: Iterable[Row], ncols: int) -> Eliminator:
     elim = Eliminator(ncols)
     for r in rows:
         elim.add_row(r)
-    return elim.rank
+    return elim
+
+
+def rank_of(rows: Iterable[Row], ncols: int) -> int:
+    return _eliminated(rows, ncols).rank
 
 
 def rref(vectors: List[Row], ncols: int) -> List[Row]:
     """Canonical reduced row form of a list of vectors (for span comparison)."""
-    elim = Eliminator(ncols)
-    for v in vectors:
-        elim.add_row(v)
-    return [elim.pivot_rows[p] for p in sorted(elim.pivot_rows)]
+    return [{c: reduced(*_parts(v), _parts(prow[p])[0])
+             for c, v in sorted(prow.items())}
+            for p, prow in sorted(_eliminated(vectors, ncols)._rows.items())]
 
 
 def in_span(vec: Row, basis: List[Row], ncols: int) -> bool:
-    elim = Eliminator(ncols)
-    for v in basis:
-        elim.add_row(v)
-    return not elim.reduce(dict(vec))
+    return not _eliminated(basis, ncols)._reduce(_integer_row(vec))
 
 
 def det3(m: List[List[R]]) -> R:
@@ -119,12 +188,10 @@ def det3(m: List[List[R]]) -> R:
 
 
 def adjugate3(m: List[List[R]]) -> List[List[R]]:
-    """Adjugate of a 3x3 matrix of ring elements (adj(m) @ m = det * I)."""
-    c = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            s = [k for k in range(3) if k != j]
-            minor = m[r[0]][s[0]] * m[r[1]][s[1]] - m[r[0]][s[1]] * m[r[1]][s[0]]
-            c[j][i] = minor if (i + j) % 2 == 0 else -minor
-    return c
+    """Adjugate of a 3x3 matrix of ring elements (adj(m) @ m = det * I):
+    with rows and columns taken cyclically, the cofactor of (i, j) is
+    m[i+1][j+1] m[i+2][j+2] - m[i+1][j+2] m[i+2][j+1], sign included."""
+    def cofactor(i: int, j: int) -> R:
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        return m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+    return [[cofactor(j, i) for j in range(3)] for i in range(3)]

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Mapping, Optional
 
-from crrigid.jets import bar_key
+from crrigid.jets import LinRow, bar_key
 from crrigid.scalars import Scalar
 from crrigid.series import (Exponent, Frame, Series, power_table, projection,
                             substitution_target, table_monomial)
-
-LinRow = Dict[Hashable, Scalar]
 
 
 def _add_row(out: Dict[Exponent, LinRow], exp: Exponent, row: LinRow,

@@ -134,9 +134,7 @@ def nondegeneracy(H: MapGerm, source: Source, target: Target
     dims = []
     k0 = None
     for k, row in enumerate(rows):
-        vec = {j: s.constant_term() for j, s in enumerate(row)
-               if not s.constant_term().is_zero()}
-        elim.add_row(vec)
+        elim.add_row({j: s.constant_term() for j, s in enumerate(row)})
         dims.append(elim.rank)
         if k0 is None and elim.rank == n:
             k0 = k

@@ -45,7 +45,7 @@ from typing import Dict, List, Tuple
 from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame, reversion
 from crrigid.linseries import LinRow, LinSeries
-from crrigid.linalg import Row, adjugate3, det3
+from crrigid.linalg import adjugate3, det3
 from crrigid.geometry import Source, Target
 from crrigid.maps import MapGerm, map_frame, pull_back, require_order
 from crrigid.jets import JET4, JET4_ORDER, KernelSolve, harvest_kernel
@@ -215,8 +215,8 @@ def segre_fiber(source: Source, kphi: int) -> SegreFiber:
 @dataclass
 class JetConditions:
     K: List[LinSeries]                             # candidate solution, (z, w)
-    rows_pole: Dict[Tuple[int, int, int], Row]     # (l, a, m2) -> complex row
-    rows_jet: Dict[Tuple[int, int, int], Row]      # (l, m, n) -> complex row
+    rows_pole: Dict[Tuple[int, int, int], LinRow]  # (l, a, m2) -> complex row
+    rows_jet: Dict[Tuple[int, int, int], LinRow]   # (l, m, n) -> complex row
 
 
 def jet_conditions(H: MapGerm, source: Source, target: Target,
@@ -246,7 +246,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     for _ in range(kphi):
         uipow.append(uipow[-1] * fiber.Uinv.project(zf))
 
-    rows_pole: Dict[Tuple[int, int, int], Row] = {}
+    rows_pole: Dict[Tuple[int, int, int], LinRow] = {}
     K: List[LinSeries] = []
     for ell in range(3):
         # the z-series at each power m2 of t (tf caps z at kphi)
@@ -273,7 +273,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
 
 
 def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
-                  target: Target, order: int) -> Dict[tuple, Row]:
+                  target: Target, order: int) -> Dict[tuple, LinRow]:
     """Condition (iii): the candidate K re-inserted into the linearized
     equation on the complexified germ, harvested to the given weighted
     order.  Rows involve both the jet and its conjugate."""
@@ -295,7 +295,7 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
 class ConditionSystem:
     """Conditions (i)-(iii) at one working order, before elimination."""
     jet: JetConditions
-    residuals: Dict[tuple, Row]   # (z, chi, tau) exponent -> row
+    residuals: Dict[tuple, LinRow]   # (z, chi, tau) exponent -> row
     frame: Frame                  # the residual's frame, at the work order
 
 

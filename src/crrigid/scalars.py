@@ -67,17 +67,17 @@ class Scalar:
                 return NotImplemented
         d1, d2 = self.nd, other.nd
         if d1 == d2:
-            return _reduced(self.na + other.na, self.nb + other.nb,
-                            self.nc + other.nc, self.ne + other.ne, d1)
-        return _reduced(self.na * d2 + other.na * d1,
-                        self.nb * d2 + other.nb * d1,
-                        self.nc * d2 + other.nc * d1,
-                        self.ne * d2 + other.ne * d1, d1 * d2)
+            return reduced(self.na + other.na, self.nb + other.nb,
+                           self.nc + other.nc, self.ne + other.ne, d1)
+        return reduced(self.na * d2 + other.na * d1,
+                       self.nb * d2 + other.nb * d1,
+                       self.nc * d2 + other.nc * d1,
+                       self.ne * d2 + other.ne * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _reduced(-self.na, -self.nb, -self.nc, -self.ne, self.nd)
+        return reduced(-self.na, -self.nb, -self.nc, -self.ne, self.nd)
 
     def __sub__(self, other) -> "Scalar":
         if type(other) is not Scalar:
@@ -86,12 +86,12 @@ class Scalar:
                 return NotImplemented
         d1, d2 = self.nd, other.nd
         if d1 == d2:
-            return _reduced(self.na - other.na, self.nb - other.nb,
-                            self.nc - other.nc, self.ne - other.ne, d1)
-        return _reduced(self.na * d2 - other.na * d1,
-                        self.nb * d2 - other.nb * d1,
-                        self.nc * d2 - other.nc * d1,
-                        self.ne * d2 - other.ne * d1, d1 * d2)
+            return reduced(self.na - other.na, self.nb - other.nb,
+                           self.nc - other.nc, self.ne - other.ne, d1)
+        return reduced(self.na * d2 - other.na * d1,
+                       self.nb * d2 - other.nb * d1,
+                       self.nc * d2 - other.nc * d1,
+                       self.ne * d2 - other.ne * d1, d1 * d2)
 
     def __rsub__(self, other) -> "Scalar":
         return (-self) + other
@@ -107,7 +107,7 @@ class Scalar:
             # real: x1 x2 - y1 y2, imag: x1 y2 + y1 x2, where
             # (p + q rt)(r + s rt) = (pr + 2 qs) + (ps + qr) rt.
             b1, e1, b2, e2 = self.nb, self.ne, other.nb, other.ne
-            return _reduced(
+            return reduced(
                 a1 * a2 - c1 * c2 + 2 * (b1 * b2 - e1 * e2),
                 a1 * b2 + b1 * a2 - c1 * e2 - e1 * c2,
                 a1 * c2 + c1 * a2 + 2 * (b1 * e2 + e1 * b2),
@@ -115,29 +115,29 @@ class Scalar:
                 self.nd * other.nd)
         d = self.nd * other.nd
         if c1 or c2:  # both in Q(i)
-            return _reduced(a1 * a2 - c1 * c2, 0, a1 * c2 + c1 * a2, 0, d)
-        return _reduced(a1 * a2, 0, 0, 0, d)
+            return reduced(a1 * a2 - c1 * c2, 0, a1 * c2 + c1 * a2, 0, d)
+        return reduced(a1 * a2, 0, 0, 0, d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
-        return _reduced(self.na, self.nb, -self.nc, -self.ne, self.nd)
+        return reduced(self.na, self.nb, -self.nc, -self.ne, self.nd)
 
     def inverse(self) -> "Scalar":
         a, b, c, e, d = self.na, self.nb, self.nc, self.ne, self.nd
         if not (b or c or e):
             if not a:
                 raise ZeroDivisionError("division by zero scalar")
-            return _reduced(d, 0, 0, 0, a)
+            return reduced(d, 0, 0, 0, a)
         # x = (A + i C)/d with A = a + b rt, C = c + e rt; then
         # 1/x = d (A - i C)(p - q rt) / (p^2 - 2 q^2), where
         # p + q rt = A^2 + C^2 is positive, and so is its conjugate
         # p - q rt (the same sum of squares under rt -> -rt).
         p = a * a + c * c + 2 * (b * b + e * e)
         q = 2 * (a * b + c * e)
-        return _reduced(d * (a * p - 2 * b * q), d * (b * p - a * q),
-                        d * (2 * e * q - c * p), d * (c * q - e * p),
-                        p * p - 2 * q * q)
+        return reduced(d * (a * p - 2 * b * q), d * (b * p - a * q),
+                       d * (2 * e * q - c * p), d * (c * q - e * p),
+                       p * p - 2 * q * q)
 
     def __truediv__(self, other) -> "Scalar":
         if type(other) is not Scalar:
@@ -152,11 +152,11 @@ class Scalar:
     # -- parts and sign -----------------------------------------------
 
     def real_part(self) -> "Scalar":
-        return _reduced(self.na, self.nb, 0, 0, self.nd)
+        return reduced(self.na, self.nb, 0, 0, self.nd)
 
     def imag_part(self) -> "Scalar":
         """Imaginary part as a *real* element of Q(sqrt(2))."""
-        return _reduced(self.nc, self.ne, 0, 0, self.nd)
+        return reduced(self.nc, self.ne, 0, 0, self.nd)
 
     def sign(self) -> int:
         """Exact sign of a real element; raises for non-real elements."""
@@ -230,7 +230,7 @@ def _fraction(n: int, d: int) -> Fraction:
     return Fraction(n, d) if n else _FZERO
 
 
-def _reduced(na: int, nb: int, nc: int, ne: int, nd: int) -> Scalar:
+def reduced(na: int, nb: int, nc: int, ne: int, nd: int) -> Scalar:
     """A Scalar from numerators over nd != 0, brought to lowest terms."""
     if nd != 1:
         g = _gcd(na, nb, nc, ne, nd)
@@ -254,7 +254,7 @@ def _reduced(na: int, nb: int, nc: int, ne: int, nd: int) -> Scalar:
 def _coerce(value):
     """An int or Fraction as a Scalar; NotImplemented for anything else."""
     if isinstance(value, (int, Fraction)):
-        return _reduced(value.numerator, 0, 0, 0, value.denominator)
+        return reduced(value.numerator, 0, 0, 0, value.denominator)
     return NotImplemented
 
 

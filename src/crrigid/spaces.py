@@ -11,13 +11,11 @@ full-rank property of the condition system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Tuple
 
-from crrigid.scalars import Scalar, I as IMAG
-from crrigid.series import Series, frame, power_table, table_monomial
+from crrigid.series import Series, power_table, table_monomial
 from crrigid.linalg import Row, in_span, rank_of, rref
-from crrigid.geometry import Source, Target, target_vars
+from crrigid.geometry import Source, Target
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, \
     embedding_residual, require_order, transversality
 from crrigid.jets import JET4, JET4_ORDER, KernelSolve, bar_key, \
@@ -28,60 +26,6 @@ from crrigid.pipeline import ConditionSystem, DegenerateMapError
 
 class NotMappedError(ValueError):
     """The germ does not send the source hypersurface into the target."""
-
-
-# -- closed-form automorphism algebra of the hyperquadrics ------------
-
-def hyperquadric_hol0_basis(eps: int) -> List[List[Series]]:
-    """Real basis (10 fields) of the infinitesimal automorphisms fixing 0
-    of the hyperquadric Im w' = |z1'|^2 + eps |z2'|^2.
-
-    Fields are returned as component triples over (z1, z2, w1), in a
-    frame of order 8; all are polynomial of degree <= 2, and their
-    tangency is checked to order 8.  Parameters: a real dilation t, real
-    rotations h11, h22, a complex rotation h12, complex parabolic
-    directions b1, b2 and a real parabolic direction s.
-    """
-    f = frame("z1", "z2", "w1", order=8, weights=(1, 1, 2))
-    z1, z2, w = (Series.variable(f, v) for v in ("z1", "z2", "w1"))
-    zero = Series.zero(f)
-    e = Scalar(eps)
-    basis = [
-        # dilation t and rotations h11, h22
-        [z1, z2, w.scale(Scalar(2))],
-        [z1.scale(IMAG), zero, zero],
-        [zero, z2.scale(IMAG), zero],
-        # complex rotation h12 = 1 and h12 = i
-        [z2, z1.scale(-e), zero],
-        [z2.scale(IMAG), z1.scale(e * IMAG), zero],
-        # parabolic s
-        [z1 * w, z2 * w, w * w],
-    ]
-    # parabolic b1 in {1, i} and b2 in {1, i}
-    ih = Scalar(0, 0, Fraction(1, 2))
-    for j, bval in ((0, Scalar(1)), (0, IMAG), (1, Scalar(1)), (1, IMAG)):
-        lead = [zero, zero]
-        lead[j] = w.scale(bval.conjugate() * ih)
-        mix = z1.scale(bval) if j == 0 else z2.scale(bval * e)
-        basis.append([lead[0] + z1 * mix, lead[1] + z2 * mix, w * mix])
-    _verify_tangent(Target.hyperquadric(eps, 8), basis)
-    return basis
-
-
-def _verify_tangent(target: Target, fields: Sequence[Sequence[Series]]) -> None:
-    """Check Re sum_j rho_{Z_j} V_j = 0 on the target germ, exactly."""
-    bind = target.graph_chart(target.graph_frame(fields[0][0].frame.order))
-    r_on, rb_on = target.gradient_on(bind)
-    names = target_vars(target.n)[:target.n]
-    holo = {v: bind[v] for v in names}
-    anti = {v: bind[target.swap[v]] for v in names}
-    for V in fields:
-        res = Series.zero(r_on[0].frame)
-        for j in range(target.n):
-            res = res + r_on[j] * V[j].substitute(holo) \
-                + rb_on[j] * V[j].conj().substitute(anti)
-        if not res.is_zero():
-            raise ArithmeticError("field is not tangent to the target germ")
 
 
 # -- trivial deformations: automorphisms restricted along the map -----
@@ -165,17 +109,16 @@ def decide_rigidity(H: MapGerm, target: Target, sol: KernelSolve,
 
     ``sol`` is the solve being judged, from either route; H is expected
     to have passed :func:`validate_embedding`.  Verdicts: dimension zero
-    is rigid; if the target is Levi-nondegenerate and the dimension
-    equals dim_R hol_0(M'), with the restricted automorphisms spanning
-    the whole kernel, the map is rigid; otherwise the criteria are
+    is rigid; if the target is Levi-nondegenerate and the restricted
+    automorphisms span the whole kernel (they lie in it and their rank
+    is its dimension), the map is rigid; otherwise the criteria are
     silent.
     """
     dim = sol.dim
     ncols = column_count(sol.jet_keys)
     levi = target.levi_nondegenerate()
 
-    aut_dim = aut_stab = triv_dim = contained = None
-    triv = None
+    aut_dim = aut_stab = triv_dim = contained = triv = None
     if levi:
         triv = trivial_subspace(H, target, aut_keq=aut_keq)
         aut_dim = triv.aut.dim
@@ -187,7 +130,7 @@ def decide_rigidity(H: MapGerm, target: Target, sol: KernelSolve,
     if dim == 0 and sol.stabilized:
         verdict = VERDICT_RIGID_VANISHING
     elif (levi and sol.stabilized and aut_stab and contained
-          and dim == aut_dim):
+          and dim == triv_dim):
         verdict = VERDICT_RIGID_TRIVIAL
     else:
         verdict = VERDICT_INCONCLUSIVE
@@ -236,10 +179,8 @@ def genericity_certificate(system: ConditionSystem) -> GenericityCertificate:
         for source_row in (crow,
                            {bar_key(k): v.conjugate()
                             for k, v in crow.items()}):
-            r = {col[k]: v for k, v in source_row.items()
-                 if k not in drop and not v.is_zero()}
-            if r:
-                rows.append(r)
+            rows.append({col[k]: v for k, v in source_row.items()
+                         if k not in drop})
     ncols = len(keys) - len(drop)
     rank = rank_of(rows, len(keys))
     return GenericityCertificate(rank, ncols, rank == ncols)

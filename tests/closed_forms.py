@@ -1,21 +1,23 @@
 """Closed forms the tests check the solvers against.
 
 The isotropy groups of the sphere and of the hyperquadrics (criterion 9),
-the source reparametrization fields of the sphere and their pushforwards
+the infinitesimal automorphisms of the hyperquadrics (criterion 7), the
+source reparametrization fields of the sphere and their pushforwards
 along an embedding (criterion 6), the tangency residual of an explicit
-field, the cubic example's deformation field, and the kernel of a row
-set.  The library computes none of these; the tests import them from
-here as they import from ``test_series``.
+field, the cubic example's deformation field, the kernel of a row set,
+and the Scalar Gauss-Jordan elimination that ``crrigid.linalg`` is
+checked against.  The library computes none of these; the tests import
+them from here as they import from ``test_series``.
 """
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
-from crrigid.geometry import Source, Target
+from crrigid.geometry import Source, Target, target_vars
 from crrigid.linalg import Eliminator, Row
 from crrigid.maps import MapGerm, map_frame, pull_back
 from crrigid.scalars import Scalar, I as IMAG, scalar
-from crrigid.series import Frame, Series
+from crrigid.series import Frame, Series, frame
 
 
 # -- isotropies -------------------------------------------------------
@@ -107,6 +109,60 @@ def apply_isotropy(H: MapGerm, sigma_inv: MapGerm,
     return compose(sigma_prime, compose(H, sigma_inv))
 
 
+# -- the hyperquadrics' automorphism algebra --------------------------
+
+def hyperquadric_hol0_basis(eps: int) -> List[List[Series]]:
+    """Real basis (10 fields) of the infinitesimal automorphisms fixing 0
+    of the hyperquadric Im w' = |z1'|^2 + eps |z2'|^2.
+
+    Fields are returned as component triples over (z1, z2, w1), in a
+    frame of order 8; all are polynomial of degree <= 2, and their
+    tangency is checked to order 8.  Parameters: a real dilation t, real
+    rotations h11, h22, a complex rotation h12, complex parabolic
+    directions b1, b2 and a real parabolic direction s.
+    """
+    f = frame("z1", "z2", "w1", order=8, weights=(1, 1, 2))
+    z1, z2, w = (Series.variable(f, v) for v in ("z1", "z2", "w1"))
+    zero = Series.zero(f)
+    e = Scalar(eps)
+    basis = [
+        # dilation t and rotations h11, h22
+        [z1, z2, w.scale(Scalar(2))],
+        [z1.scale(IMAG), zero, zero],
+        [zero, z2.scale(IMAG), zero],
+        # complex rotation h12 = 1 and h12 = i
+        [z2, z1.scale(-e), zero],
+        [z2.scale(IMAG), z1.scale(e * IMAG), zero],
+        # parabolic s
+        [z1 * w, z2 * w, w * w],
+    ]
+    # parabolic b1 in {1, i} and b2 in {1, i}
+    ih = Scalar(0, 0, Fraction(1, 2))
+    for j, bval in ((0, Scalar(1)), (0, IMAG), (1, Scalar(1)), (1, IMAG)):
+        lead = [zero, zero]
+        lead[j] = w.scale(bval.conjugate() * ih)
+        mix = z1.scale(bval) if j == 0 else z2.scale(bval * e)
+        basis.append([lead[0] + z1 * mix, lead[1] + z2 * mix, w * mix])
+    verify_tangent(Target.hyperquadric(eps, 8), basis)
+    return basis
+
+
+def verify_tangent(target: Target, fields: Sequence[Sequence[Series]]) -> None:
+    """Check Re sum_j rho_{Z_j} V_j = 0 on the target germ, exactly."""
+    bind = target.graph_chart(target.graph_frame(fields[0][0].frame.order))
+    r_on, rb_on = target.gradient_on(bind)
+    names = target_vars(target.n)[:target.n]
+    holo = {v: bind[v] for v in names}
+    anti = {v: bind[target.swap[v]] for v in names}
+    for V in fields:
+        res = Series.zero(r_on[0].frame)
+        for j in range(target.n):
+            res = res + r_on[j] * V[j].substitute(holo) \
+                + rb_on[j] * V[j].conj().substitute(anti)
+        if not res.is_zero():
+            raise ArithmeticError("field is not tangent to the target germ")
+
+
 # -- explicit deformation fields --------------------------------------
 
 def source_hol0_basis(order: int = 8) -> List[List[Series]]:
@@ -169,3 +225,76 @@ def kernel_of(rows: Sequence[Row], ncols: int) -> List[Row]:
     for r in rows:
         elim.add_row(r)
     return elim.kernel_basis()
+
+
+class ReferenceEliminator:
+    """Gauss-Jordan elimination on sparse Scalar rows, one field operation
+    at a time: the reference :class:`crrigid.linalg.Eliminator` must
+    agree with."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivot_rows: Dict[int, Row] = {}  # pivot column -> normalized row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, row: Row) -> Row:
+        """Fully reduce a row against the current pivots (row not stored)."""
+        row = {c: v for c, v in row.items() if not v.is_zero()}
+        while row:
+            hits = [c for c in row if c in self.pivot_rows]
+            if not hits:
+                break
+            lead = min(hits)
+            piv = self.pivot_rows[lead]
+            factor = row[lead]
+            for c, v in piv.items():
+                cur = row.get(c)
+                s = (cur - factor * v) if cur is not None else -factor * v
+                if s.is_zero():
+                    row.pop(c, None)
+                else:
+                    row[c] = s
+        return row
+
+    def add_row(self, row: Row) -> bool:
+        """Insert a row; returns True if it increased the rank."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = min(row)
+        inv = row[lead].inverse()
+        norm = {c: v * inv for c, v in row.items()}
+        # back-eliminate the new pivot column from existing rows
+        for p, prow in self.pivot_rows.items():
+            f = prow.get(lead)
+            if f is None:
+                continue
+            for c, v in norm.items():
+                cur = prow.get(c)
+                s = (cur - f * v) if cur is not None else -f * v
+                if s.is_zero():
+                    prow.pop(c, None)
+                else:
+                    prow[c] = s
+        self.pivot_rows[lead] = norm
+        return True
+
+    def rref(self) -> List[Row]:
+        return [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
+
+    def kernel_basis(self) -> List[Row]:
+        """Canonical kernel basis (one vector per free column, unit there)."""
+        pivots = self.pivot_rows
+        free = [c for c in range(self.ncols) if c not in pivots]
+        basis = []
+        for f in free:
+            vec: Row = {f: Scalar(1)}
+            for p, prow in pivots.items():
+                v = prow.get(f)
+                if v is not None and not v.is_zero():
+                    vec[p] = -v
+            basis.append(vec)
+        return basis

@@ -25,12 +25,11 @@ from crrigid.pipeline import DegenerateMapError, condition_system, \
 from crrigid.scalars import Scalar
 from crrigid.series import Series
 from crrigid.spaces import (VERDICT_INCONCLUSIVE, VERDICT_RIGID_TRIVIAL,
-                            VERDICT_RIGID_VANISHING, genericity_certificate,
-                            hyperquadric_hol0_basis)
+                            VERDICT_RIGID_VANISHING, genericity_certificate)
 
 from closed_forms import (apply_isotropy, cubic_deformation, field_residual,
-                          pushforward, source_hol0_basis, source_isotropy,
-                          target_isotropy)
+                          hyperquadric_hol0_basis, pushforward,
+                          source_hol0_basis, source_isotropy, target_isotropy)
 
 I = Scalar(0, 0, 1)
 NC = column_count(JET4)   # real 4-jet coordinates

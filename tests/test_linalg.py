@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from crrigid.linalg import Eliminator, adjugate3, det3, in_span, rank_of, rref
 from crrigid.scalars import Scalar
 
-from closed_forms import kernel_of
+from closed_forms import ReferenceEliminator, kernel_of
 
 I = Scalar(0, 0, 1)
 
@@ -106,6 +106,84 @@ def test_in_span():
     basis = [{0: Scalar(1), 1: Scalar(1)}, {2: I}]
     assert in_span({0: Scalar(2), 1: Scalar(2), 2: Scalar(5)}, basis, 3)
     assert not in_span({0: Scalar(1)}, basis, 3)
+
+
+# -- the integer-row eliminator against Scalar Gauss-Jordan -----------
+
+#: which of the parts (a, b, c, e) of (a + b sqrt(2)) + i (c + e sqrt(2))
+#: an entry of each shape may carry
+SHAPES = {"rational": (1, 0, 0, 0), "gaussian": (1, 0, 1, 0),
+          "sqrt2": (1, 1, 0, 0), "general": (1, 1, 1, 1)}
+
+numerators = st.one_of(st.integers(-3, 3),
+                       st.integers(-10 ** 30, 10 ** 30))
+denominators = st.one_of(st.integers(1, 4), st.integers(1, 10 ** 12))
+
+
+@st.composite
+def field_elements(draw, shape=None):
+    """An element of Q(i, sqrt(2)) of the given shape (else any), maybe
+    zero, with numerators up to 10^30 and denominators up to 10^12."""
+    keep = SHAPES[shape or draw(st.sampled_from(sorted(SHAPES)))]
+    d = draw(denominators)
+    return Scalar(*(Fraction(draw(numerators), d) if k else 0
+                    for k in keep))
+
+
+@st.composite
+def row_streams(draw):
+    """(ncols, rows, probes): rows of one shape or of mixed shapes, among
+    them zero rows, repeats, multiples and sums of earlier rows, over
+    columns some of which no row uses; probes are vectors in and out of
+    the span."""
+    ncols = draw(st.integers(1, 7))
+    used = range(draw(st.integers(1, ncols)))
+    shape = draw(st.sampled_from(sorted(SHAPES) + [None]))
+    entry = field_elements(shape)
+    nonzero = entry.filter(lambda x: not x.is_zero())
+
+    def fresh():
+        return {c: draw(entry) for c in used if draw(st.booleans())}
+
+    def combination(rows):
+        out = {}
+        for r in draw(st.lists(st.sampled_from(rows), min_size=1,
+                               max_size=3)):
+            f = draw(nonzero)
+            for c, v in r.items():
+                out[c] = out.get(c, Scalar(0)) + f * v
+        return out
+
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combo"]))
+        if kind == "zero":
+            rows.append({c: Scalar(0) for c in used if draw(st.booleans())})
+        elif kind == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "combo" and rows:
+            rows.append(combination(rows))
+        else:
+            rows.append(fresh())
+    probes = [fresh(), combination(rows), {}]
+    return ncols, rows, probes
+
+
+@given(row_streams())
+@settings(max_examples=150, deadline=None)
+def test_eliminator_matches_scalar_gauss_jordan(case):
+    ncols, rows, probes = case
+    new, ref = Eliminator(ncols), ReferenceEliminator(ncols)
+    grew = []
+    for r in rows:
+        grew.append(new.add_row(dict(r)))
+        assert grew[-1] == ref.add_row(dict(r))
+        assert new.rank == ref.rank
+        assert new.kernel_basis() == ref.kernel_basis()
+    assert rref(rows, ncols) == ref.rref()
+    assert rank_of(rows, ncols) == ref.rank == sum(grew)
+    for vec in probes:
+        assert in_span(vec, rows, ncols) == (not ref.reduce(vec))
 
 
 def test_det3_adjugate3():

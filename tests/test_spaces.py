@@ -8,12 +8,12 @@ from crrigid.maps import MapGerm, map_frame
 from crrigid.jets import field_row, jet_unknowns
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
-from crrigid.spaces import (FREE_SLOTS, NotMappedError, _verify_tangent,
-                            hyperquadric_hol0_basis, validate_embedding)
+from crrigid.spaces import FREE_SLOTS, NotMappedError, validate_embedding
 from crrigid.pipeline import DegenerateMapError
 
-from closed_forms import (cubic_deformation, field_residual, pushforward,
-                          source_hol0_basis)
+from closed_forms import (cubic_deformation, field_residual,
+                          hyperquadric_hol0_basis, pushforward,
+                          source_hol0_basis, verify_tangent)
 
 I = Scalar(0, 0, 1)
 
@@ -29,9 +29,9 @@ def test_verify_tangent_rejects_unscaled_dilation():
     f = frame("z1", "z2", "w1", order=8, weights=(1, 1, 2))
     z1, z2, w = (Series.variable(f, v) for v in ("z1", "z2", "w1"))
     target = Target.hyperquadric(1, 8)
-    _verify_tangent(target, [[z1, z2, w.scale(2)]])
+    verify_tangent(target, [[z1, z2, w.scale(2)]])
     with pytest.raises(ArithmeticError):
-        _verify_tangent(target, [[z1, z2, w]])
+        verify_tangent(target, [[z1, z2, w]])
 
 
 def test_source_basis_is_tangent_to_the_sphere():
@@ -139,3 +139,20 @@ def test_rigidity_verdicts(cache):
     rep2 = cache.rigidity("example-6-2")
     assert rep2.verdict == VERDICT_RIGID_VANISHING
     assert rep2.dim == 0
+
+
+def test_all_trivial_verdict_needs_the_whole_kernel(cache, monkeypatch):
+    """Restricted automorphisms that lie in the kernel but span less than
+    it leave the verdict open, though dim equals the automorphism dim."""
+    from crrigid import spaces
+    spec = cache.spec("example-6-1")
+    full = cache.trivial("example-6-1")
+    monkeypatch.setattr(spaces, "trivial_subspace",
+                        lambda *args, **kwargs: spaces.TrivialSubspace(
+                            full.rows[:-1], full.dim - 1, full.aut))
+    rep = spaces.decide_rigidity(spec.H, spec.target,
+                                 cache.pipeline("example-6-1"),
+                                 aut_keq=cache.orders("example-6-1")[2])
+    assert rep.dim == rep.aut_dim == 10
+    assert rep.trivial_dim == 9 and rep.trivial_contained
+    assert rep.verdict == spaces.VERDICT_INCONCLUSIVE
