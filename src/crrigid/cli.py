@@ -97,7 +97,7 @@ def answer(command: str, spec: ProblemSpec, orders: Tuple[int, int, int],
     H, source, target = spec.H, spec.source, spec.target
     validate_embedding(H, source, target)
     if command == "check":
-        return rp.check_doc(spec), 0
+        return rp.with_map_change(rp.check_doc(spec), spec), 0
     if command == "genericity":
         system = condition_system(H, source, target, wo)
         return rp.genericity_doc(genericity_certificate(system)), 0
@@ -108,10 +108,11 @@ def answer(command: str, spec: ProblemSpec, orders: Tuple[int, int, int],
     if command == "rigidity":
         rep = decide_rigidity(H, target, sol, aut_keq=ao)
         stable = sol.stabilized and rep.aut_stabilized is not False
-        return rp.rigidity_doc(rep), 0 if stable else 1
-    doc = rp.deform_doc(sol, None if oracle else cross)
-    stable = all(s.stabilized for s in (sol, cross) if s is not None)
-    return doc, 0 if stable else 1
+        doc = rp.rigidity_doc(rep)
+    else:
+        doc = rp.deform_doc(sol, None if oracle else cross)
+        stable = all(s.stabilized for s in (sol, cross) if s is not None)
+    return rp.with_map_change(doc, spec), 0 if stable else 1
 
 
 def run(args) -> int:

@@ -8,8 +8,8 @@ and the map, each by an expression over the declared variables, e.g.::
     target: hyperquadric +1;
     map: (z, z^2, w);
 
-Expressions support +, -, *, /, integer ^, parentheses, integer literals,
-``i``, ``sqrt(n)``, and the functions ``conj``, ``real``, ``imag``.
+Expressions are Python expressions (``^`` read as ``**``) on the
+allow-list of :func:`parse_expression`; the map is a tuple of them.
 Rational map components (denominator nonzero at 0) are expanded into
 truncated series at parse time.  A ``target(2):`` header declares a
 2-dimensional target germ (used for automorphism runs).  ``option`` lines
@@ -18,11 +18,13 @@ set the solver orders of :data:`SOLVER_ORDERS`, e.g. ``option work_order 17;``.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from crrigid.scalars import SQRT2, Scalar, I as IMAG
 from crrigid.series import Frame, Series
@@ -62,6 +64,7 @@ class ProblemSpec:
     target: Target
     H: Optional[MapGerm]
     options: Dict[str, int] = field(default_factory=dict)
+    change: Optional[Series] = None    # the source's normal-coordinate g
 
     def orders(self, order: Optional[int] = None,
                aut_order: Optional[int] = None) -> Tuple[int, int, int]:
@@ -78,130 +81,13 @@ class ProblemSpec:
         return opt["work_order"], opt["oracle_order"], opt["aut_order"]
 
 
-# -- tokenizer --------------------------------------------------------
+# -- expressions ------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*/^,])")
+#: Leading zeros of a decimal literal, which Python's grammar rejects.
+_LEADING_ZEROS = re.compile(r"\b0+(?=\d)")
 
-
-def _tokenize(text: str, line: int) -> List[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", line)
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-# -- expression parser (precedence climbing) --------------------------
-
-class _Expr:
-    """Parses one expression into a Series over a fixed frame."""
-
-    def __init__(self, tokens: List[str], frm: Frame,
-                 conj_swap: Optional[Dict[str, str]], line: int):
-        self.toks = tokens
-        self.pos = 0
-        self.frm = frm
-        self.swap = conj_swap
-        self.line = line
-
-    def err(self, msg: str) -> ParseError:
-        return ParseError(msg, self.line)
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> str:
-        t = self.peek()
-        if t is None:
-            raise self.err("unexpected end of expression")
-        self.pos += 1
-        return t
-
-    def expect(self, tok: str) -> None:
-        t = self.take()
-        if t != tok:
-            raise self.err(f"expected {tok!r}, found {t!r}")
-
-    def parse(self) -> Series:
-        s = self.sum()
-        if self.peek() is not None:
-            raise self.err(f"trailing tokens after expression: {self.peek()!r}")
-        return s
-
-    def sum(self) -> Series:
-        if self.peek() == "-":
-            self.take()
-            s = self.product().scale(Scalar(-1))
-        else:
-            if self.peek() == "+":
-                self.take()
-            s = self.product()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.product()
-            s = s + rhs if op == "+" else s - rhs
-        return s
-
-    def product(self) -> Series:
-        s = self.power()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.power()
-            if op == "*":
-                s = s * rhs
-            else:
-                if rhs.constant_term().is_zero():
-                    raise self.err("division by an expression vanishing at 0")
-                s = s * rhs.invert_unit()
-        return s
-
-    def power(self) -> Series:
-        s = self.atom()
-        if self.peek() in ("^", "**"):
-            self.take()
-            t = self.take()
-            if not t.isdigit():
-                raise self.err("exponent must be a nonnegative integer")
-            return s ** int(t)
-        return s
-
-    def atom(self) -> Series:
-        t = self.take()
-        if t == "(":
-            s = self.sum()
-            self.expect(")")
-            return s
-        if t.isdigit():
-            return Series.const(self.frm, int(t))
-        if t == "i":
-            return Series.const(self.frm, IMAG)
-        if t == "sqrt":
-            self.expect("(")
-            arg = self.take()
-            self.expect(")")
-            if not arg.isdigit():
-                raise self.err("sqrt takes an integer literal")
-            return Series.const(self.frm, _sqrt_scalar(int(arg), self.line))
-        if t in ("conj", "real", "imag"):
-            self.expect("(")
-            s = self.sum()
-            self.expect(")")
-            if self.swap is None:
-                raise self.err(f"{t} is not allowed in map components")
-            c = s.conj(rename=self.swap)
-            if t == "conj":
-                return c
-            if t == "real":
-                return (s + c).scale(Scalar(Fraction(1, 2)))
-            return (s - c).scale(Scalar(0, 0, Fraction(-1, 2)))
-        if t in self.frm.vars:
-            return Series.variable(self.frm, t)
-        raise self.err(f"unknown symbol {t!r}")
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub,
+          ast.Mult: operator.mul}
 
 
 def _sqrt_scalar(n: int, line: int) -> Scalar:
@@ -219,8 +105,91 @@ def _sqrt_scalar(n: int, line: int) -> Scalar:
 
 def parse_expression(text: str, frm: Frame,
                      conj_swap: Optional[Dict[str, str]] = None,
-                     line: int = 0) -> Series:
-    return _Expr(_tokenize(text, line), frm, conj_swap, line).parse()
+                     line: int = 0, components: bool = False
+                     ) -> Union[Series, List[Series]]:
+    """The Series over ``frm`` of a Python expression, ``^`` read as ``**``,
+    whose nodes are on the allow-list: ``+ - * /``, ``**`` with an integer
+    literal exponent, unary ``+ -``, decimal integer literals, ``i``, the
+    frame's variables, ``sqrt(n)``, and ``conj``, ``real``, ``imag`` of one
+    argument.  With ``components``, the Series of each component of a
+    tuple, in a list.  Any other node, a syntax error, or a tree too deep
+    for Python is a :class:`ParseError`."""
+    code = _LEADING_ZEROS.sub("", " ".join(text.replace("^", "**").split()))
+
+    def literal(node: ast.expr) -> int:
+        # one line, offsets in UTF-8 bytes (get_source_segment splits lines)
+        src = code.encode()[node.col_offset:node.end_col_offset].decode()
+        if not (isinstance(node, ast.Constant) and src.isdigit()):
+            raise ParseError(f"expected a decimal integer literal, not "
+                             f"{src!r}", line)
+        return node.value
+
+    def series(node: ast.expr) -> Series:
+        # fold a chain a + b - c ..., which nests to the left, in a loop
+        rights = []
+        while isinstance(node, ast.BinOp):
+            rights.append((node.op, node.right))
+            node = node.left
+        s = atom(node)
+        for op, right in reversed(rights):
+            if isinstance(op, ast.Pow):
+                s = s ** literal(right)
+            elif isinstance(op, ast.Div):
+                rhs = series(right)
+                if rhs.constant_term().is_zero():
+                    raise ParseError("division by an expression vanishing "
+                                     "at 0", line)
+                s = operator.mul(s, rhs.invert_unit())
+            elif type(op) in _ARITH:
+                s = _ARITH[type(op)](s, series(right))
+            else:
+                raise ParseError(f"operator {type(op).__name__} is not "
+                                 "allowed", line)
+        return s
+
+    def atom(node: ast.expr) -> Series:
+        if isinstance(node, ast.UnaryOp) and \
+                isinstance(node.op, (ast.UAdd, ast.USub)):
+            s = series(node.operand)
+            return -s if isinstance(node.op, ast.USub) else s
+        if isinstance(node, ast.Constant):
+            return Series.const(frm, literal(node))
+        if isinstance(node, ast.Name) and node.id == "i":
+            return Series.const(frm, IMAG)
+        if isinstance(node, ast.Name) and node.id in frm.vars:
+            return Series.variable(frm, node.id)
+        name = getattr(node.func, "id", None) \
+            if isinstance(node, ast.Call) else None
+        if name not in ("sqrt", "conj", "real", "imag") or \
+                len(node.args) != 1 or node.keywords:
+            raise ParseError("unknown symbol or form "
+                             f"{ast.get_source_segment(code, node)!r}", line)
+        if name == "sqrt":
+            return Series.const(frm, _sqrt_scalar(literal(node.args[0]), line))
+        if conj_swap is None:
+            raise ParseError(f"{name} is not allowed in map components", line)
+        s = series(node.args[0])
+        c = s.conj(rename=conj_swap)
+        if name == "conj":
+            return c
+        if name == "real":
+            return (s + c).scale(Scalar(Fraction(1, 2)))
+        return (s - c).scale(Scalar(0, 0, Fraction(-1, 2)))
+
+    try:
+        tree = ast.parse(code, mode="eval").body
+        if not components:
+            return series(tree)
+        if not isinstance(tree, ast.Tuple):
+            raise ParseError("map components must be parenthesized: "
+                             "(a, b, c)", line)
+        return [series(c) for c in tree.elts]
+    except RecursionError:
+        raise ParseError("expression too long or nested too deeply; group a "
+                         "long sum in parentheses: (a + b + ...) + (c + ...)",
+                         line) from None
+    except SyntaxError as exc:
+        raise ParseError(f"{exc.msg} in {text.strip()!r}", line) from None
 
 
 # -- problem files ----------------------------------------------------
@@ -257,7 +226,6 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
     """Parse a problem file into germs expanded to the given order."""
     source = target = Hmap = change = None
     options: Dict[str, int] = {}
-    declared_vars: Optional[Tuple[str, ...]] = None
     for stmt, line in _statements(text):
         m = _HEAD.match(stmt)
         if not m:
@@ -266,8 +234,7 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
         kind = m.group(1).lower()
         rest = stmt[m.end():].strip()
         if kind == "vars":
-            declared_vars = tuple(rest.split())
-            if declared_vars != ("z", "w"):
+            if tuple(rest.split()) != ("z", "w"):
                 raise ParseError("sources live in variables 'z w'", line)
         elif kind == "option":
             parts = rest.split()
@@ -284,7 +251,12 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
             n = int(m.group(3)) if m.group(3) else 3
             target = _parse_target(rest, n, order, line)
         elif kind == "map":
-            Hmap = _parse_map(rest, order, line)
+            comps = parse_expression(rest, map_frame(order), None, line,
+                                     components=True)
+            try:
+                Hmap = MapGerm(comps)
+            except ValueError as exc:
+                raise ParseError(str(exc), line)
     if source is None or target is None:
         raise ParseError("a problem file needs 'source:' and 'target:'")
     if Hmap is not None and change is not None:
@@ -292,14 +264,17 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
         z, w = (Series.variable(change.frame, v) for v in ("z", "w"))
         bind = {"z": z, "w": w + change.scale(IMAG)}
         Hmap = MapGerm([c.substitute(bind) for c in Hmap.components])
-    return ProblemSpec(source, target, Hmap, options)
+    return ProblemSpec(source, target, Hmap, options, change)
 
 
-def _split_equation(text: str, line: int) -> Tuple[str, str]:
+def _equation(text: str, frm: Frame, swap: Dict[str, str],
+              line: int) -> Series:
+    """lhs - rhs of the equation ``lhs = rhs``."""
     if "=" not in text:
         raise ParseError("expected 'imag(...) = expression'", line)
     lhs, rhs = text.split("=", 1)
-    return lhs.strip(), rhs.strip()
+    return parse_expression(lhs, frm, swap, line) - \
+        parse_expression(rhs, frm, swap, line)
 
 
 def _parse_source(rest: str, order: int, line: int
@@ -307,12 +282,9 @@ def _parse_source(rest: str, order: int, line: int
     """The source germ and its :func:`normalize_defining` change g."""
     if rest.lower() in ("hyperquadric", "hyperquadric +1"):
         return Source.hyperquadric(order), None
-    lhs, rhs = _split_equation(rest, line)
-    frm = defining_frame(order)
-    left = parse_expression(lhs, frm, _SOURCE_SWAP, line)
-    right = parse_expression(rhs, frm, _SOURCE_SWAP, line)
     # rho = Im w - (graph) has linear part (w - tau) / 2i
-    Q, change = normalize_defining(left - right)
+    rho = _equation(rest, defining_frame(order), _SOURCE_SWAP, line)
+    Q, change = normalize_defining(rho)
     return Source(Q), change
 
 
@@ -323,36 +295,5 @@ def _parse_target(rest: str, n: int, order: int, line: int) -> Target:
         if eps is None:
             raise ParseError("hyperquadric signature must be +1 or -1", line)
         return Target.hyperquadric(eps, order, n=n)
-    lhs, rhs = _split_equation(rest, line)
-    frm = target_frame(n, order)
-    swap = target_swap(n)
-    left = parse_expression(lhs, frm, swap, line)
-    right = parse_expression(rhs, frm, swap, line)
-    return Target(left - right, n)
-
-
-def _parse_map(rest: str, order: int, line: int) -> MapGerm:
-    rest = rest.strip()
-    if not (rest.startswith("(") and rest.endswith(")")):
-        raise ParseError("map components must be parenthesized: (a, b, c)",
-                         line)
-    frm = map_frame(order)
-    comps = []
-    depth, start = 0, 1
-    parts = []
-    for i, ch in enumerate(rest):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                parts.append(rest[start:i])
-        elif ch == "," and depth == 1:
-            parts.append(rest[start:i])
-            start = i + 1
-    for part in parts:
-        comps.append(parse_expression(part, frm, None, line))
-    try:
-        return MapGerm(comps)
-    except ValueError as exc:
-        raise ParseError(str(exc), line)
+    return Target(_equation(rest, target_frame(n, order), target_swap(n),
+                            line), n)

@@ -15,6 +15,7 @@ from crrigid.jets import column_label
 from crrigid.linalg import Row
 from crrigid.maps import nondegeneracy, transversality
 from crrigid.parser import ProblemSpec
+from crrigid.series import Series
 from crrigid.spaces import FREE_SLOTS, GenericityCertificate, \
     RigidityReport
 
@@ -43,20 +44,37 @@ def check_doc(spec: ProblemSpec) -> Dict:
     }
 
 
-#: The weighted order up to which ``normal-coords`` prints Q.
+#: The weighted order up to which a report prints a series.
 NORMAL_COORDS_ORDER = 8
 
 
-def normal_coords_doc(spec: ProblemSpec) -> Dict:
-    src, order = spec.source, NORMAL_COORDS_ORDER
-    doc: Dict = {"command": "normal-coords", "order": order}
+def series_terms(s: Series) -> Dict[str, str]:
+    """The terms of s of weighted order <= :data:`NORMAL_COORDS_ORDER`,
+    by monomial."""
     terms = {}
-    for exp in sorted(src.Q.coeffs):
-        if sum(e * w for e, w in zip(exp, src.Q.frame.weights)) <= order:
-            name = " ".join(f"{v}^{e}" for v, e in zip(src.Q.frame.vars, exp)
-                            if e)
-            terms[name or "1"] = str(src.Q.coeffs[exp])
-    doc["Q"] = terms
+    for exp in sorted(s.coeffs):
+        if s.frame.wdeg(exp) <= NORMAL_COORDS_ORDER:
+            name = " ".join(f"{v}^{e}" for v, e in zip(s.frame.vars, exp) if e)
+            terms[name or "1"] = str(s.coeffs[exp])
+    return terms
+
+
+def normal_coords_doc(spec: ProblemSpec) -> Dict:
+    """Q, and, when the source was not in normal coordinates, the change g
+    and the map H(z, w + i g) that the solvers read."""
+    doc: Dict = {"command": "normal-coords", "order": NORMAL_COORDS_ORDER,
+                 "Q": series_terms(spec.source.Q)}
+    if spec.change is not None:
+        doc["g"] = series_terms(spec.change)
+        if spec.H is not None:
+            doc["map"] = [series_terms(c) for c in spec.H.components]
+    return doc
+
+
+def with_map_change(doc: Dict, spec: ProblemSpec) -> Dict:
+    """``doc``, with g when the map was rewritten as H(z, w + i g)."""
+    if spec.change is not None:
+        doc["map_rewritten_with_g"] = series_terms(spec.change)
     return doc
 
 

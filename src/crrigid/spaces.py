@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
 from crrigid.series import Series, power_table, table_monomial
-from crrigid.linalg import Row, in_span, rank_of, rref
+from crrigid.linalg import Row, rank_of, rref
 from crrigid.geometry import Source, Target
 from crrigid.maps import MapGerm, map_frame, nondegeneracy, \
     embedding_residual, require_order, transversality
@@ -124,8 +124,8 @@ def decide_rigidity(H: MapGerm, target: Target, sol: KernelSolve,
         aut_dim = triv.aut.dim
         aut_stab = triv.aut.stabilized
         triv_dim = triv.dim
-        contained = all(in_span(r, sol.kernel_real, ncols)
-                        for r in triv.rows)
+        # kernel_real is reduced, so its rank is dim
+        contained = rank_of(sol.kernel_real + triv.rows, ncols) == dim
 
     if dim == 0 and sol.stabilized:
         verdict = VERDICT_RIGID_VANISHING

@@ -40,6 +40,7 @@ def test_check_corpus_entry(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "check"
+    assert "map_rewritten_with_g" not in doc    # the source is normal
     assert err.strip()
 
 
@@ -54,6 +55,7 @@ def test_normal_coords(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "normal-coords"
+    assert "g" not in doc and "map" not in doc
 
 
 def test_missing_problem_argument():
@@ -73,6 +75,16 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, "check", str(bad))
     assert code == 2
     assert "input error" in err
+
+
+def test_deeply_nested_map_component_exits_2(tmp_path, capsys):
+    deep = "(" * 300 + "z" + ")" * 300
+    bad = tmp_path / "deep.crr"
+    bad.write_text("vars z w;\nsource: imag(w) = z*conj(z);\n"
+                   f"target: hyperquadric +1;\nmap: ({deep}, 0*z, w);\n")
+    code, _, err = _run(capsys, "check", str(bad))
+    assert code == 2
+    assert "input error: line 4: too many nested parentheses" in err
 
 
 def test_options_before_problem(monkeypatch, cache, capsys):
@@ -211,6 +223,18 @@ def test_map_follows_the_source_into_normal_coordinates(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["dimension"] == doc["oracle_dimension"] == 10
     assert doc["oracle_agrees"] is True
+    # the reports state the change g that rewrote the map
+    g = {"w^4": "1", "z^2 w^2": "2"}
+    assert doc["map_rewritten_with_g"] == g
+    code, out, _ = _run(capsys, "check", str(path))
+    assert code == 0 and json.loads(out)["map_rewritten_with_g"] == g
+    code, out, _ = _run(capsys, "normal-coords", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["g"] == g
+    # the map the solvers read, H(z, w + i g), to weighted order 8
+    assert doc["map"] == [{"z^1": "1"},
+                          {"w^2": "1", "z^2": "1", "z^2 w^3": "4*i"},
+                          {"w^1": "1", "w^4": "i", "z^2 w^2": "2*i"}]
 
 
 def test_reproduce_fast_entries(monkeypatch, cache, capsys):

@@ -8,7 +8,7 @@ from crrigid.corpus import EXPECTATIONS, corpus_text, load_corpus
 from crrigid.geometry import Target
 from crrigid.parser import ParseError, parse_expression, parse_problem
 from crrigid.scalars import SQRT2, Scalar
-from crrigid.series import frame
+from crrigid.series import Series, frame
 
 I = Scalar(0, 0, 1)
 
@@ -61,6 +61,58 @@ def test_sqrt_literal():
     assert "Q(i, sqrt(2))" in str(exc.value)
 
 
+_ZW = frame("z", "w", order=8, weights=(1, 2))
+
+
+def _poly(*terms):
+    """The Series over _ZW of (coefficient, (z exponent, w exponent))s."""
+    out = Series.zero(_ZW)
+    for c, exp in terms:
+        out = out + Series.monomial(_ZW, exp, c)
+    return out
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("(1 + i)*z^2 - w/2", [(1 + I, (2, 0)), (Fraction(-1, 2), (0, 1))]),
+    ("-z^2 + 3", [(-1, (2, 0)), (3, (0, 0))]),
+    ("+z", [(1, (1, 0))]),
+    ("--z", [(1, (1, 0))]),
+    ("z*-w", [(-1, (1, 1))]),
+    ("z*+w", [(1, (1, 1))]),
+    ("z^(2)", [(1, (2, 0))]),
+    ("z ** 2", [(1, (2, 0))]),
+    ("2^3", [(8, (0, 0))]),
+    ("sqrt((4))", [(2, (0, 0))]),
+    ("sqrt(8)*z", [(2 * SQRT2, (1, 0))]),
+    ("007*z", [(7, (1, 0))]),
+    ("z/(1 - w)", [(1, (1, k)) for k in range(4)]),
+    ("z*(w\n  + 1)", [(1, (1, 1)), (1, (1, 0))]),
+])
+def test_accepted_expressions(text, terms):
+    assert parse_expression(text, _ZW, line=7) == _poly(*terms)
+
+
+@pytest.mark.parametrize("text", [
+    "$", "z w", "1.5", "0x10", "1_000", "True", "z % w", "abs(z)",
+    "lambda: z", "sqrt(3)", "sqrt(x)", "conj(z, w)", "1/z", "z^-1",
+    "z^2^3", "1e3", "1j", "x", "z, w", "(z)(w)", "",
+])
+def test_rejected_expressions(text):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text, _ZW, line=7)
+    assert exc.value.line == 7
+
+
+def test_long_sums():
+    flat = " + ".join(["z"] * 2000)
+    assert parse_expression(flat, _ZW) == _poly((2000, (1, 0)))
+    assert parse_expression(f"({flat}) + ({flat})", _ZW) == \
+        _poly((4000, (1, 0)))
+    # Python builds the tree of a flat sum recursively
+    with pytest.raises(ParseError, match="group a long sum in parentheses"):
+        parse_expression(" + ".join(["z"] * 3000), _ZW, line=7)
+
+
 def test_parse_problem_minimal():
     text = """
     # a comment
@@ -81,6 +133,17 @@ def test_parse_problem_minimal():
 
 _PROBLEM = ("vars z w;\nsource: imag(w) = z*conj(z);\n"
             "target: hyperquadric +1;\nmap: (z, 0*z, w);\n")
+
+
+def test_map_is_one_tuple():
+    spec = parse_problem(_PROBLEM.replace("(z, 0*z, w)", "((z, z^2, w))"),
+                         order=8)
+    assert spec.H == parse_problem(_PROBLEM.replace("0*z", "z^2"),
+                                   order=8).H
+    for body in ("(z)*(z, 0*z, w)", "z"):
+        with pytest.raises(ParseError, match="line 4: map components must "
+                                             "be parenthesized"):
+            parse_problem(_PROBLEM.replace("(z, 0*z, w)", body), order=8)
 
 
 def test_option_value_must_be_a_positive_integer():

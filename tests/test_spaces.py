@@ -156,3 +156,20 @@ def test_all_trivial_verdict_needs_the_whole_kernel(cache, monkeypatch):
     assert rep.dim == rep.aut_dim == 10
     assert rep.trivial_dim == 9 and rep.trivial_contained
     assert rep.verdict == spaces.VERDICT_INCONCLUSIVE
+
+
+def test_trivial_rows_outside_a_smaller_kernel(cache, monkeypatch):
+    """A kernel that lacks one vector of the trivial span does not contain
+    the restricted automorphisms."""
+    from dataclasses import replace
+    from crrigid import spaces
+    spec = cache.spec("example-6-1")
+    sol = cache.pipeline("example-6-1")
+    monkeypatch.setattr(spaces, "trivial_subspace", lambda *args, **kwargs:
+                        cache.trivial("example-6-1"))
+    smaller = replace(sol, kernel_real=sol.kernel_real[1:], dim=sol.dim - 1)
+    rep = spaces.decide_rigidity(spec.H, spec.target, smaller,
+                                 aut_keq=cache.orders("example-6-1")[2])
+    assert rep.dim == 9 and rep.trivial_dim == 10
+    assert rep.trivial_contained is False
+    assert rep.verdict == spaces.VERDICT_INCONCLUSIVE
