@@ -95,9 +95,9 @@ def answer(command: str, spec: ProblemSpec, orders: Tuple[int, int, int],
     if spec.H is None:
         raise ParseError("this command needs a 'map:' statement")
     H, source, target = spec.H, spec.source, spec.target
-    validate_embedding(H, source, target)
+    nd = validate_embedding(H, source, target)
     if command == "check":
-        return rp.with_map_change(rp.check_doc(spec), spec), 0
+        return rp.with_map_change(rp.check_doc(spec, nd), spec), 0
     if command == "genericity":
         system = condition_system(H, source, target, wo)
         return rp.genericity_doc(genericity_certificate(system)), 0

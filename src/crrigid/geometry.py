@@ -77,15 +77,9 @@ class Source:
     # -- invariant checks ---------------------------------------------
 
     def verify_normal_form(self) -> None:
-        frm = self.frame
-        z0 = Series.zero(frm)
-        zv = Series.variable(frm, "z")
-        cv = Series.variable(frm, "chi")
-        tv = Series.variable(frm, "tau")
-        if self.Q.substitute({"z": zv, "chi": z0, "tau": tv}) != tv:
-            raise ValueError("normal form violated: Q(z, 0, tau) != tau")
-        if self.Q.substitute({"z": z0, "chi": cv, "tau": tv}) != tv:
-            raise ValueError("normal form violated: Q(0, chi, tau) != tau")
+        defect = normal_form_defect(self.Q)
+        if defect:
+            raise ValueError(f"normal form violated: {defect}")
         # reality: Q(z, chi, Qbar(chi, z, w)) = w, checked in the
         # (z, chi, w) parametrization.
         wfrm = self.zcw_frame(self.order)
@@ -109,20 +103,14 @@ class Source:
 
     def w_on_zct(self, frm: Frame) -> Series:
         """w = Q(z, chi, tau) in a (z, chi, tau) frame (possibly capped)."""
-        return self.Q.substitute({
-            "z": Series.variable(frm, "z"),
-            "chi": Series.variable(frm, "chi"),
-            "tau": Series.variable(frm, "tau"),
-        })
+        return self.Q.substitute({v: Series.variable(frm, v)
+                                  for v in ("z", "chi", "tau")})
 
     def tau_on_zcw(self, frm: Frame) -> Series:
         """tau = Qbar(chi, z, w) in a (z, chi, w) frame."""
         qbar = self.Q.conj(rename={"z": "chi", "chi": "z"})
-        return qbar.substitute({
-            "z": Series.variable(frm, "z"),
-            "chi": Series.variable(frm, "chi"),
-            "tau": Series.variable(frm, "w"),
-        })
+        z, chi, w = (Series.variable(frm, v) for v in ("z", "chi", "w"))
+        return qbar.substitute({"z": z, "chi": chi, "tau": w})
 
     def chart(self, frm: Frame) -> Tuple[Dict[str, Series], Dict[str, Series]]:
         """(z, w) and their conjugates as series on a chart of the
@@ -145,9 +133,7 @@ class Source:
     def segre_coefficients(self, zfrm: Frame) -> Dict[int, Series]:
         """A_j(z) with Q(z, chi, 0) = sum_j A_j(z) chi^j, as series in z."""
         out: Dict[int, Series] = {}
-        iz = self.frame.index("z")
-        ic = self.frame.index("chi")
-        it = self.frame.index("tau")
+        iz, ic, it = map(self.frame.index, ("z", "chi", "tau"))
         for exp, c in self.Q.coeffs.items():
             if exp[it] != 0:
                 continue
@@ -161,6 +147,18 @@ class Source:
 
 
 # normalization -------------------------------------------------------
+
+def normal_form_defect(Q: Series) -> Optional[str]:
+    """Which of Q(z, 0, tau) = tau and Q(0, chi, tau) = tau fails, in that
+    order; None when both hold, that is when every term of Q - tau has
+    positive z and chi exponents."""
+    rest = (Q - Series.variable(Q.frame, "tau")).coeffs
+    for var, side in (("chi", "Q(z, 0, tau)"), ("z", "Q(0, chi, tau)")):
+        i = Q.frame.index(var)
+        if not all(e[i] for e in rest):
+            return f"{side} != tau"
+    return None
+
 
 def check_defining_reality(rho: Series) -> None:
     if rho.conj(rename={"z": "chi", "chi": "z", "w": "tau", "tau": "w"}) != rho:
@@ -188,13 +186,7 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
     sfrm = source_frame(order)
     qtilde = solve_implicit(rho, "w", ("z", "chi", "tau"), sfrm)
 
-    # does it already satisfy the normality conditions?
-    zv = Series.variable(sfrm, "z")
-    cv = Series.variable(sfrm, "chi")
-    tv = Series.variable(sfrm, "tau")
-    z0 = Series.zero(sfrm)
-    if qtilde.substitute({"z": zv, "chi": z0, "tau": tv}) == tv \
-            and qtilde.substitute({"z": z0, "chi": cv, "tau": tv}) == tv:
+    if normal_form_defect(qtilde) is None:
         return qtilde, None
 
     # step 1: G(w) = g(0, w) from  w + i G - Qtilde(0, 0, w - i G) = 0
@@ -213,8 +205,7 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
 
     # step 2: g(z, w) = -i (Qtilde(z, 0, w - i G(w)) - w)
     zwfrm = frame("z", "w", order=order, weights=(1, 2))
-    zz = Series.variable(zwfrm, "z")
-    ww = Series.variable(zwfrm, "w")
+    zz, ww = (Series.variable(zwfrm, v) for v in zwfrm.vars)
     Gw = G.substitute({"w": ww})
     qt_z0 = qtilde.substitute({
         "z": zz, "chi": Series.zero(zwfrm), "tau": ww - Gw.scale(IMAG),
@@ -223,10 +214,7 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
 
     # step 3: solve  y + i g(z, y) = Qtilde(z, chi, tau - i gbar(chi, tau))
     qfrm = frame("z", "chi", "tau", "y", order=order, weights=(1, 1, 2, 2))
-    zq = Series.variable(qfrm, "z")
-    cq = Series.variable(qfrm, "chi")
-    tq = Series.variable(qfrm, "tau")
-    yq = Series.variable(qfrm, "y")
+    zq, cq, tq, yq = (Series.variable(qfrm, v) for v in qfrm.vars)
     gbar = g.conj()  # gbar(chi, tau) = conj coefficients, args renamed below
     gbar_ct = gbar.substitute({"z": cq, "w": tq})
     g_zy = g.substitute({"z": zq, "w": yq})
@@ -269,20 +257,11 @@ class Target:
             raise ValueError("target defining function must vanish at 0")
         if self.rho.conj(rename=self.swap) != self.rho:
             raise ValueError("target defining function is not real")
-        # linear part must be (w1 - bw1)/2i
-        nvars = len(self.frame.vars)
-        mihalf = Scalar(0, 0, -1, 0) / 2
-        for i, v in enumerate(self.frame.vars):
-            exp = tuple(1 if k == i else 0 for k in range(nvars))
-            c = self.rho.coefficient(exp)
-            if v == "w1":
-                want = mihalf
-            elif v == "bw1":
-                want = -mihalf
-            else:
-                want = Scalar(0)
-            if c != want:
-                raise ValueError("target linear part must be (w1 - bw1)/2i")
+        ihalf = Scalar(0, 0, 1, 0) / 2
+        linear = {self.frame.vars[e.index(1)]: c
+                  for e, c in self.rho.coeffs.items() if sum(e) == 1}
+        if linear != {"w1": -ihalf, "bw1": ihalf}:
+            raise ValueError("target linear part must be (w1 - bw1)/2i")
 
     # -- derived data --------------------------------------------------
 

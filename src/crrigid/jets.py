@@ -11,18 +11,20 @@ Unknown tags used in this package:
 A solve works over the real coordinates of an ordered list of jet tags:
 column 2k holds Re, column 2k+1 holds Im of tag k.  Only this module
 turns a tag index into a real column or back, and :func:`harvest_kernel`
-is the one elimination both solvers read their kernel from.
+is the one elimination both solvers read their kernel from; it takes the
+real rows of :func:`realify_row`, which reads each complex row through
+:func:`crrigid.linalg.integer_row` and stays in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-from crrigid.linalg import Eliminator, Row, rref
-from crrigid.scalars import ZERO, Scalar, I as IMAG, reduced
+from crrigid.linalg import Eliminator, IntRow, Row, integer_row, \
+    numerators, rref
+from crrigid.scalars import ZERO, Scalar, I as IMAG
 from crrigid.series import Series
 
 #: A complex-linear row over jet tags, {tag: Scalar}.
@@ -89,19 +91,20 @@ def coordinate(vec: Row, k: int) -> Scalar:
     return vec.get(2 * k, ZERO) + vec.get(2 * k + 1, ZERO) * IMAG
 
 
-def realify_row(row: LinRow, col: Dict[Hashable, int]) -> List[Row]:
+def realify_row(row: LinRow, col: Dict[Hashable, int]) -> List[IntRow]:
     """Split a complex-linear row in (Lambda, conj Lambda) into real-linear
-    rows over (Re Lambda, Im Lambda).
+    rows over (Re Lambda, Im Lambda), as integer rows for
+    :meth:`~crrigid.linalg.Eliminator.add_row`.
 
     ``col`` numbers the unbarred unknown tags.  The row contributes its
-    nonzero real and imaginary parts, at most two real rows.
+    nonzero real and imaginary parts, at most two real rows, each up to
+    one positive factor: ints when no part has a sqrt(2) term, else
+    tuples (x, y, 0, 0).
     """
-    # each part as numerators (x, y) of (x + y sqrt(2)) / d, d the lcm of nd
-    d = lcm(*[v.nd for v in row.values()])
+    # each part as numerators (x, y) of x + y sqrt(2) over one denominator
     parts: List[Dict[int, Tuple[int, int]]] = [{}, {}]    # Re, Im
-    for key, v in row.items():
-        m = d // v.nd
-        a, b, c, e = v.na * m, v.nb * m, v.nc * m, v.ne * m
+    for key, v in integer_row(row).items():
+        a, b, c, e = numerators(v)
         # v = A + i C; with Lam = x + i y, v Lam = (A x - C y) + i (C x + A y)
         # and v conj Lam = (A x + C y) + i (C x - A y)
         k, s = (col[key], 1) if key[0] == "jet" else (col[bar_key(key)], -1)
@@ -111,8 +114,10 @@ def realify_row(row: LinRow, col: Dict[Hashable, int]) -> List[Row]:
             if p or q:
                 x, y = parts[part].get(cidx, (0, 0))
                 parts[part][cidx] = (x + p, y + q)
-    return [r for r in ({c: reduced(x, y, 0, 0, d) for c, (x, y)
-                         in part.items() if x or y} for part in parts) if r]
+    sqrt2 = any(y for part in parts for _, y in part.values())
+    return [r for r in ({c: (x, y, 0, 0) if sqrt2 else x
+                         for c, (x, y) in part.items() if x or y}
+                        for part in parts) if r]
 
 
 def field_row(V: Sequence[Series], keys: Sequence[Hashable] = JET4) -> Row:

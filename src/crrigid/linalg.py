@@ -1,17 +1,20 @@
 """Exact linear algebra over Q(i, sqrt(2)) (and its real subfield).
 
-Rows in and out are sparse dicts {column index: Scalar}; zero entries in
-are ignored.  The :class:`Eliminator` keeps a fully reduced (Gauss-Jordan)
-row set with pivots chosen at the smallest column index, which makes
-ranks, kernels and the canonical form of a solution space deterministic
-once a column order is fixed.
+Rows in and out of :func:`rank_of`, :func:`rref` and :func:`in_span` are
+sparse dicts {column index: Scalar}; zero entries in are ignored.  The
+:class:`Eliminator` keeps a fully reduced (Gauss-Jordan) row set with
+pivots chosen at the smallest column index, which makes ranks, kernels
+and the canonical form of a solution space deterministic once a column
+order is fixed.
 
-Inside, a row is homogeneous and kept as a primitive integer row:
-{column: int} if rational, else {column: (a, b, c, e)} for (a + b sqrt(2))
-+ i (c + e sqrt(2)).  A pivot row p is scaled by the norm conjugate of its
-pivot, a positive int P then, and a row r is reduced fraction-free
-(Bareiss, Math. Comp. 22, 1968), r <- (P r - f p) / gcd(P, f), with one
-content gcd per changed row.  Scalars are formed on output: p / P.
+:meth:`Eliminator.add_row` takes a homogeneous integer row with no zero
+entry: {column: int} if rational, else {column: (a, b, c, e)} for
+(a + b sqrt(2)) + i (c + e sqrt(2)).  :func:`integer_row` is the one
+conversion of a Scalar row to that form.  Stored rows are primitive.  A
+pivot row p is scaled by the norm conjugate of its pivot, a positive int
+P then, and a row r is reduced fraction-free (Bareiss, Math. Comp. 22,
+1968), r <- (P r - f p) / gcd(P, f), with one content gcd per changed
+row.  Scalars are formed on output: p / P.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ R = TypeVar("R")    # a ring element: a Scalar or a Series
 IntRow = Dict[int, Union[int, Tuple[int, int, int, int]]]
 
 
-def _parts(v) -> Tuple[int, int, int, int]:
+def numerators(v) -> Tuple[int, int, int, int]:
     """An entry of an integer row as its numerators (a, b, c, e)."""
     return v if type(v) is tuple else (v, 0, 0, 0)
 
@@ -42,7 +45,7 @@ def _mul(x: Tuple[int, ...], y: Tuple[int, ...]) -> Tuple[int, ...]:
             a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2)
 
 
-def _integer_row(row: Row) -> IntRow:
+def integer_row(row: Row) -> IntRow:
     """The nonzero entries of ``row`` over their common denominator."""
     d = lcm(*[v.nd for v in row.values()])   # zero has denominator 1
     if not any(v.nb or v.nc or v.ne for v in row.values()):
@@ -90,13 +93,13 @@ def _eliminate(row: IntRow, prow: IntRow, lead: int) -> IntRow:
             else:
                 del row[c]
         return row
-    f, P = _parts(f), _parts(P)[0]
+    f, P = numerators(f), numerators(P)[0]
     g = gcd(P, *f)
     m, k = P // g, tuple(n // g for n in f)
     row = {c: (m * a, m * b, m * x, m * e)
-           for c, (a, b, x, e) in zip(row, map(_parts, row.values()))}
+           for c, (a, b, x, e) in zip(row, map(numerators, row.values()))}
     for c, v in prow.items():
-        t = _mul(k, _parts(v))
+        t = _mul(k, numerators(v))
         a, b, x, e = row.get(c, (0, 0, 0, 0))
         s = (a - t[0], b - t[1], x - t[2], e - t[3])
         if s[0] or s[1] or s[2] or s[3]:
@@ -126,9 +129,10 @@ class Eliminator:
             row = _eliminate(row, rows[c], c)
         return row
 
-    def add_row(self, row: Row) -> bool:
-        """Insert a row; returns True if it increased the rank."""
-        new = self._reduce(_integer_row(row))
+    def add_row(self, row: IntRow) -> bool:
+        """Insert an integer row, which may be changed in place; returns
+        True if it increased the rank."""
+        new = self._reduce(row)
         if not new:
             return False
         lead = min(new)
@@ -151,17 +155,17 @@ class Eliminator:
         rows = self._rows
         basis = {f: {f: Scalar(1)} for f in range(self.ncols) if f not in rows}
         for p, prow in rows.items():
-            d = -_parts(prow[p])[0]
+            d = -numerators(prow[p])[0]
             for c, v in prow.items():
                 if c != p:
-                    basis[c][p] = reduced(*_parts(v), d)
+                    basis[c][p] = reduced(*numerators(v), d)
         return list(basis.values())
 
 
 def _eliminated(rows: Iterable[Row], ncols: int) -> Eliminator:
     elim = Eliminator(ncols)
     for r in rows:
-        elim.add_row(r)
+        elim.add_row(integer_row(r))
     return elim
 
 
@@ -171,13 +175,13 @@ def rank_of(rows: Iterable[Row], ncols: int) -> int:
 
 def rref(vectors: List[Row], ncols: int) -> List[Row]:
     """Canonical reduced row form of a list of vectors (for span comparison)."""
-    return [{c: reduced(*_parts(v), _parts(prow[p])[0])
+    return [{c: reduced(*numerators(v), numerators(prow[p])[0])
              for c, v in sorted(prow.items())}
             for p, prow in sorted(_eliminated(vectors, ncols)._rows.items())]
 
 
 def in_span(vec: Row, basis: List[Row], ncols: int) -> bool:
-    return not _eliminated(basis, ncols)._reduce(_integer_row(vec))
+    return not _eliminated(basis, ncols)._reduce(integer_row(vec))
 
 
 def det3(m: List[List[R]]) -> R:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame
 from crrigid.geometry import Source, Target, target_vars
-from crrigid.linalg import Eliminator, det3, rank_of
+from crrigid.linalg import Eliminator, det3, integer_row, rank_of
 
 # frames --------------------------------------------------------------
 
@@ -134,7 +134,8 @@ def nondegeneracy(H: MapGerm, source: Source, target: Target
     dims = []
     k0 = None
     for k, row in enumerate(rows):
-        elim.add_row({j: s.constant_term() for j, s in enumerate(row)})
+        elim.add_row(integer_row({j: s.constant_term()
+                                  for j, s in enumerate(row)}))
         dims.append(elim.rank)
         if k0 is None and elim.rank == n:
             k0 = k

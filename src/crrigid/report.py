@@ -13,7 +13,7 @@ from typing import Dict, Hashable, List, Sequence
 
 from crrigid.jets import column_label
 from crrigid.linalg import Row
-from crrigid.maps import nondegeneracy, transversality
+from crrigid.maps import NondegeneracyCheck, transversality
 from crrigid.parser import ProblemSpec
 from crrigid.series import Series
 from crrigid.spaces import FREE_SLOTS, GenericityCertificate, \
@@ -27,10 +27,10 @@ def basis_doc(kernel: List[Row], jet_keys: Sequence[Hashable]
             for vec in kernel]
 
 
-def check_doc(spec: ProblemSpec) -> Dict:
-    """The check report of a problem with a map."""
-    H, src, tgt = spec.H, spec.source, spec.target
-    nd = nondegeneracy(H, src, tgt)
+def check_doc(spec: ProblemSpec, nd: NondegeneracyCheck) -> Dict:
+    """The check report of a problem with a map, whose nondegeneracy at 0
+    is ``nd``."""
+    H, tgt = spec.H, spec.target
     return {
         "command": "check",
         "target_levi_signature": list(tgt.levi_signature()),
@@ -78,12 +78,16 @@ def with_map_change(doc: Dict, spec: ProblemSpec) -> Dict:
     return doc
 
 
+def dims_doc(dims: Dict[Hashable, int]) -> Dict[str, int]:
+    """Dimensions by truncation or harvest order, sorted by order."""
+    return {str(k): v for k, v in sorted(dims.items())}
+
+
 def deform_doc(sol, oracle=None) -> Dict:
     doc: Dict = {"command": "deform"}
     doc["dimension"] = sol.dim
     doc["stabilized"] = sol.stabilized
-    doc["dims_by_order"] = {str(k): v for k, v in sorted(sol.dims.items(),
-                                                        key=lambda kv: str(kv[0]))}
+    doc["dims_by_order"] = dims_doc(sol.dims)
     doc["basis"] = basis_doc(sol.kernel_real, sol.jet_keys)
     if oracle is not None:
         doc["oracle_dimension"] = oracle.dim
@@ -122,7 +126,7 @@ def automorphisms_doc(aut) -> Dict:
         "command": "automorphisms",
         "dimension": aut.dim,
         "stabilized": aut.stabilized,
-        "dims_by_order": {str(k): v for k, v in sorted(aut.dims.items())},
+        "dims_by_order": dims_doc(aut.dims),
     }
 
 

@@ -80,18 +80,7 @@ class Scalar:
         return reduced(-self.na, -self.nb, -self.nc, -self.ne, self.nd)
 
     def __sub__(self, other) -> "Scalar":
-        if type(other) is not Scalar:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        d1, d2 = self.nd, other.nd
-        if d1 == d2:
-            return reduced(self.na - other.na, self.nb - other.nb,
-                           self.nc - other.nc, self.ne - other.ne, d1)
-        return reduced(self.na * d2 - other.na * d1,
-                       self.nb * d2 - other.nb * d1,
-                       self.nc * d2 - other.nc * d1,
-                       self.ne * d2 - other.ne * d1, d1 * d2)
+        return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
         return (-self) + other

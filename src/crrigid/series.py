@@ -222,29 +222,12 @@ class Series:
         return Series(self.frame, out)
 
     def conj(self, rename: Optional[Mapping[str, str]] = None) -> "Series":
-        """Conjugate coefficients; optionally rename variables.
-
-        The rename map must be a bijection on the variable set (e.g.
-        z <-> chi, w <-> tau); the frame keeps its variable order, so the
-        exponent tuples are permuted accordingly.
-        """
-        frm = self.frame
-        if not rename:
-            return Series(frm, {e: c.conjugate() for e, c in self.coeffs.items()})
-        new_names = [rename.get(v, v) for v in frm.vars]
-        if sorted(new_names) != sorted(frm.vars):
-            raise ValueError("rename must permute the variable set")
-        perm = [new_names.index(v) for v in frm.vars]
-        # position j of the new exponent tuple (variable frm.vars[j]) takes the
-        # exponent of the source variable that renames to frm.vars[j].
-        for j, p in enumerate(perm):
-            if frm.weights[j] != frm.weights[p] or frm.caps[j] != frm.caps[p]:
-                raise ValueError("rename must respect weights and caps")
-        out: Dict[Exponent, Scalar] = {}
-        for exp, c in self.coeffs.items():
-            nexp = tuple(exp[p] for p in perm)
-            out[nexp] = c.conjugate()
-        return Series(frm, out)
+        """Conjugate coefficients; optionally rename variables as
+        :meth:`project` does, by a swap such as z <-> chi, w <-> tau that
+        keeps the frame's weights."""
+        out = Series(self.frame,
+                     {e: c.conjugate() for e, c in self.coeffs.items()})
+        return out.project(self.frame, rename) if rename else out
 
     # -- substitution -------------------------------------------------
 

@@ -16,8 +16,8 @@ from typing import Hashable, List, Optional, Tuple
 from crrigid.series import Series, power_table, table_monomial
 from crrigid.linalg import Row, rank_of, rref
 from crrigid.geometry import Source, Target
-from crrigid.maps import MapGerm, map_frame, nondegeneracy, \
-    embedding_residual, require_order, transversality
+from crrigid.maps import MapGerm, NondegeneracyCheck, map_frame, \
+    nondegeneracy, embedding_residual, require_order, transversality
 from crrigid.jets import JET4, JET4_ORDER, KernelSolve, bar_key, \
     column_count, coordinate, field_row
 from crrigid.oracle import infinitesimal_automorphisms
@@ -85,10 +85,11 @@ class RigidityReport:
 VALIDATION_ORDER = 10
 
 
-def validate_embedding(H: MapGerm, source: Source, target: Target) -> None:
+def validate_embedding(H: MapGerm, source: Source, target: Target
+                       ) -> NondegeneracyCheck:
     """Raise if H is not a transversal 2-nondegenerate embedding of the
     source germ into the target germ, or if the germs are expanded below
-    :data:`VALIDATION_ORDER`."""
+    :data:`VALIDATION_ORDER`; else return H's nondegeneracy at 0."""
     require_order(VALIDATION_ORDER, H, source, target)
     if not H.is_immersion():
         raise DegenerateMapError("map is not an immersion at 0")
@@ -101,6 +102,7 @@ def validate_embedding(H: MapGerm, source: Source, target: Target) -> None:
     nd = nondegeneracy(H, source, target)
     if not nd.two_nondegenerate:
         raise DegenerateMapError("embedding is not 2-nondegenerate at 0")
+    return nd
 
 
 def decide_rigidity(H: MapGerm, target: Target, sol: KernelSolve,

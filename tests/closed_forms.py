@@ -4,17 +4,20 @@ The isotropy groups of the sphere and of the hyperquadrics (criterion 9),
 the infinitesimal automorphisms of the hyperquadrics (criterion 7), the
 source reparametrization fields of the sphere and their pushforwards
 along an embedding (criterion 6), the tangency residual of an explicit
-field, the cubic example's deformation field, the kernel of a row set,
-and the Scalar Gauss-Jordan elimination that ``crrigid.linalg`` is
-checked against.  The library computes none of these; the tests import
-them from here as they import from ``test_series``.
+field, the cubic example's deformation field, the graph embeddings of
+criterion 10 as problem text, the real parts of a complex-linear row, the
+kernel of a row set, and the Scalar Gauss-Jordan elimination that
+``crrigid.linalg`` is checked against.  The library computes none of
+these; the tests import them from here as they import from
+``test_series``.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from crrigid.geometry import Source, Target, target_vars
-from crrigid.linalg import Eliminator, Row
+from crrigid.jets import bar_key
+from crrigid.linalg import Eliminator, Row, integer_row
 from crrigid.maps import MapGerm, map_frame, pull_back
 from crrigid.scalars import Scalar, I as IMAG, scalar
 from crrigid.series import Frame, Series, frame
@@ -218,12 +221,36 @@ def cubic_deformation(frm: Frame) -> List[Series]:
             Series.zero(frm)]
 
 
+# -- problems as text -------------------------------------------------
+
+def graph_embedding_text(F: str) -> str:
+    """The problem of the embedding (z, F, w) of {Im w = |z|^2 + |F|^2}
+    into the positive hyperquadric in C^3, for F an expression in z, w."""
+    return (f"vars z w; source: imag(w) = z*conj(z) + ({F})*conj({F}); "
+            f"target: hyperquadric +1; map: (z, {F}, w);")
+
+
 # -- linear algebra ---------------------------------------------------
+
+def realified(row: Dict, col: Dict) -> List[Row]:
+    """The real and imaginary parts of a complex-linear row in (Lambda,
+    conj Lambda), in Scalar arithmetic, over the columns (Re, Im) of the
+    tags that ``col`` numbers: with Lambda_k = x_k + i y_k, v Lambda_k
+    = v x_k + i v y_k and v conj Lambda_k = v x_k - i v y_k."""
+    parts: List[Row] = [{}, {}]
+    for key, v in row.items():
+        k = col[bar_key(key)] if key[0] == "jetbar" else col[key]
+        iv = v * IMAG if key[0] == "jet" else -v * IMAG
+        for c, coef in ((2 * k, v), (2 * k + 1, iv)):
+            for part, x in zip(parts, (coef.real_part(), coef.imag_part())):
+                part[c] = part.get(c, Scalar(0)) + x
+    return [{c: x for c, x in part.items() if x} for part in parts]
+
 
 def kernel_of(rows: Sequence[Row], ncols: int) -> List[Row]:
     elim = Eliminator(ncols)
     for r in rows:
-        elim.add_row(r)
+        elim.add_row(integer_row(r))
     return elim.kernel_basis()
 
 

@@ -14,22 +14,24 @@ from fractions import Fraction
 
 import pytest
 
+from crrigid import cli
 from crrigid.corpus import EXPECTATIONS, load_corpus
-from crrigid.geometry import Source, Target, defining_frame, normalize_defining
+from crrigid.geometry import Target
 from crrigid.jets import JET4, column_count, field_row
 from crrigid.linalg import in_span, rank_of, rref
-from crrigid.maps import MapGerm, map_frame, nondegeneracy, transversality
+from crrigid.maps import nondegeneracy, transversality
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
-from crrigid.pipeline import DegenerateMapError, condition_system, \
-    solve_deformation
+from crrigid.parser import parse_problem
+from crrigid.pipeline import DegenerateMapError, solve_deformation
 from crrigid.scalars import Scalar
 from crrigid.series import Series
 from crrigid.spaces import (VERDICT_INCONCLUSIVE, VERDICT_RIGID_TRIVIAL,
-                            VERDICT_RIGID_VANISHING, genericity_certificate)
+                            VERDICT_RIGID_VANISHING)
 
 from closed_forms import (apply_isotropy, cubic_deformation, field_residual,
-                          hyperquadric_hol0_basis, pushforward,
-                          source_hol0_basis, source_isotropy, target_isotropy)
+                          graph_embedding_text, hyperquadric_hol0_basis,
+                          pushforward, source_hol0_basis, source_isotropy,
+                          target_isotropy)
 
 I = Scalar(0, 0, 1)
 NC = column_count(JET4)   # real 4-jet coordinates
@@ -252,51 +254,15 @@ def test_criterion_09_isotropy_invariance(cache):
 def test_criterion_10_genericity_certificates(cache):
     cert = cache.genericity("example-6-1")
     ok = cert.certified and cert.rank == cert.ncols == 74
-    # perturbation -> expected (rank, columns, certified)
-    perturbations = {
-        "z^2 + z^3": ([(3, 0, Scalar(1))], (74, 74, True)),
-        "z^2 - 1/2 z^3": ([(3, 0, Scalar(Fraction(-1, 2)))],
-                          (74, 74, True)),
-        "z^2 + z^3 + 1/2 z^4": ([(3, 0, Scalar(1)),
-                                 (4, 0, Scalar(Fraction(1, 2)))],
-                                (74, 74, True)),
-    }
     logged = []
-    for label, (extra, want) in perturbations.items():
-        order = 24
-        dfrm = defining_frame(order)
-        z = Series.variable(dfrm, "z")
-        chi = Series.variable(dfrm, "chi")
-        w = Series.variable(dfrm, "w")
-        tau = Series.variable(dfrm, "tau")
-        F = z * z
-        Fbar = chi * chi
-        for (m, n, c) in extra:
-            F = F + Series.monomial(dfrm, _exp(dfrm, "z", m, "w", n), c)
-            Fbar = Fbar + Series.monomial(
-                dfrm, _exp(dfrm, "chi", m, "tau", n), c.conjugate())
-        rho = (w - tau).scale(Scalar(0, 0, Fraction(-1, 2))) \
-            - z * chi - F * Fbar
-        src = Source(normalize_defining(rho)[0])
-        mf = map_frame(order)
-        zm, wm = Series.variable(mf, "z"), Series.variable(mf, "w")
-        Fm = zm * zm
-        for (m, n, c) in extra:
-            Fm = Fm + Series.monomial(mf, _exp(mf, "z", m, "w", n), c)
-        H = MapGerm([zm, Fm, wm])
-        tgt = Target.hyperquadric(1, order)
-        pc = genericity_certificate(condition_system(H, src, tgt, 17))
-        ok = ok and (pc.rank, pc.ncols, pc.certified) == want
-        logged.append(f"{label}: rank {pc.rank}/{pc.ncols}"
-                      + ("" if pc.certified else " (not full)")
-                      + f" (want {want[0]}/{want[1]})")
+    # perturbations F of the quadratic graph, each expected at rank 74/74
+    for F in ("z^2 + z^3", "z^2 - z^3/2", "z^2 + z^3 + z^4/2"):
+        spec = parse_problem(graph_embedding_text(F), order=24)
+        doc, _ = cli.answer("genericity", spec, spec.orders())
+        ok = ok and (doc["rank"], doc["columns"], doc["full_rank"]) == \
+            (74, 74, True)
+        logged.append(f"{F}: rank {doc['rank']}/{doc['columns']}"
+                      + ("" if doc["full_rank"] else " (not full)"))
     _line(10, ok, "genericity: full column rank 74 away from the free "
           "slots for the quadratic graph and for three perturbations: "
           + "; ".join(logged))
-
-
-def _exp(frm, v1, m, v2, n):
-    e = [0] * len(frm.vars)
-    e[frm.index(v1)] = m
-    e[frm.index(v2)] = n
-    return tuple(e)

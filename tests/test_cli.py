@@ -140,6 +140,13 @@ def test_rigidity_not_stabilized_exits_1(capsys):
     assert json.loads(out)["stabilized"] is False
 
 
+def test_dims_by_order_sorted_by_order(capsys):
+    # as text, "10" would come before "9"
+    code, out, _ = _run(capsys, "deform", "example-6-1", "--order", "10")
+    assert code == 0
+    assert list(json.loads(out)["dims_by_order"]) == ["9", "10"]
+
+
 def test_degenerate_map_exits_2(capsys):
     code, _, err = _run(capsys, "deform", "example-6-4-t0")
     assert code == 2

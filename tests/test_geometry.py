@@ -53,10 +53,23 @@ def test_hyperquadric_source_is_exact():
 
 
 def test_normal_form_rejects_bad_graph():
+    # a pure-z term breaks Q(z, 0, tau) = tau, a pure-chi term the other
     frm = frame("z", "chi", "tau", order=8, weights=(1, 1, 2))
-    q = Series.variable(frm, "tau") + Series.monomial(frm, (1, 0, 0), Scalar(1))
-    with pytest.raises(ValueError):
-        Source(q)
+    for exp, message in (((1, 0, 0), r"Q\(z, 0, tau\) != tau"),
+                         ((0, 2, 0), r"Q\(0, chi, tau\) != tau")):
+        q = Series.variable(frm, "tau") + Series.monomial(frm, exp, Scalar(1))
+        with pytest.raises(ValueError, match=message):
+            Source(q)
+
+
+def test_normalize_returns_a_change_exactly_for_a_graph_not_normal():
+    frm = defining_frame(ORDER)
+    z, chi = Series.variable(frm, "z"), Series.variable(frm, "chi")
+    assert normalize_defining(_rho_quartic())[1] is None
+    # the real harmonic term z^2 + chi^2 puts a pure-z term in the graph
+    Q, change = normalize_defining(_rho_quartic() - z * z - chi * chi)
+    assert change is not None and not change.is_zero()
+    Source(Q)                           # verifies normal form
 
 
 def test_target_hyperquadric_levi_signature():

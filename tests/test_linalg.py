@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrigid.linalg import Eliminator, adjugate3, det3, in_span, rank_of, rref
+from crrigid.linalg import Eliminator, adjugate3, det3, in_span, \
+    integer_row, rank_of, rref
 from crrigid.scalars import Scalar
 
 from closed_forms import ReferenceEliminator, kernel_of
@@ -86,7 +88,7 @@ def test_incremental_matches_batch(rows):
     el = Eliminator(ncols)
     grew = 0
     for r in rows:
-        if el.add_row(dict(r)):
+        if el.add_row(integer_row(r)):
             grew += 1
     assert el.rank == grew == rank_of(rows, ncols)
 
@@ -176,7 +178,7 @@ def test_eliminator_matches_scalar_gauss_jordan(case):
     new, ref = Eliminator(ncols), ReferenceEliminator(ncols)
     grew = []
     for r in rows:
-        grew.append(new.add_row(dict(r)))
+        grew.append(new.add_row(integer_row(r)))
         assert grew[-1] == ref.add_row(dict(r))
         assert new.rank == ref.rank
         assert new.kernel_basis() == ref.kernel_basis()
@@ -184,6 +186,22 @@ def test_eliminator_matches_scalar_gauss_jordan(case):
     assert rank_of(rows, ncols) == ref.rank == sum(grew)
     for vec in probes:
         assert in_span(vec, rows, ncols) == (not ref.reduce(vec))
+
+
+@given(row_streams())
+@settings(max_examples=40, deadline=None)
+def test_eliminator_rejects_scalar_rows(case):
+    """add_row takes integer rows: a Scalar row raises and leaves the rank
+    as it was, never giving a wrong one."""
+    ncols, rows, _ = case
+    el = Eliminator(ncols)
+    for r in rows:
+        rank = el.rank
+        if r:
+            with pytest.raises(TypeError):
+                el.add_row(dict(r))
+            assert el.rank == rank
+        el.add_row(integer_row(r))
 
 
 def test_det3_adjugate3():

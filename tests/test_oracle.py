@@ -1,12 +1,16 @@
 """Brute-truncation solver: bookkeeping and a small end-to-end check."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from crrigid.jets import column_count, field_row, harvest_kernel, \
     jet_unknowns, projected_kernel, realify_row
 from crrigid.linalg import in_span
 from crrigid.oracle import deformation_residual
 from crrigid.scalars import Scalar
 
-from closed_forms import cubic_deformation
+from closed_forms import cubic_deformation, realified
+from test_linalg import field_elements
 
 I = Scalar(0, 0, 1)
 
@@ -47,6 +51,32 @@ def test_realify_rows_splits_re_im():
             vals.append(acc)
         # lam_1 = i, lam_2 = 1: row value (1+i)i + 2 = 1 + i
         assert vals == [Scalar(1), Scalar(1)]
+
+
+@given(st.sampled_from(["gaussian", "sqrt2", None]).flatmap(
+    lambda shape: st.dictionaries(
+        st.tuples(st.sampled_from(["jet", "jetbar"]), st.integers(0, 2)),
+        field_elements(shape), max_size=6)))
+@settings(max_examples=150, deadline=None)
+def test_realify_row_matches_scalar_parts(entries):
+    """Each real row is its Scalar reference times one positive factor; a
+    row may hold the jet and the jetbar tag of one slot."""
+    col = {("jet", 0, k): k for k in range(3)}
+    row = {(tag, 0, k): v for (tag, k), v in entries.items()}
+    got = realify_row(row, col)
+    want = [r for r in realified(row, col) if r]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert set(g) == set(w) and all(g.values())
+        kinds = {type(v) for v in g.values()}
+        assert kinds in ({int}, {tuple})
+        if kinds == {tuple}:
+            assert all(len(v) == 4 and v[2:] == (0, 0) for v in g.values())
+        g = {c: Scalar(*v[:2]) if kinds == {tuple} else Scalar(v)
+             for c, v in g.items()}
+        factor = g[min(g)] / w[min(w)]
+        assert factor.sign() > 0
+        assert g == {c: v * factor for c, v in w.items()}
 
 
 def test_projected_dim():

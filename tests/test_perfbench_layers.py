@@ -52,3 +52,26 @@ def test_expected_calls_name_layers(perfbench):
     for workload in run.WORKLOADS.values():
         calls = run.expected_calls(workload.command, workload.options)
         assert set(calls) <= layers, set(calls) - layers
+
+
+@pytest.mark.parametrize("workload", ["oracle-nonspherical",
+                                      "rigidity-spherical"])
+def test_traced_answer_meets_expected_calls(perfbench, workload, tmp_path):
+    """One traced answer of the workload's first corpus entry, unsheared,
+    in a child process: right, and with the call counts the benchmark's
+    traced run requires."""
+    from crrigid.corpus import corpus_text
+    _, run = perfbench
+    wl = run.WORKLOADS[workload]
+    entry = wl.slots[0][0]
+    path = tmp_path / f"{entry}.crr"
+    path.write_text(corpus_text(entry), encoding="utf-8")
+    trace = str(tmp_path / "trace.json")
+    got = run.answer_one(entry, str(path),
+                         run.expected_answer(entry, wl.command),
+                         wl.command, wl.options,
+                         run.child_env(os.path.dirname(PERFBENCH)), trace)
+    assert got.failures == []
+    metrics, _ = run.layer_metrics([trace])
+    for name, calls in run.expected_calls(wl.command, wl.options).items():
+        assert metrics[f"{name}.calls"][0] == calls, name

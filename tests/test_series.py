@@ -98,6 +98,16 @@ def test_conjugation_is_an_involution(x):
         assert c == x.coeffs[(k, l)].conjugate()
 
 
+def test_conjugation_renames_on_a_weighted_frame():
+    G = frame("z", "chi", "w", "tau", order=6, weights=(1, 1, 2, 2))
+    x = Series(G, {(2, 0, 1, 0): Scalar(1, 0, 3), (0, 1, 0, 2): Scalar(0, 1),
+                   (1, 0, 0, 1): Scalar(0, 0, 0, 1)})
+    xc = x.conj(rename={"z": "chi", "chi": "z", "w": "tau", "tau": "w"})
+    assert xc.coeffs == {(0, 2, 0, 1): Scalar(1, 0, -3),
+                         (1, 0, 2, 0): Scalar(0, 1),
+                         (0, 1, 1, 0): Scalar(0, 0, 0, -1)}
+
+
 @given(series_elems())
 @settings(max_examples=40, deadline=None)
 def test_invert_unit(x):
