@@ -11,8 +11,10 @@ this script.  The digest is the sha256 of the frames and of the
 (exponent, numerators, denominator) terms of Q, rho, the normal-coordinate
 change g and each map component, in coefficient insertion order, so a
 change that moves the order in which terms are stored (and with it the
-order of elimination rows) changes it too.  Run it on two checkouts and
-compare the lines.  The perfbench modules are imported, never changed.
+order of elimination rows) changes it too.  A frame is hashed by its
+meaning (variables, order, weights and {variable: cap}), not by how it
+stores its caps.  Run it on two checkouts and compare the lines.  The
+perfbench modules are imported, never changed.
 """
 
 import hashlib
@@ -31,11 +33,22 @@ SEEDS = range(1, 9)
 ORDERS = (12, 24)
 
 
+def frame_meaning(frm) -> tuple:
+    """(vars, order, weights, {variable: cap}) of a frame whose caps are
+    (index, cap) pairs, or, in older checkouts, one cap per variable with
+    -1 for none."""
+    pairs = frm.caps if all(isinstance(c, tuple) for c in frm.caps) \
+        else [(i, c) for i, c in enumerate(frm.caps) if c != -1]
+    return (frm.vars, frm.order, frm.weights,
+            sorted((frm.vars[i], c) for i, c in pairs))
+
+
 def terms(s) -> str:
     if s is None:
         return "None"
-    return repr((s.frame, [(e, c.na, c.nb, c.nc, c.ne, c.nd)
-                           for e, c in s.coeffs.items()]))
+    return repr((frame_meaning(s.frame),
+                 [(e, c.na, c.nb, c.nc, c.ne, c.nd)
+                  for e, c in s.coeffs.items()]))
 
 
 def main() -> int:

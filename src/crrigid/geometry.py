@@ -23,9 +23,20 @@ from crrigid.series import Frame, Series, frame, solve_implicit
 
 # canonical frames ----------------------------------------------------
 
-def source_frame(order: int) -> Frame:
-    """Frame for Q(z, chi, tau) with the CR weights (1, 1, 2)."""
-    return frame("z", "chi", "tau", order=order, weights=(1, 1, 2))
+def zct_frame(order: int, zcap: Optional[int] = None) -> Frame:
+    """The (z, chi, tau) chart of the complexified source germ, where
+    w = Q, with the CR weights (1, 1, 2); also the frame of Q itself."""
+    return frame("z", "chi", "tau", order=order, weights=(1, 1, 2),
+                 caps=None if zcap is None else {"z": zcap})
+
+
+def zcw_frame(order: int) -> Frame:
+    """The (z, chi, w) chart of the complexified source germ: tau = Qbar."""
+    return frame("z", "chi", "w", order=order, weights=(1, 1, 2))
+
+
+#: The conjugation z <-> chi, w <-> tau of the source variables.
+SOURCE_SWAP = {"z": "chi", "chi": "z", "w": "tau", "tau": "w"}
 
 
 def defining_frame(order: int) -> Frame:
@@ -69,7 +80,7 @@ class Source:
     @staticmethod
     def hyperquadric(order: int) -> "Source":
         """The sphere germ {Im w = |z|^2}, i.e. Q = tau + 2 i z chi."""
-        frm = source_frame(order)
+        frm = zct_frame(order)
         Q = Series.variable(frm, "tau") \
             + Series.monomial(frm, (1, 1, 0), IMAG * 2)
         return Source(Q)
@@ -81,51 +92,30 @@ class Source:
         if defect:
             raise ValueError(f"normal form violated: {defect}")
         # reality: Q(z, chi, Qbar(chi, z, w)) = w, checked in the
-        # (z, chi, w) parametrization.
-        wfrm = self.zcw_frame(self.order)
-        qbar = self.tau_on_zcw(wfrm)
-        q = self.Q.substitute({
-            "z": Series.variable(wfrm, "z"),
-            "chi": Series.variable(wfrm, "chi"),
-            "tau": qbar,
-        })
-        if q != Series.variable(wfrm, "w"):
+        # (z, chi, w) chart.
+        holo, anti = self.chart(zcw_frame(self.order))
+        q = self.Q.substitute({"z": holo["z"], "chi": anti["z"],
+                               "tau": anti["w"]})
+        if q != holo["w"]:
             raise ValueError("normal form violated: reality identity fails")
 
     # -- parametrizations of the complexified germ --------------------
-
-    def zcw_frame(self, order: int) -> Frame:
-        return frame("z", "chi", "w", order=order, weights=(1, 1, 2))
-
-    def zct_frame(self, order: int, zcap: Optional[int] = None) -> Frame:
-        caps = {"z": zcap} if zcap is not None else None
-        return frame("z", "chi", "tau", order=order, weights=(1, 1, 2), caps=caps)
-
-    def w_on_zct(self, frm: Frame) -> Series:
-        """w = Q(z, chi, tau) in a (z, chi, tau) frame (possibly capped)."""
-        return self.Q.substitute({v: Series.variable(frm, v)
-                                  for v in ("z", "chi", "tau")})
-
-    def tau_on_zcw(self, frm: Frame) -> Series:
-        """tau = Qbar(chi, z, w) in a (z, chi, w) frame."""
-        qbar = self.Q.conj(rename={"z": "chi", "chi": "z"})
-        z, chi, w = (Series.variable(frm, v) for v in ("z", "chi", "w"))
-        return qbar.substitute({"z": z, "chi": chi, "tau": w})
 
     def chart(self, frm: Frame) -> Tuple[Dict[str, Series], Dict[str, Series]]:
         """(z, w) and their conjugates as series on a chart of the
         complexified germ: ({"z": z, "w": w}, {"z": chi, "w": tau}).
 
         The chart is read from the frame's variables: (z, chi, tau) with
-        w = Q, or (z, chi, w) with tau = Qbar.  A function f(z, w) pulls
-        back as f.substitute(holo), its conjugate as
-        f.conj().substitute(anti).
+        w = Q (a :func:`zct_frame`), or (z, chi, w) with tau = Qbar (a
+        :func:`zcw_frame`).  A function f(z, w) pulls back as
+        f.substitute(holo), its conjugate as f.conj().substitute(anti).
         """
         z, chi = Series.variable(frm, "z"), Series.variable(frm, "chi")
         if "tau" in frm.vars:
-            w, tau = self.w_on_zct(frm), Series.variable(frm, "tau")
+            w, tau = self.Q.project(frm), Series.variable(frm, "tau")
         else:
-            w, tau = Series.variable(frm, "w"), self.tau_on_zcw(frm)
+            w = Series.variable(frm, "w")
+            tau = self.Q.conj().project(frm, SOURCE_SWAP)
         return {"z": z, "w": w}, {"z": chi, "w": tau}
 
     # -- extracted data -----------------------------------------------
@@ -161,7 +151,7 @@ def normal_form_defect(Q: Series) -> Optional[str]:
 
 
 def check_defining_reality(rho: Series) -> None:
-    if rho.conj(rename={"z": "chi", "chi": "z", "w": "tau", "tau": "w"}) != rho:
+    if rho.conj(rename=SOURCE_SWAP) != rho:
         raise ValueError("defining function is not real")
 
 
@@ -183,7 +173,7 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
         raise ValueError("defining function must vanish at 0")
     check_defining_reality(rho)
     order = rho.frame.order
-    sfrm = source_frame(order)
+    sfrm = zct_frame(order)
     qtilde = solve_implicit(rho, "w", ("z", "chi", "tau"), sfrm)
 
     if normal_form_defect(qtilde) is None:
@@ -206,7 +196,7 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
     # step 2: g(z, w) = -i (Qtilde(z, 0, w - i G(w)) - w)
     zwfrm = frame("z", "w", order=order, weights=(1, 2))
     zz, ww = (Series.variable(zwfrm, v) for v in zwfrm.vars)
-    Gw = G.substitute({"w": ww})
+    Gw = G.project(zwfrm)
     qt_z0 = qtilde.substitute({
         "z": zz, "chi": Series.zero(zwfrm), "tau": ww - Gw.scale(IMAG),
     })
@@ -215,9 +205,8 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
     # step 3: solve  y + i g(z, y) = Qtilde(z, chi, tau - i gbar(chi, tau))
     qfrm = frame("z", "chi", "tau", "y", order=order, weights=(1, 1, 2, 2))
     zq, cq, tq, yq = (Series.variable(qfrm, v) for v in qfrm.vars)
-    gbar = g.conj()  # gbar(chi, tau) = conj coefficients, args renamed below
-    gbar_ct = gbar.substitute({"z": cq, "w": tq})
-    g_zy = g.substitute({"z": zq, "w": yq})
+    gbar_ct = g.conj().project(qfrm, SOURCE_SWAP)
+    g_zy = g.project(qfrm, {"w": "y"})
     FQ = yq + g_zy.scale(IMAG) - qtilde.substitute({
         "z": zq, "chi": cq, "tau": tq - gbar_ct.scale(IMAG),
     })
@@ -278,10 +267,9 @@ class Target:
                 [g.conj(rename=self.swap).substitute(bind) for g in grad])
 
     def graph(self, frm: Frame) -> Series:
-        """w1 = W(z', zeta') solving rho = 0, over the given frame whose
-        variables are the target variables except w1."""
-        xvars = tuple(v for v in self.frame.vars if v != "w1")
-        return solve_implicit(self.rho, "w1", xvars, frm)
+        """w1 = W(z', zeta') solving rho = 0, over a frame of
+        :meth:`graph_frame`: the target variables except w1."""
+        return solve_implicit(self.rho, "w1", frm.vars, frm)
 
     def graph_chart(self, frm: Frame) -> Dict[str, Series]:
         """Every target variable as a series on the graph chart

@@ -86,7 +86,7 @@ class LinSeries:
         if frm != other.frame:
             raise ValueError("incompatible frames")
         terms = sorted((frm.wdeg(e), e, c) for e, c in other.coeffs.items())
-        capped = frm.capped()
+        capped = frm.caps
         out: Dict[Exponent, LinRow] = {}
         for ea, row in self.rows.items():
             limit = frm.order - frm.wdeg(ea)

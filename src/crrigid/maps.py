@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame
-from crrigid.geometry import Source, Target, target_vars
+from crrigid.geometry import Source, Target, target_vars, zct_frame, \
+    zcw_frame
 from crrigid.linalg import Eliminator, det3, integer_row, rank_of
 
 # frames --------------------------------------------------------------
@@ -100,7 +101,7 @@ def embedding_residual(H: MapGerm, source: Source, target: Target,
                        order: int) -> Series:
     """rho'(H, Hbar) restricted to the complexified source germ; zero iff
     H maps M into M' (to the working order)."""
-    chart = source.chart(source.zct_frame(order))
+    chart = source.chart(zct_frame(order))
     return target.rho.substitute(pull_back(H, chart))
 
 
@@ -125,7 +126,7 @@ def nondegeneracy(H: MapGerm, source: Source, target: Target
     on the (z, chi, w) parametrization of the complexified source germ."""
     # only r_j is needed here, so Target.gradient_on (which also forms
     # rbar_j) is not used
-    bind = pull_back(H, source.chart(source.zcw_frame(_ND_ORDER)))
+    bind = pull_back(H, source.chart(zcw_frame(_ND_ORDER)))
     rows = [[g.substitute(bind) for g in target.gradient()]]
     for _ in range(_ND_KMAX):
         rows.append([s.partial("chi") for s in rows[-1]])

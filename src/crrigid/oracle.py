@@ -15,7 +15,7 @@ from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from crrigid.series import Series, power_table, table_monomial
 from crrigid.linseries import LinSeries
-from crrigid.geometry import Source, Target, target_vars
+from crrigid.geometry import Source, Target, target_vars, zct_frame
 from crrigid.maps import MapGerm, pull_back, require_order
 from crrigid.jets import JET4, KernelSolve, bar_key, harvest_kernel, \
     jet_unknowns
@@ -94,7 +94,7 @@ def deformation_residual(H: MapGerm, source: Source, target: Target,
     *weighted* order ``kjet`` (z-degree + 2 w-degree); the residual is
     linear in the jet and its conjugate.
     """
-    frm = source.zct_frame(work_order)
+    frm = zct_frame(work_order)
     holo, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
     keys = jet_unknowns(target.n, (1, 2), kjet, by_weight=True)

@@ -11,9 +11,11 @@ and the map, each by an expression over the declared variables, e.g.::
 Expressions are Python expressions (``^`` read as ``**``) on the
 allow-list of :func:`parse_expression`; the map is a tuple of them.
 Rational map components (denominator nonzero at 0) are expanded into
-truncated series at parse time.  A ``target(2):`` header declares a
-2-dimensional target germ (used for automorphism runs).  ``option`` lines
+truncated series at parse time.  A ``target(n):`` header, n >= 2,
+declares a target germ in C^n (``target(2):`` is used for automorphism
+runs); the map has one component per target coordinate.  ``option`` lines
 set the solver orders of :data:`SOLVER_ORDERS`, e.g. ``option work_order 17;``.
+Each statement, and each option key, may appear once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from crrigid.scalars import SQRT2, Scalar, I as IMAG
 from crrigid.series import Frame, Series
-from crrigid.geometry import Source, Target, defining_frame, \
+from crrigid.geometry import SOURCE_SWAP, Source, Target, defining_frame, \
     normalize_defining, target_frame, target_swap
 from crrigid.maps import MapGerm, map_frame
 
@@ -194,9 +196,6 @@ def parse_expression(text: str, frm: Frame,
 
 # -- problem files ----------------------------------------------------
 
-_SOURCE_SWAP = {"z": "chi", "chi": "z", "w": "tau", "tau": "w"}
-
-
 def _statements(text: str):
     """Split into ;-terminated statements, tracking line numbers."""
     buf: List[str] = []
@@ -226,6 +225,7 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
     """Parse a problem file into germs expanded to the given order."""
     source = target = Hmap = change = None
     options: Dict[str, int] = {}
+    seen: Dict[str, int] = {}           # statement or option key -> line
     for stmt, line in _statements(text):
         m = _HEAD.match(stmt)
         if not m:
@@ -233,10 +233,7 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
                              line)
         kind = m.group(1).lower()
         rest = stmt[m.end():].strip()
-        if kind == "vars":
-            if tuple(rest.split()) != ("z", "w"):
-                raise ParseError("sources live in variables 'z w'", line)
-        elif kind == "option":
+        if kind == "option":
             parts = rest.split()
             if len(parts) != 2:
                 raise ParseError("option takes a name and a value", line)
@@ -244,7 +241,16 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
             if name not in SOLVER_ORDERS:
                 raise ParseError(f"unknown option {name!r}; known: "
                                  f"{', '.join(SOLVER_ORDERS)}", line)
-            options[name] = solver_order(f"option {name}", value, line)
+            kind = f"option {name}"
+        if kind in seen:
+            raise ParseError(f"a second '{kind}' statement; the first is "
+                             f"on line {seen[kind]}", line)
+        seen[kind] = line
+        if kind == "vars":
+            if tuple(rest.split()) != ("z", "w"):
+                raise ParseError("sources live in variables 'z w'", line)
+        elif kind.startswith("option"):
+            options[name] = solver_order(kind, value, line)
         elif kind == "source":
             source, change = _parse_source(rest, order, line)
         elif kind == "target":
@@ -259,6 +265,9 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
                 raise ParseError(str(exc), line)
     if source is None or target is None:
         raise ParseError("a problem file needs 'source:' and 'target:'")
+    if Hmap is not None and len(Hmap) != target.n:
+        raise ParseError(f"the map has {len(Hmap)} components, the target "
+                         f"in C^{target.n} needs {target.n}", seen["map"])
     if Hmap is not None and change is not None:
         # the map in the source's normal coordinates: H(z, w + i g(z, w))
         z, w = (Series.variable(change.frame, v) for v in ("z", "w"))
@@ -283,17 +292,23 @@ def _parse_source(rest: str, order: int, line: int
     if rest.lower() in ("hyperquadric", "hyperquadric +1"):
         return Source.hyperquadric(order), None
     # rho = Im w - (graph) has linear part (w - tau) / 2i
-    rho = _equation(rest, defining_frame(order), _SOURCE_SWAP, line)
+    rho = _equation(rest, defining_frame(order), SOURCE_SWAP, line)
     Q, change = normalize_defining(rho)
     return Source(Q), change
 
 
 def _parse_target(rest: str, n: int, order: int, line: int) -> Target:
+    if n < 2:
+        raise ParseError(f"target({n}): a target lives in C^n with n >= 2",
+                         line)
     low = rest.lower().replace(" ", "")
     if low.startswith("hyperquadric"):
         eps = {"+1": 1, "-1": -1, "1": 1, "": 1}.get(low[len("hyperquadric"):])
         if eps is None:
             raise ParseError("hyperquadric signature must be +1 or -1", line)
+        if eps == -1 and n == 2:
+            raise ParseError("hyperquadric -1 needs a target in C^n with "
+                             "n >= 3", line)
         return Target.hyperquadric(eps, order, n=n)
     return Target(_equation(rest, target_frame(n, order), target_swap(n),
                             line), n)

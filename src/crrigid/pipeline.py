@@ -46,7 +46,7 @@ from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame, reversion
 from crrigid.linseries import LinRow, LinSeries
 from crrigid.linalg import adjugate3, det3
-from crrigid.geometry import Source, Target
+from crrigid.geometry import Source, Target, zct_frame, zcw_frame
 from crrigid.maps import MapGerm, map_frame, pull_back, require_order
 from crrigid.jets import JET4, JET4_ORDER, KernelSolve, harvest_kernel
 
@@ -89,7 +89,7 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
     {(chi, tau) = (x2, 0)} in terms of the (unbarred) 4-jet J of alpha.
     Only d/dz up to order 2 is ever applied, so the chart carries a z-cap.
     """
-    frm = source.zct_frame(order, zcap=2)
+    frm = zct_frame(order, zcap=2)
     holo, _ = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
 
@@ -133,7 +133,7 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
     become the stage-1 D-representations) and Cramer-solves.  Returns the
     jet-linear series phi_l(x1, x2) = alpha_l(x1, Q(x1, x2, 0)).
     """
-    frm = source.zcw_frame(order)
+    frm = zcw_frame(order)
     _, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
     qbar_chi = anti["w"].partial("chi")
@@ -153,11 +153,9 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
         lhs.append([s.partial("chi") for s in lhs[-1]])
         rhs_k.append(dchi(rhs_k[-1]))
 
-    x1 = Series.variable(xfrm, "x1")
-    x2 = Series.variable(xfrm, "x2")
-    q12 = source.Q.substitute({"z": x1, "chi": x2,
-                               "tau": Series.zero(xfrm)})
-    bind = {"z": x1, "chi": x2, "w": q12}
+    bind = {"z": Series.variable(xfrm, "x1"),
+            "chi": Series.variable(xfrm, "x2"),
+            "w": source.Q.project(xfrm, {"z": "x1", "chi": "x2"})}
     sol = _cramer([[s.substitute(bind) for s in row] for row in lhs],
                   [r.substitute(bind) for r in rhs_k], xfrm,
                   "reflection system is singular")
@@ -277,7 +275,7 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
     """Condition (iii): the candidate K re-inserted into the linearized
     equation on the complexified germ, harvested to the given weighted
     order.  Rows involve both the jet and its conjugate."""
-    frm = source.zct_frame(order)
+    frm = zct_frame(order)
     holo, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
     res = LinSeries(frm)
@@ -308,7 +306,7 @@ def condition_system(H: MapGerm, source: Source, target: Target,
     cond = jet_conditions(H, source, target, work_order)
     return ConditionSystem(
         cond, residual_rows(cond, H, source, target, work_order),
-        source.zct_frame(work_order))
+        zct_frame(work_order))
 
 
 def solve_conditions(system: ConditionSystem) -> KernelSolve:

@@ -21,25 +21,19 @@ from crrigid.scalars import ZERO, Scalar, scalar
 
 Exponent = Tuple[int, ...]
 
-NO_CAP = -1
-
 
 @dataclass(frozen=True)
 class Frame:
-    """Variable frame: names, truncation order, weights, caps."""
+    """Variable frame: names, truncation order, weights, and the
+    (index, cap) pairs of the capped variables, sorted by index."""
 
     vars: Tuple[str, ...]
     order: int
-    weights: Tuple[int, ...] = None  # type: ignore[assignment]
-    caps: Tuple[int, ...] = None  # type: ignore[assignment]
+    weights: Tuple[int, ...]
+    caps: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        n = len(self.vars)
-        if self.weights is None:
-            object.__setattr__(self, "weights", (1,) * n)
-        if self.caps is None:
-            object.__setattr__(self, "caps", (NO_CAP,) * n)
-        if len(set(self.vars)) != n:
+        if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names")
 
     def index(self, var: str) -> int:
@@ -49,14 +43,10 @@ class Frame:
         return sum(e * w for e, w in zip(exp, self.weights))
 
     def admits(self, exp: Exponent) -> bool:
-        for e, cap in zip(exp, self.caps):
-            if cap != NO_CAP and e > cap:
+        for i, cap in self.caps:
+            if exp[i] > cap:
                 return False
         return self.wdeg(exp) <= self.order
-
-    def capped(self) -> Tuple[Tuple[int, int], ...]:
-        """(index, cap) of each capped variable."""
-        return tuple((i, c) for i, c in enumerate(self.caps) if c != NO_CAP)
 
     def zero_exp(self) -> Exponent:
         return (0,) * len(self.vars)
@@ -64,11 +54,15 @@ class Frame:
 
 def frame(*vars: str, order: int, weights: Optional[Iterable[int]] = None,
           caps: Optional[Mapping[str, int]] = None) -> Frame:
-    """Convenience constructor for :class:`Frame`."""
-    n = len(vars)
-    w = tuple(weights) if weights is not None else (1,) * n
-    c = tuple((caps or {}).get(v, NO_CAP) for v in vars)
-    return Frame(tuple(vars), order, w, c)
+    """Convenience constructor for :class:`Frame`: weights default to 1,
+    ``caps`` maps variables of the frame to their caps."""
+    caps = caps or {}
+    absent = sorted(set(caps) - set(vars))
+    if absent:
+        raise ValueError(f"caps on variables not in the frame: {absent}")
+    w = tuple(weights) if weights is not None else (1,) * len(vars)
+    return Frame(tuple(vars), order, w,
+                 tuple((i, caps[v]) for i, v in enumerate(vars) if v in caps))
 
 
 class Series:
@@ -174,7 +168,7 @@ class Series:
         if len(a) > len(b):
             a, b = b, a
         order = frm.order
-        capped = frm.capped()
+        capped = frm.caps
         out: Dict[Exponent, Scalar] = {}
         for wa, ea, ca in a:
             limit = order - wa
@@ -371,21 +365,17 @@ def solve_implicit(F: Series, yvar: str, xvars: Tuple[str, ...],
     if Fy.constant_term().is_zero():
         raise ValueError("solve_implicit requires dF/dy(0) != 0")
     g = Series.zero(target)
-    xbind = {v: Series.variable(target, v) for v in xvars}
+    bind = {v: Series.variable(target, v) for v in xvars}
     steps = max(1, math.ceil(math.log2(target.order + 2)) + 2)
-    for _ in range(steps):
-        bind = dict(xbind)
+    # evaluate each iterate once: at most ``steps`` Newton updates
+    for step in range(steps + 1):
         bind[yvar] = g
         val = F.substitute(bind)
         if val.is_zero():
-            break
-        dval = Fy.substitute(bind)
-        g = g - val * dval.invert_unit()
-    bind = dict(xbind)
-    bind[yvar] = g
-    if not F.substitute(bind).is_zero():
-        raise ArithmeticError("implicit solve did not converge")
-    return g
+            return g
+        if step < steps:
+            g = g - val * Fy.substitute(bind).invert_unit()
+    raise ArithmeticError("implicit solve did not converge")
 
 
 def reversion(psihat: Series, zvars: Tuple[str, ...], uvar: str,
@@ -401,10 +391,8 @@ def reversion(psihat: Series, zvars: Tuple[str, ...], uvar: str,
         raise ValueError("reversion requires unit linear coefficient in u")
     # F(z, t, y) = psihat(z, y) - t over vars zvars + (tvar, yvar)
     yvar = "__y"
-    work = Frame(tuple(zvars) + (tvar, yvar), psihat.frame.order,
-                 psihat.frame.weights[:len(zvars)]
-                 + (psihat.frame.weights[uidx], psihat.frame.weights[uidx]))
-    bind = {v: Series.variable(work, v) for v in zvars}
-    bind[uvar] = Series.variable(work, yvar)
-    F = psihat.substitute(bind) - Series.variable(work, tvar)
+    w = psihat.frame.weights
+    work = frame(*zvars, tvar, yvar, order=psihat.frame.order,
+                 weights=w[:len(zvars)] + (w[uidx], w[uidx]))
+    F = psihat.project(work, {uvar: yvar}) - Series.variable(work, tvar)
     return solve_implicit(F, yvar, tuple(zvars) + (tvar,), target)

@@ -15,7 +15,7 @@ these; the tests import them from here as they import from
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from crrigid.geometry import Source, Target, target_vars
+from crrigid.geometry import Source, Target, target_vars, zct_frame
 from crrigid.jets import bar_key
 from crrigid.linalg import Eliminator, Row, integer_row
 from crrigid.maps import MapGerm, map_frame, pull_back
@@ -203,7 +203,7 @@ def field_residual(V: Sequence[Series], H: MapGerm, source: Source,
                    target: Target, order: int) -> Series:
     """Re sum_j rho_{Z_j}(H, conj H) V_j on the complexified source germ;
     zero (to the working order) iff V is an infinitesimal deformation."""
-    frm = source.zct_frame(order)
+    frm = zct_frame(order)
     holo, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
     res = Series.zero(frm)

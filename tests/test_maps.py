@@ -70,14 +70,14 @@ def test_jet_row_of_quartic_embedding():
 
 
 def test_source_isotropy_preserves_sphere():
-    from crrigid.geometry import Source, Target
+    from crrigid.geometry import Source, zct_frame
     src = Source.hyperquadric(ORDER)
     sigma = source_isotropy(1, Scalar(1), I, 1 + I, ORDER)
     # check Im(sigma_2) = |sigma_1|^2 on the germ via the 2D residual:
     # embed the sphere in itself through sigma using a rank-2 "target"
     # identity: Q(sigma_1, conj sigma_1, conj sigma_2) = sigma_2
-    frm = src.zct_frame(10)
-    wstar = src.w_on_zct(frm)
+    frm = zct_frame(10)
+    wstar = src.Q.project(frm)
     s1 = sigma[0].substitute({"z": Series.variable(frm, "z"), "w": wstar})
     s2 = sigma[1].substitute({"z": Series.variable(frm, "z"), "w": wstar})
     b1 = sigma[0].conj().substitute({"z": Series.variable(frm, "chi"),

@@ -158,6 +158,56 @@ def test_unknown_option_rejected():
         parse_problem(_PROBLEM + "option work_ordr 5;\n", order=8)
 
 
+@pytest.mark.parametrize("again, kind, first", [
+    ("vars z w", "vars", 1),
+    ("source: imag(w) = z*conj(z) + (z*conj(z))^2", "source", 2),
+    ("target: hyperquadric -1", "target", 3),
+    ("map: (z, z^2, w)", "map", 4),
+], ids=["vars", "source", "target", "map"])
+def test_repeated_statement_rejected(again, kind, first):
+    with pytest.raises(ParseError, match=f"line 5: a second '{kind}' "
+                                         f"statement; the first is on line "
+                                         f"{first}"):
+        parse_problem(_PROBLEM + again + ";\n", order=8)
+
+
+def test_repeated_option_rejected():
+    options = "option aut_order 9;\noption work_order 12;\n"
+    assert parse_problem(_PROBLEM + options, order=8).options == \
+        {"aut_order": 9, "work_order": 12}
+    with pytest.raises(ParseError, match="line 7: a second 'option "
+                                         "aut_order' statement; the first "
+                                         "is on line 5"):
+        parse_problem(_PROBLEM + options + "option aut_order 3;\n", order=8)
+
+
+@pytest.mark.parametrize("body, count", [("(z, w)", 2),
+                                         ("(z, 0*z, 0*z, w)", 4)],
+                         ids=["short", "long"])
+def test_map_length_must_match_the_target(body, count):
+    with pytest.raises(ParseError, match=rf"line 4: the map has {count} "
+                                         r"components, the target in C\^3 "
+                                         r"needs 3"):
+        parse_problem(_PROBLEM.replace("(z, 0*z, w)", body), order=8)
+
+
+@pytest.mark.parametrize("target, message", [
+    ("target(1): hyperquadric +1",
+     r"target\(1\): a target lives in C\^n with n >= 2"),
+    ("target(0): hyperquadric +1",
+     r"target\(0\): a target lives in C\^n with n >= 2"),
+    ("target(2): hyperquadric -1",
+     r"hyperquadric -1 needs a target in C\^n with n >= 3"),
+], ids=["C1", "C0", "C2-signature"])
+def test_target_dimension_and_signature_checked(target, message):
+    text = f"vars z w;\nsource: imag(w) = z*conj(z);\n{target};\n"
+    with pytest.raises(ParseError, match="line 3: " + message):
+        parse_problem(text, order=8)
+    # the signature -1 needs a second z; C^4 has two
+    assert parse_problem(text.replace(target, "target(4): hyperquadric -1"),
+                         order=8).target.n == 4
+
+
 def test_parse_errors_carry_line_numbers():
     text = "vars z w;\nsource: imag(w) = z*conj(z);\ntarget: hyperquadric +1;\nmap: (z, $, w);"
     with pytest.raises(ParseError) as exc:

@@ -1,5 +1,6 @@
 """Truncated weighted power series."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -135,6 +136,50 @@ def test_substitution_composes():
     g = f.substitute({"z": z + w, "w": w.scale(2)})
     expect = (z + w) * (z + w) + w.scale(2)
     assert g == expect
+
+
+@st.composite
+def renamings(draw):
+    """A series on a weighted, maybe capped (a, b, c) frame; a target
+    frame over some of x, y, t in any order, maybe capped; and the
+    weight-keeping rename a, b -> x, y (either way), c -> t."""
+    caps = st.one_of(st.none(), st.integers(min_value=1, max_value=4))
+    src_caps = {v: c for v in "abc" if (c := draw(caps)) is not None}
+    src = frame("a", "b", "c", order=draw(st.integers(3, 7)),
+                weights=(1, 1, 2), caps=src_caps)
+    coeffs = {}
+    for e in filter(src.admits, itertools.product(range(8), range(8),
+                                                   range(4))):
+        c = Scalar(draw(small), 0, draw(small), 0)
+        if not c.is_zero():
+            coeffs[e] = c
+    x, y = draw(st.permutations(["x", "y"]))
+    rename = {"a": x, "b": y, "c": "t"}
+    names = draw(st.permutations(["x", "y", "t"]))
+    names = names[:draw(st.integers(2, 3))]
+    tgt_caps = {v: c for v in names if (c := draw(caps)) is not None}
+    tgt = frame(*names, order=draw(st.integers(2, 7)),
+                weights=[2 if v == "t" else 1 for v in names], caps=tgt_caps)
+    return Series(src, coeffs), tgt, rename
+
+
+@given(renamings())
+@settings(max_examples=60, deadline=None)
+def test_project_is_substitution_by_renamed_variables_or_zero(case):
+    s, tgt, rename = case
+    bind = {v: Series.variable(tgt, u) if u in tgt.vars else Series.zero(tgt)
+            for v, u in rename.items()}
+    assert s.project(tgt, rename) == s.substitute(bind)
+
+
+def test_frames_store_only_their_caps():
+    f = frame("z", "u", "t", order=8, caps={"t": 3, "z": 4})
+    assert f.caps == ((0, 4), (2, 3))
+    assert f == frame("z", "u", "t", order=8, caps={"z": 4, "t": 3})
+    assert frame("z", "u", order=8).caps == ()
+    with pytest.raises(ValueError, match=r"caps on variables not in the "
+                                         r"frame: \['w'\]"):
+        frame("z", "u", order=8, caps={"z": 4, "w": 2})
 
 
 def test_rebase_rejects_inadmissible_exponents():

@@ -3,7 +3,7 @@
 import pytest
 
 from crrigid.corpus import load_corpus
-from crrigid.geometry import Source, Target
+from crrigid.geometry import Source, Target, zct_frame
 from crrigid.maps import MapGerm, map_frame
 from crrigid.jets import field_row, jet_unknowns
 from crrigid.scalars import Scalar
@@ -38,11 +38,11 @@ def test_source_basis_is_tangent_to_the_sphere():
     basis = source_hol0_basis(order=10)
     assert len(basis) == 5
     src = Source.hyperquadric(12)
-    frm = src.zct_frame(10)
+    frm = zct_frame(10)
     zv = Series.variable(frm, "z")
     cv = Series.variable(frm, "chi")
     tv = Series.variable(frm, "tau")
-    wstar = src.w_on_zct(frm)
+    wstar = src.Q.project(frm)
     for X in basis:
         x1 = X[0].substitute({"z": zv, "w": wstar})
         x2 = X[1].substitute({"z": zv, "w": wstar})
