@@ -5,8 +5,6 @@ Unknown tags used in this package:
 * ``("jet", j, e...)``     -- Taylor coefficient of component j at the
   exponent e (z^m w^n for a deformation field)
 * ``("jetbar", j, e...)``  -- its formal complex conjugate
-* ``("dbar", h, j1, j2)``  -- placeholder for a derivative of a conjugated
-  component along the first conjugate Segre set (resolved mid-pipeline)
 
 A solve works over the real coordinates of an ordered list of jet tags:
 column 2k holds Re, column 2k+1 holds Im of tag k.  Only this module
@@ -152,15 +150,14 @@ def projected_kernel(kernel: List[Row], ncols: int) -> List[Row]:
 
 
 def harvest_kernel(lead: List[Hashable], rest: Sequence[Hashable],
-                   base: Iterable[LinRow],
                    harvests: Iterable[Tuple[Hashable, Iterable[LinRow]]]
                    ) -> KernelSolve:
     """The real kernel of complex rows harvested at consecutive orders,
     projected onto the tags ``lead``.
 
     One elimination over the real columns of ``lead + rest`` takes the
-    rows ``base``, then the new rows of each harvest (order, rows), and
-    records the kernel projected onto ``lead`` after each order; the
+    new rows of each harvest (order, rows) and records the kernel
+    projected onto ``lead`` after each order; the
     reduced row form is canonical, so each kernel is that of a fresh
     elimination.  The answer is the last order's, stabilized when every
     order gives one dimension.
@@ -169,15 +166,11 @@ def harvest_kernel(lead: List[Hashable], rest: Sequence[Hashable],
     col = {k: i for i, k in enumerate(keys)}
     elim = Eliminator(column_count(keys))
 
-    def add(rows: Iterable[LinRow]) -> None:
+    dims: Dict[Hashable, int] = {}
+    for order, rows in harvests:
         for row in rows:
             for r in realify_row(row, col):
                 elim.add_row(r)
-
-    add(base)
-    dims: Dict[Hashable, int] = {}
-    for order, rows in harvests:
-        add(rows)
         kernel = projected_kernel(elim.kernel_basis(), column_count(lead))
         dims[order] = len(kernel)
     return KernelSolve(dims, len(kernel), len(set(dims.values())) == 1,

@@ -1,7 +1,7 @@
 """Exact linear algebra over Q(i, sqrt(2)) (and its real subfield).
 
-Rows in and out of :func:`rank_of`, :func:`rref` and :func:`in_span` are
-sparse dicts {column index: Scalar}; zero entries in are ignored.  The
+Rows in and out of :func:`rank_of` and :func:`rref` are sparse dicts
+{column index: Scalar}; zero entries in are ignored.  The
 :class:`Eliminator` keeps a fully reduced (Gauss-Jordan) row set with
 pivots chosen at the smallest column index, which makes ranks, kernels
 and the canonical form of a solution space deterministic once a column
@@ -178,10 +178,6 @@ def rref(vectors: List[Row], ncols: int) -> List[Row]:
     return [{c: reduced(*numerators(v), numerators(prow[p])[0])
              for c, v in sorted(prow.items())}
             for p, prow in sorted(_eliminated(vectors, ncols)._rows.items())]
-
-
-def in_span(vec: Row, basis: List[Row], ncols: int) -> bool:
-    return not _eliminated(basis, ncols)._reduce(integer_row(vec))
 
 
 def det3(m: List[List[R]]) -> R:

@@ -13,10 +13,9 @@ once, whatever the number of unknowns, and forms a module over
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Mapping, Optional
+from typing import Dict, Hashable, Mapping, Optional
 
 from crrigid.jets import LinRow, bar_key
-from crrigid.scalars import Scalar
 from crrigid.series import (Exponent, Frame, Series, power_table, projection,
                             substitution_target, table_monomial)
 
@@ -56,14 +55,6 @@ class LinSeries:
             for exp, c in s.coeffs.items():
                 out.setdefault(exp, {})[tag] = c
         return LinSeries(frm, out)
-
-    def by_tag(self) -> Dict[Hashable, Series]:
-        """The inverse of :meth:`from_tags`: one series per unknown."""
-        coeffs: Dict[Hashable, Dict[Exponent, Scalar]] = {}
-        for exp, row in self.rows.items():
-            for tag, c in row.items():
-                coeffs.setdefault(tag, {})[exp] = c
-        return {tag: Series(self.frame, co) for tag, co in coeffs.items()}
 
     def __add__(self, other: "LinSeries") -> "LinSeries":
         if self.frame != other.frame:
@@ -119,12 +110,6 @@ class LinSeries:
             if t is not None:
                 out[t] = dict(row)
         return LinSeries(target, out)
-
-    def relabel(self, fn: Callable[[Hashable], Hashable]) -> "LinSeries":
-        """Rename the unknowns by an injective map of tags."""
-        return LinSeries(self.frame, {
-            exp: {fn(t): c for t, c in row.items()}
-            for exp, row in self.rows.items()})
 
     def conj(self) -> "LinSeries":
         """Formal conjugate: conjugated coefficients, and each jet tag

@@ -92,9 +92,12 @@ def pull_back(H: MapGerm, chart: Tuple[Dict[str, Series], Dict[str, Series]]
     complexified source germ, as returned by :meth:`Source.chart`:
     z_i, w1 to the components of H and bz_i, bw1 to their conjugates."""
     holo, anti = chart
+    frm = holo["z"].frame
+    # a (z, chi, w) chart binds z and w to themselves
+    hol = [c.project(frm) if "w" in frm.vars else c.substitute(holo)
+           for c in H.components]
     return dict(zip(target_vars(len(H)),
-                    [c.substitute(holo) for c in H.components]
-                    + [c.conj().substitute(anti) for c in H.components]))
+                    hol + [c.conj().substitute(anti) for c in H.components]))
 
 
 def embedding_residual(H: MapGerm, source: Source, target: Target,

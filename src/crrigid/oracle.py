@@ -80,24 +80,24 @@ def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
                         for e in sorted(exps, key=lambda e: (wdeg(e), e)))
 
     # residual_at(keq + 1) is built once the order-keq rows are eliminated
-    return harvest_kernel(proj_keys, rest, [], map(harvest, (keq, keq + 1)))
+    return harvest_kernel(proj_keys, rest, map(harvest, (keq, keq + 1)))
 
 
 # -- deformation oracle -----------------------------------------------
 
 def deformation_residual(H: MapGerm, source: Source, target: Target,
-                         work_order: int, kjet: int) -> LinSeries:
+                         work_order: int) -> LinSeries:
     """The deformation equation residual as a jet-linear series on the
     (z, chi, tau) parametrization of the complexified source germ.
 
     The unknown deformation field alpha is replaced by its formal jet of
-    *weighted* order ``kjet`` (z-degree + 2 w-degree); the residual is
-    linear in the jet and its conjugate.
+    *weighted* order ``work_order`` (z-degree + 2 w-degree); the residual
+    is linear in the jet and its conjugate.
     """
     frm = zct_frame(work_order)
     holo, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
-    keys = jet_unknowns(target.n, (1, 2), kjet, by_weight=True)
+    keys = jet_unknowns(target.n, (1, 2), work_order, by_weight=True)
     return jet_residual(r_on, rb_on, [holo["z"], holo["w"]],
                         [anti["z"], anti["w"]], keys)
 
@@ -109,7 +109,7 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
     the 4-jet.  The germs must be expanded to order keq + 1."""
     require_order(keq + 1, H, source, target)
     return truncated_solve(
-        lambda K: deformation_residual(H, source, target, K, K),
+        lambda K: deformation_residual(H, source, target, K),
         target.n, (1, 2), JET4, keq)
 
 

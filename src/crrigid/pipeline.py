@@ -9,15 +9,15 @@ is solved by parametrizing every candidate solution by its 4-jet Lambda at
 the origin and expressing membership as an explicit system of linear
 conditions on Lambda.  The construction runs in two reflection stages:
 
-1. Differentiating the equation along d/dz in the (z, chi, tau) chart (the
-   anti-CR direction there) and Cramer-solving the resulting 3x3 system
-   expresses the conjugate field alphabar on the first Segre set in terms
-   of the 4-jet ("D-representations").
-2. Differentiating along d/dchi in the (z, chi, w) chart and Cramer-solving
-   expresses alpha on the second Segre set {w = Q(z, chi, 0)} in terms of
-   the 2-jet of alphabar on the first Segre set, i.e. in terms of the
-   D-representations; contracting the two stages yields a jet-linear
-   series phi_l(x1, x2) with alpha_l(x1, Q(x1, x2, 0)) = phi_l(x1, x2).
+1. In the (z, chi, tau) chart alpha is replaced by its 4-jet polynomial.
+   Differentiating the equation along d/dz (the anti-CR direction there)
+   and Cramer-solving the resulting 3x3 system at z = 0 gives the
+   conjugate field alphabar_h(chi, tau) as a jet-linear series.
+2. In the (z, chi, w) chart the stage-1 series is pulled back to
+   alphabar_h(chi, Qbar(chi, z, w)).  Differentiating along d/dchi,
+   evaluating on the second Segre set {w = Q(z, chi, 0)} and
+   Cramer-solving gives a jet-linear series phi_l(x1, x2) with
+   alpha_l(x1, Q(x1, x2, 0)) = phi_l(x1, x2).
 
 Writing Q(z, chi, 0) = B(z) t with B = A_1^2 and inverting the fiber
 coordinate gives Psi_l(z, t) with alpha_l(z, w) = Psi_l(z, w / B(z)).
@@ -81,13 +81,13 @@ def _cramer(M: List[List[Series]], b: List[LinSeries], frm: Frame,
 
 
 def conjugate_reflection(H: MapGerm, source: Source, target: Target,
-                         order: int, xfrm: Frame, J: List[LinSeries]):
-    """Stage 1: D-representations of the conjugate field.
+                         order: int, J: List[LinSeries]) -> List[LinSeries]:
+    """Stage 1: the conjugate field alphabar_h(chi, tau), h = 0..2, as
+    jet-linear series in the (unbarred) 4-jet J of alpha.
 
-    Returns D[h][(j1, j2)] for j1 + j2 <= 2: jet-linear series in x2 that
-    represent (d/dchi)^j1 (d/dtau)^j2 alphabar_h on the first Segre set
-    {(chi, tau) = (x2, 0)} in terms of the (unbarred) 4-jet J of alpha.
-    Only d/dz up to order 2 is ever applied, so the chart carries a z-cap.
+    Differentiates the equation along d/dz, the anti-CR direction of the
+    (z, chi, tau) chart, and Cramer-solves at z = 0.  Only d/dz up to
+    order 2 is ever applied, so the chart carries a z-cap.
     """
     frm = zct_frame(order, zcap=2)
     holo, _ = chart = source.chart(frm)
@@ -102,66 +102,44 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
         lhs.append([s.partial("z") for s in lhs[-1]])
         rhs_k.append(rhs_k[-1].partial("z"))
 
-    ct = frame("chi", "tau", order=order, weights=(1, 2))
-    sol = _cramer([[s.project(ct) for s in row] for row in lhs],
-                  [r.project(ct) for r in rhs_k], ct,
-                  "conjugate reflection system is singular")
-
-    D: List[Dict[Tuple[int, int], LinSeries]] = []
-    for h in range(3):
-        reps: Dict[Tuple[int, int], LinSeries] = {}
-        for j1 in range(3):
-            for j2 in range(3 - j1):
-                d = sol[h]
-                for _ in range(j1):
-                    d = d.partial("chi")
-                for _ in range(j2):
-                    d = d.partial("tau")
-                # restricted to tau = 0, chi renamed x2
-                reps[(j1, j2)] = d.project(xfrm, {"chi": "x2"})
-        D.append(reps)
-    return D
+    # the tau-cap is exact: stage 2 evaluates alphabar at tau = Qbar, which
+    # vanishes on the second Segre set, after at most two d/dchi; a term in
+    # the ideal (tau^3) never reaches phi
+    ct = frame("chi", "tau", order=order, weights=(1, 2), caps={"tau": 2})
+    return _cramer([[s.project(ct) for s in row] for row in lhs],
+                   [r.project(ct) for r in rhs_k], ct,
+                   "conjugate reflection system is singular")
 
 
 def direct_reflection(H: MapGerm, source: Source, target: Target,
-                      order: int, xfrm: Frame, D) -> List[LinSeries]:
+                      order: int, xfrm: Frame, abar: List[LinSeries]
+                      ) -> List[LinSeries]:
     """Stage 2: alpha on the second Segre set.
 
-    Works in the (z, chi, w) chart with formal symbols for the chi/tau
-    derivatives of the conjugate field, applies d/dchi up to twice,
-    evaluates on {z = x1, chi = x2, w = Q(x1, x2, 0)} (where the symbols
-    become the stage-1 D-representations) and Cramer-solves.  Returns the
-    jet-linear series phi_l(x1, x2) = alpha_l(x1, Q(x1, x2, 0)).
+    Works in the (z, chi, w) chart, where the equation reads
+    sum_j r_j alpha_j(z, w) = -sum_h rbar_h alphabar_h(chi, Qbar(chi, z, w))
+    with ``abar`` the stage-1 field; applies d/dchi up to twice, evaluates
+    on {z = x1, chi = x2, w = Q(x1, x2, 0)} and Cramer-solves.  Returns
+    the jet-linear series phi_l(x1, x2) = alpha_l(x1, Q(x1, x2, 0)).
     """
     frm = zcw_frame(order)
     _, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
-    qbar_chi = anti["w"].partial("chi")
-
-    def dchi(ls: LinSeries) -> LinSeries:
-        # chain rule on symbols ("dbar", h, j1, j2) for the chi/tau
-        # derivatives of alphabar_h evaluated at (chi, Qbar(chi, z, w))
-        return (ls.partial("chi")
-                + ls.relabel(lambda k: k[:2] + (k[2] + 1, k[3]))
-                + ls.relabel(lambda k: k[:3] + (k[3] + 1,)) * qbar_chi)
-
-    rhs = LinSeries.from_tags(frm, {("dbar", j, 0, 0): -rb_on[j]
-                                    for j in range(3)})
+    on_chart = {"chi": anti["z"], "tau": anti["w"]}
+    rhs = -sum((abar[h].substitute(on_chart) * rb_on[h] for h in range(3)),
+               LinSeries(frm))
     lhs = [list(r_on)]
     rhs_k = [rhs]
     for _ in range(2):
         lhs.append([s.partial("chi") for s in lhs[-1]])
-        rhs_k.append(dchi(rhs_k[-1]))
+        rhs_k.append(rhs_k[-1].partial("chi"))
 
     bind = {"z": Series.variable(xfrm, "x1"),
             "chi": Series.variable(xfrm, "x2"),
             "w": source.Q.project(xfrm, {"z": "x1", "chi": "x2"})}
-    sol = _cramer([[s.substitute(bind) for s in row] for row in lhs],
-                  [r.substitute(bind) for r in rhs_k], xfrm,
-                  "reflection system is singular")
-    # contract the symbols with the stage-1 representations
-    return [sum((D[h][(j1, j2)] * s for (_, h, j1, j2), s
-                 in acc.by_tag().items()), LinSeries(xfrm)) for acc in sol]
+    return _cramer([[s.substitute(bind) for s in row] for row in lhs],
+                   [r.substitute(bind) for r in rhs_k], xfrm,
+                   "reflection system is singular")
 
 
 # -- fiber coordinate on the second Segre set -------------------------
@@ -230,8 +208,8 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     # K's frame holds the whole 4-jet, also when kphi < JET4_ORDER
     mf = map_frame(max(kphi, JET4_ORDER))
     J = formal_jet(mf)
-    D = conjugate_reflection(H, source, target, kphi + 4, xfrm, J)
-    phi = direct_reflection(H, source, target, kphi + 2, xfrm, D)
+    abar = conjugate_reflection(H, source, target, kphi + 4, J)
+    phi = direct_reflection(H, source, target, kphi + 2, xfrm, abar)
     fiber = segre_fiber(source, kphi)
 
     # Psi_l(z, t) = phi_l(z, A1(z) psi(z, t))
@@ -314,15 +292,18 @@ def solve_conditions(system: ConditionSystem) -> KernelSolve:
 
     The pole and jet rows are complex-linear in the 4-jet; the residual
     rows also involve the conjugate jet.  :func:`harvest_kernel` realifies
-    them over the 84 real 4-jet coordinates and reports the kernel, with
-    stabilization over the residual harvest orders work_order - 1 and
-    work_order.
+    them over the 84 real 4-jet coordinates and reports the kernel after
+    the pole, jet and lower residual rows (order work_order - 1) and again
+    after the residual rows of weighted order work_order, with
+    stabilization over those two orders.
     """
     work_order, wdeg = system.frame.order, system.frame.wdeg
     jet, residuals = system.jet, system.residuals.items()
+    first = [*jet.rows_pole.values(), *jet.rows_jet.values(),
+             *(r for e, r in residuals if wdeg(e) < work_order)]
     return harvest_kernel(
-        JET4, [], [*jet.rows_pole.values(), *jet.rows_jet.values()],
-        [(work_order - 1, [r for e, r in residuals if wdeg(e) < work_order]),
+        JET4, [],
+        [(work_order - 1, first),
          (work_order, [r for e, r in residuals if wdeg(e) == work_order])])
 
 

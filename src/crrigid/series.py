@@ -82,7 +82,7 @@ class Series:
 
     @staticmethod
     def const(frm: Frame, value) -> "Series":
-        v = scalar(value) if not isinstance(value, Scalar) else value
+        v = scalar(value)
         if v.is_zero():
             return Series(frm, {})
         return Series(frm, {frm.zero_exp(): v})
@@ -97,7 +97,7 @@ class Series:
 
     @staticmethod
     def monomial(frm: Frame, exp: Exponent, coeff) -> "Series":
-        v = scalar(coeff) if not isinstance(coeff, Scalar) else coeff
+        v = scalar(coeff)
         if v.is_zero() or not frm.admits(exp):
             return Series(frm, {})
         return Series(frm, {tuple(exp): v})
@@ -149,7 +149,7 @@ class Series:
         return self + (-other)
 
     def scale(self, value) -> "Series":
-        v = scalar(value) if not isinstance(value, Scalar) else value
+        v = scalar(value)
         if v.is_zero():
             return Series(self.frame, {})
         return Series(self.frame, {e: c * v for e, c in self.coeffs.items()})

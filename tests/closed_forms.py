@@ -6,10 +6,10 @@ source reparametrization fields of the sphere and their pushforwards
 along an embedding (criterion 6), the tangency residual of an explicit
 field, the cubic example's deformation field, the graph embeddings of
 criterion 10 as problem text, the real parts of a complex-linear row, the
-kernel of a row set, and the Scalar Gauss-Jordan elimination that
-``crrigid.linalg`` is checked against.  The library computes none of
-these; the tests import them from here as they import from
-``test_series``.
+kernel and the span test of a row set, and the Scalar Gauss-Jordan
+elimination that ``crrigid.linalg`` is checked against.  The library
+computes none of these; the tests import them from here as they import
+from ``test_series``.
 """
 
 from fractions import Fraction
@@ -247,11 +247,19 @@ def realified(row: Dict, col: Dict) -> List[Row]:
     return [{c: x for c, x in part.items() if x} for part in parts]
 
 
-def kernel_of(rows: Sequence[Row], ncols: int) -> List[Row]:
+def eliminated(rows: Sequence[Row], ncols: int) -> Eliminator:
     elim = Eliminator(ncols)
     for r in rows:
         elim.add_row(integer_row(r))
-    return elim.kernel_basis()
+    return elim
+
+
+def kernel_of(rows: Sequence[Row], ncols: int) -> List[Row]:
+    return eliminated(rows, ncols).kernel_basis()
+
+
+def in_span(vec: Row, basis: Sequence[Row], ncols: int) -> bool:
+    return not eliminated(basis, ncols).add_row(integer_row(vec))
 
 
 class ReferenceEliminator:

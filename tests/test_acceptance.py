@@ -18,7 +18,7 @@ from crrigid import cli
 from crrigid.corpus import EXPECTATIONS, load_corpus
 from crrigid.geometry import Target
 from crrigid.jets import JET4, column_count, field_row
-from crrigid.linalg import in_span, rank_of, rref
+from crrigid.linalg import rank_of, rref
 from crrigid.maps import nondegeneracy, transversality
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
 from crrigid.parser import parse_problem
@@ -30,8 +30,8 @@ from crrigid.spaces import (VERDICT_INCONCLUSIVE, VERDICT_RIGID_TRIVIAL,
 
 from closed_forms import (apply_isotropy, cubic_deformation, field_residual,
                           graph_embedding_text, hyperquadric_hol0_basis,
-                          pushforward, source_hol0_basis, source_isotropy,
-                          target_isotropy)
+                          in_span, pushforward, source_hol0_basis,
+                          source_isotropy, target_isotropy)
 
 I = Scalar(0, 0, 1)
 NC = column_count(JET4)   # real 4-jet coordinates

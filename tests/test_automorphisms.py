@@ -2,10 +2,10 @@
 
 from crrigid.geometry import Target
 from crrigid.jets import column_count, field_row
-from crrigid.linalg import in_span, rank_of
+from crrigid.linalg import rank_of
 from crrigid.oracle import infinitesimal_automorphisms
 
-from closed_forms import hyperquadric_hol0_basis
+from closed_forms import hyperquadric_hol0_basis, in_span
 
 
 def test_hyperquadric_dimensions_match_closed_form():

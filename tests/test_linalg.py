@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrigid.linalg import Eliminator, adjugate3, det3, in_span, \
-    integer_row, rank_of, rref
+from crrigid.linalg import Eliminator, adjugate3, det3, integer_row, \
+    rank_of, rref
 from crrigid.scalars import Scalar
 
-from closed_forms import ReferenceEliminator, kernel_of
+from closed_forms import ReferenceEliminator, in_span, kernel_of
 
 I = Scalar(0, 0, 1)
 

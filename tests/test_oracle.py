@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from crrigid.jets import column_count, field_row, harvest_kernel, \
     jet_unknowns, projected_kernel, realify_row
-from crrigid.linalg import in_span
 from crrigid.oracle import deformation_residual
 from crrigid.scalars import Scalar
 
-from closed_forms import cubic_deformation, realified
+from closed_forms import cubic_deformation, in_span, realified
 from test_linalg import field_elements
 
 I = Scalar(0, 0, 1)
@@ -97,10 +96,10 @@ def test_harvest_kernel_on_hand_made_rows():
     one = Scalar(1)
     res = harvest_kernel(
         lead, rest,
-        [{lead[0]: one}],                          # lam_0 = 0
-        [(1, [{rest[0]: one, lead[1]: -one}]),     # lam_rest = lam_1
+        [(1, [{lead[0]: one},                      # lam_0 = 0
+              {rest[0]: one, lead[1]: -one}]),     # lam_rest = lam_1
          (2, [{lead[1]: one, ("jetbar", 0, 0, 1): -one}])])  # Im lam_1 = 0
-    # the base rows count: lam_0 is not free at order 1
+    # lam_0 is not free at order 1
     assert res.dims == {1: 2, 2: 1}
     assert res.dim == 1 and not res.stabilized
     # Re lam_1 = Re lam_rest, projected onto the leading tags
@@ -112,7 +111,7 @@ def test_residual_annihilated_by_known_deformation(cache):
     """The one-dimensional kernel of the cubic example is a genuine
     solution: its jet assignment kills every harvested residual row."""
     spec = cache.spec("example-6-3")
-    residual = deformation_residual(spec.H, spec.source, spec.target, 10, 10)
+    residual = deformation_residual(spec.H, spec.source, spec.target, 10)
     # V = (i z, i z^2 / 3, 0)
     third = Scalar(0, 0, 1) / 3
     assignment = {("jet", 0, 1, 0): I, ("jet", 1, 2, 0): third,

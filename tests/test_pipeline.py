@@ -6,13 +6,16 @@ from math import factorial
 import pytest
 
 from crrigid.corpus import load_corpus
-from crrigid.jets import column_count, field_row
-from crrigid.linalg import in_span, rank_of, rref
+from crrigid.jets import JET4_ORDER, column_count, field_row
+from crrigid.linalg import rank_of, rref
+from crrigid.maps import MapGerm, map_frame
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
-from crrigid.pipeline import segre_fiber, solve_deformation
+from crrigid.pipeline import conjugate_reflection, direct_reflection, \
+    formal_jet, segre_fiber, solve_deformation
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
-from closed_forms import cubic_deformation, kernel_of
+from closed_forms import compose, cubic_deformation, \
+    hyperquadric_hol0_basis, in_span, kernel_of
 from test_series import sqrt_unit
 
 I = Scalar(0, 0, 1)
@@ -125,6 +128,45 @@ def test_published_rows_as_printed_lie_in_pipeline_span(cache):
         if in_span(conv, ours, len(cols)):
             hits += 1
     assert hits == 6
+
+
+def _second_segre_values(spec, work_order, fields):
+    """phi of the two reflection stages, as jet_conditions forms it, with
+    each row contracted with the 4-jet of each field V; and V(x1,
+    Q(x1, x2, 0)) in the same frame, which phi must reproduce."""
+    kphi = work_order + 1
+    xfrm = frame("x1", "x2", order=kphi)
+    J = formal_jet(map_frame(max(kphi, JET4_ORDER)))
+    H, source, target = spec.H, spec.source, spec.target
+    abar = conjugate_reflection(H, source, target, kphi + 4, J)
+    phi = direct_reflection(H, source, target, kphi + 2, xfrm, abar)
+    segre = {"z": Series.variable(xfrm, "x1"),
+             "w": source.Q.project(xfrm, {"z": "x1", "chi": "x2"})}
+    for V in fields:
+        for p, v in zip(phi, V):
+            got = {e: sum((c * V[key[1]].coefficient(key[2:])
+                           for key, c in row.items()), Scalar(0))
+                   for e, row in p.rows.items()}
+            yield Series(xfrm, {e: c for e, c in got.items() if c}), \
+                v.substitute(segre)
+
+
+@pytest.mark.parametrize("entry", ["example-6-3", "example-6-1"])
+def test_reflection_stages_reproduce_known_solutions(cache, entry):
+    """Stages 1 and 2 give alpha on the second Segre set: contracted with
+    the 4-jet of a known solution V, phi is V(x1, Q(x1, x2, 0)).  The
+    solutions are the cubic field of example-6-3 and the ten fields V o H
+    of example-6-1, V an infinitesimal automorphism of the hyperquadric."""
+    spec = cache.spec(entry)
+    if entry == "example-6-3":
+        fields = [cubic_deformation(spec.H.frame)]
+    else:
+        fields = [compose(MapGerm(V), spec.H).components
+                  for V in hyperquadric_hol0_basis(1)]
+    checks = list(_second_segre_values(spec, 17, fields))
+    assert len(checks) == 3 * len(fields)
+    for got, want in checks:
+        assert got == want
 
 
 def test_pipeline_dimension_quartic(cache):
