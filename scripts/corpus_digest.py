@@ -7,9 +7,11 @@ Usage:
 
 Runs ``check`` and ``normal-coords`` on every corpus entry, ``deform``,
 ``deform --oracle``, ``deform --with-oracle``, ``rigidity`` and
-``genericity`` on every corpus entry that has a map, ``automorphisms
-target-6-4`` with ``--aut-order 11`` and without a flag, and
-``selftest``, each in a fresh process on the ``src/`` tree next to this
+``genericity`` on every corpus entry that has a map, ``deform`` at
+``--order`` 9 and 13 (orders where the pipeline stabilizes on a wrong
+dimension for some entries) on every such entry that is not degenerate,
+``automorphisms target-6-4`` with ``--aut-order 11`` and without a flag,
+and ``selftest``, each in a fresh process on the ``src/`` tree next to this
 script.  Each line holds the command, its exit code and the sha256 of
 its stdout.  Run it on two checkouts and diff the outputs: a change that
 keeps every report and exit code prints the same lines.  With
@@ -41,6 +43,10 @@ def commands():
                     ["deform", "--with-oracle"], ["rigidity"],
                     ["genericity"]):
             yield cmd + [entry]
+        if exp.degenerate:
+            continue
+        for order in ("9", "13"):
+            yield ["deform", entry, "--order", order]
     yield ["automorphisms", "target-6-4", "--aut-order", "11"]
     yield ["automorphisms", "target-6-4"]
     yield ["selftest"]

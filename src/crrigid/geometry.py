@@ -118,23 +118,6 @@ class Source:
             tau = self.Q.conj().project(frm, SOURCE_SWAP)
         return {"z": z, "w": w}, {"z": chi, "w": tau}
 
-    # -- extracted data -----------------------------------------------
-
-    def segre_coefficients(self, zfrm: Frame) -> Dict[int, Series]:
-        """A_j(z) with Q(z, chi, 0) = sum_j A_j(z) chi^j, as series in z."""
-        out: Dict[int, Series] = {}
-        iz, ic, it = map(self.frame.index, ("z", "chi", "tau"))
-        for exp, c in self.Q.coeffs.items():
-            if exp[it] != 0:
-                continue
-            j = exp[ic]
-            a = exp[iz]
-            if j == 0:
-                continue
-            mono = Series.monomial(zfrm, (a,), c)
-            out[j] = out.get(j, Series.zero(zfrm)) + mono
-        return out
-
 
 # normalization -------------------------------------------------------
 

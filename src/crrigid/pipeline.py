@@ -19,13 +19,14 @@ conditions on Lambda.  The construction runs in two reflection stages:
    Cramer-solving gives a jet-linear series phi_l(x1, x2) with
    alpha_l(x1, Q(x1, x2, 0)) = phi_l(x1, x2).
 
-Writing Q(z, chi, 0) = B(z) t with B = A_1^2 and inverting the fiber
-coordinate gives Psi_l(z, t) with alpha_l(z, w) = Psi_l(z, w / B(z)).
-Since B vanishes to second order in z, Psi_l(z, w / B(z)) is a priori
-Laurent in z, and the candidate solution exists iff
+Writing phi_l = sum_k alpha_k(x1) q^k with q = Q(x1, x2, 0) and dividing
+by the powers of q one x2-degree at a time (:func:`segre_divide`) recovers
+alpha_l(z, w) = sum_k alpha_k(z) w^k.  Since q is divisible by x1, once
+the lower powers are removed the x2^k part of phi_l must be divisible by
+x1^k, and the candidate solution exists iff
 
-  (i)   all negative z-powers vanish (rows ``pole``); the regular part is
-        the candidate K_l(z, w, Lambda);
+  (i)   the lower x1-powers vanish (rows ``pole``); the quotient is the
+        candidate K_l(z, w, Lambda);
   (ii)  the 4-jet of K agrees with Lambda and K(0) = 0 (rows ``jet``);
   (iii) K solves the original equation (rows ``residual``, which also
         involve the conjugate jet).
@@ -33,7 +34,7 @@ Laurent in z, and the candidate solution exists iff
 The real solution space is the kernel of all rows over the realified 4-jet
 coordinates; its dimension is the quantity of interest.  All rows kept are
 exact: a coefficient of weighted degree m + 2n (or a pole row with
-a + 2 m2) is trusted only up to the working order, and the residual is
+a + 2k) is trusted only up to the working order, and the residual is
 harvested at two consecutive orders to certify stabilization.
 """
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from crrigid.scalars import Scalar
-from crrigid.series import Frame, Series, frame, reversion
+from crrigid.series import Frame, Series, frame
 from crrigid.linseries import LinRow, LinSeries
 from crrigid.linalg import adjugate3, det3
 from crrigid.geometry import Source, Target, zct_frame, zcw_frame
@@ -142,48 +143,54 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
                    "reflection system is singular")
 
 
-# -- fiber coordinate on the second Segre set -------------------------
+# -- division by the Segre map ---------------------------------------
 
 @dataclass
 class SegreFiber:
-    A1: Series      # Q_chi(z, 0, 0), vanishing to first order in z
-    Uinv: Series    # z^2 / A1(z)^2, a unit
-    psi: Series     # fiber inverse: Q(z, A1(z) psi(z, t), 0) = A1(z)^2 t
-    lift: Series    # A1(z) psi(z, t), in the frame of psi
+    qpow: List[Series]   # q^k, q = Q(x1, x2, 0), k = 0..kphi
+    upow: List[Series]   # u1^-k, A1 = x1 u1 the x2-linear part of q
 
 
 def segre_fiber(source: Source, kphi: int) -> SegreFiber:
-    zf = frame("z", order=max(kphi, source.order))
-    A = source.segre_coefficients(zf)
-    A1 = A.get(1, Series.zero(zf))
-    u1 = Series(zf, {(e - 1,): c for (e,), c in A1.coeffs.items() if e >= 1})
+    """The powers of the Segre map q = Q(x1, x2, 0) and of 1/u1, in the
+    frame (x1, x2) of phi, total order ``kphi``."""
+    xfrm = frame("x1", "x2", order=kphi)
+    q = source.Q.project(xfrm, {"z": "x1", "chi": "x2"})
+    u1 = Series(xfrm, {(m - 1, 0): c for (m, n), c in q.coeffs.items()
+                       if n == 1})
     if u1.constant_term().is_zero():
         raise DegenerateMapError("source germ is Levi degenerate")
-    Uinv = (u1 * u1).invert_unit()
+    qpow, upow = [Series.const(xfrm, 1)], [Series.const(xfrm, 1)]
+    uinv = u1.invert_unit()
+    for _ in range(kphi):
+        qpow.append(qpow[-1] * q)
+        upow.append(upow[-1] * uinv)
+    return SegreFiber(qpow, upow)
 
-    pf = frame("z", "u", order=2 * kphi, caps={"z": kphi, "u": kphi})
-    psihat = Series.variable(pf, "u")
-    upow = psihat
-    zk = frame("z", order=kphi)
-    for j in range(2, kphi + 1):
-        upow = upow * Series.variable(pf, "u")
-        Aj = A.get(j)
-        if Aj is None:
-            continue
-        Cj = (Aj * (A1 ** (j - 2))).project(zk)
-        psihat = psihat + upow * Cj.rebase(pf)
-    tf = frame("z", "t", order=2 * kphi, caps={"z": kphi, "t": kphi})
-    psi = reversion(psihat, ("z",), "u", "t", tf)
 
-    # check the defining identity Q(z, A1 psi, 0) = A1^2 t on the kept ball
-    zD = Series.variable(tf, "z")
-    lift = A1.project(zk).rebase(tf) * psi
-    qcheck = source.Q.substitute({"z": zD, "chi": lift,
-                                  "tau": Series.zero(tf)})
-    b_t = (A1 * A1).project(zk).rebase(tf) * Series.variable(tf, "t")
-    if qcheck != b_t:
-        raise ArithmeticError("fiber inversion failed to verify")
-    return SegreFiber(A1, Uinv, psi, lift)
+def segre_divide(phi: LinSeries, fiber: SegreFiber
+                 ) -> Tuple[Dict[tuple, LinRow], Dict[tuple, LinRow]]:
+    """Solve phi(x1, x2) = sum_k alpha_k(x1) q^k for alpha(z, w) =
+    sum_k alpha_k(z) w^k, one power k of x2 at a time.
+
+    The x2^k part of the remainder is alpha_k x1^k u1^k x2^k plus terms
+    x1^m x2^k with m < k, which must vanish: they are the pole rows, keyed
+    (a, k) with a = m - k < 0.  The part is exact for m + k <= kphi, so
+    alpha_k is exact for a + 2k <= kphi; only those rows, keyed (a, k),
+    enter K.  Returns (alpha rows, pole rows).
+    """
+    kphi = phi.frame.order
+    rest, alpha, poles = phi, {}, {}
+    for k, (qk, uk) in enumerate(zip(fiber.qpow, fiber.upow)):
+        part = [(m, row) for (m, n), row in rest.rows.items() if n == k]
+        poles.update({(m - k, k): row for m, row in part if m < k})
+        top = {(m - k, 0): row for m, row in part if m >= k}
+        prod = (LinSeries(phi.frame, top) * uk).rows
+        ak = LinSeries(phi.frame, {e: r for e, r in prod.items()
+                                   if e[0] + 2 * k <= kphi})
+        alpha.update({(a, k): r for (a, _), r in ak.rows.items()})
+        rest = rest - ak * qk
+    return alpha, poles
 
 
 # -- conditions -------------------------------------------------------
@@ -191,7 +198,7 @@ def segre_fiber(source: Source, kphi: int) -> SegreFiber:
 @dataclass
 class JetConditions:
     K: List[LinSeries]                             # candidate solution, (z, w)
-    rows_pole: Dict[Tuple[int, int, int], LinRow]  # (l, a, m2) -> complex row
+    rows_pole: Dict[Tuple[int, int, int], LinRow]  # (l, a, k) -> complex row
     rows_jet: Dict[Tuple[int, int, int], LinRow]   # (l, m, n) -> complex row
 
 
@@ -200,7 +207,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     """Pole and jet conditions of the parametrized candidate solution.
 
     ``work_order`` bounds the trusted weighted degree; internally one more
-    plain degree is carried so that pole rows with a + 2 m2 = work_order + 1
+    plain degree is carried so that pole rows with a + 2 k = work_order + 1
     (which occur already in the quadric model) are available exactly.
     """
     kphi = work_order + 1
@@ -212,39 +219,21 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     phi = direct_reflection(H, source, target, kphi + 2, xfrm, abar)
     fiber = segre_fiber(source, kphi)
 
-    # Psi_l(z, t) = phi_l(z, A1(z) psi(z, t))
-    zt = Series.variable(fiber.psi.frame, "z")
-    Psi = [p.substitute({"x1": zt, "x2": fiber.lift}) for p in phi]
-
-    # t -> w / B(z) stratum by stratum: B^m2 = z^(2 m2) / Uinv^m2
-    zf = frame("z", order=kphi)
-    uipow = [Series.const(zf, 1)]
-    for _ in range(kphi):
-        uipow.append(uipow[-1] * fiber.Uinv.project(zf))
-
     rows_pole: Dict[Tuple[int, int, int], LinRow] = {}
     K: List[LinSeries] = []
     for ell in range(3):
-        # the z-series at each power m2 of t (tf caps z at kphi)
-        strata: Dict[int, Dict[tuple, LinRow]] = {}
-        for (m1, m2), row in Psi[ell].rows.items():
-            strata.setdefault(m2, {})[(m1,)] = row
-        krows: Dict[tuple, LinRow] = {}
-        for m2, zrows in strata.items():
-            prod = LinSeries(zf, zrows) * uipow[m2]
-            for (m1,), row in prod.rows.items():
-                a = m1 - 2 * m2
-                if a < 0:
-                    rows_pole[(ell, a, m2)] = row
-                elif a + 2 * m2 <= kphi:
-                    krows[(a, m2)] = row
-        K.append(LinSeries(mf, krows))
+        alpha, poles = segre_divide(phi[ell], fiber)
+        rows_pole.update({(ell, a, k): row for (a, k), row in poles.items()})
+        K.append(LinSeries(mf, alpha))
 
     diffs = [k - j for k, j in zip(K, J)]
-    # K(0) = 0, and the 4-jet of K is Lambda
+    # K(0) = 0, and the 4-jet of K is Lambda where K is known: K holds no
+    # coefficient of weighted degree beyond kphi, and comparing there
+    # would force Lambda = 0
     slots = [(ell, 0, 0) for ell in range(3)] + [key[1:] for key in JET4]
     rows_jet = {(ell, m, n): diffs[ell].coefficient_row((m, n))
-                for ell, m, n in slots if (m, n) in diffs[ell].support()}
+                for ell, m, n in slots
+                if m + 2 * n <= kphi and (m, n) in diffs[ell].support()}
     return JetConditions(K, rows_pole, rows_jet)
 
 

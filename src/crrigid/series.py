@@ -237,22 +237,11 @@ class Series:
                 out[e] = out[e] + m * c if e in out else m * c
         return Series(target, {e: c for e, c in out.items() if c})
 
-    def rebase(self, target: Frame) -> "Series":
-        """Reinterpret in another frame over (a superset of) the variables.
-
-        Raises unless the target holds every term of this series.
-        """
-        out = self.project(target)
-        if len(out.coeffs) != len(self.coeffs):
-            raise ValueError("series has terms the target frame does not "
-                             "admit")
-        return out
-
     def project(self, target: Frame,
                 rename: Optional[Mapping[str, str]] = None) -> "Series":
-        """Like :meth:`rebase`, but drops the terms the target cannot hold:
-        those in a variable it lacks (restricting to {var = 0}) and those
-        its truncation does not admit."""
+        """Reinterpret in another frame, dropping the terms the target
+        cannot hold: those in a variable it lacks (restricting to
+        {var = 0}) and those its truncation does not admit."""
         move = projection(self.frame, target, rename)
         out: Dict[Exponent, Scalar] = {}
         for exp, c in self.coeffs.items():
@@ -378,21 +367,22 @@ def solve_implicit(F: Series, yvar: str, xvars: Tuple[str, ...],
     raise ArithmeticError("implicit solve did not converge")
 
 
-def reversion(psihat: Series, zvars: Tuple[str, ...], uvar: str,
+def reversion(f: Series, zvars: Tuple[str, ...], uvar: str,
               tvar: str, target: Frame) -> Series:
-    """Invert psihat(z, u) = u + O(u^2 and z u) in u.
+    """Invert f(z, u) = u + O(u^2 and z u) in u.
 
-    Returns psi over ``zvars + (tvar,)`` with psihat(z, psi(z, t)) = t.
-    The coefficient of u in psihat at z = 0 must be 1.
+    Returns g over ``zvars + (tvar,)`` with f(z, g(z, t)) = t.
+    The coefficient of u in f at z = 0 must be 1.  No solver calls it;
+    it stays because perfbench's layer table names it.
     """
-    uidx = psihat.frame.index(uvar)
-    uexp = tuple(1 if i == uidx else 0 for i in range(len(psihat.frame.vars)))
-    if psihat.coefficient(uexp) != Scalar(1):
+    uidx = f.frame.index(uvar)
+    uexp = tuple(1 if i == uidx else 0 for i in range(len(f.frame.vars)))
+    if f.coefficient(uexp) != Scalar(1):
         raise ValueError("reversion requires unit linear coefficient in u")
-    # F(z, t, y) = psihat(z, y) - t over vars zvars + (tvar, yvar)
+    # F(z, t, y) = f(z, y) - t over vars zvars + (tvar, yvar)
     yvar = "__y"
-    w = psihat.frame.weights
-    work = frame(*zvars, tvar, yvar, order=psihat.frame.order,
+    w = f.frame.weights
+    work = frame(*zvars, tvar, yvar, order=f.frame.order,
                  weights=w[:len(zvars)] + (w[uidx], w[uidx]))
-    F = psihat.project(work, {uvar: yvar}) - Series.variable(work, tvar)
+    F = f.project(work, {uvar: yvar}) - Series.variable(work, tvar)
     return solve_implicit(F, yvar, tuple(zvars) + (tvar,), target)

@@ -189,7 +189,8 @@ def source_hol0_basis(order: int = 8) -> List[List[Series]]:
 def pushforward(H: MapGerm, X: Sequence[Series]) -> List[Series]:
     """The field dH(X) along H, for X a field in the source variables."""
     mf = H.frame
-    Xs = [x.rebase(mf) for x in X]
+    Xs = [x.project(mf) for x in X]
+    assert all(len(p.coeffs) == len(x.coeffs) for p, x in zip(Xs, X))
     out = []
     for comp in H.components:
         s = Series.zero(mf)

@@ -57,8 +57,10 @@ def test_criterion_02_fiber_and_published_rows(cache):
     import test_pipeline as tp
     spec = cache.spec("example-6-1")
     fiber = segre_fiber(spec.source, 12)
-    a1_ok = fiber.A1 == Series.monomial(fiber.A1.frame, (1,), 2 * I)
-    # closed form of the inverted fiber (checked exactly in test_pipeline)
+    # the x2-linear part of the Segre map q = Q(x1, x2, 0)
+    a1_ok = {e: c for e, c in fiber.qpow[1].coeffs.items()
+             if e[1] == 1} == {(1, 1): 2 * I}
+    # closed form of the Segre division (checked exactly in test_pipeline)
     tp.test_fiber_closed_form_of_quartic_source(cache)
     tp.test_first_pole_conditions_match_published_rows(cache)
     _line(2, a1_ok, "quartic example: first Segre coefficient 2 i z, "

@@ -1,17 +1,19 @@
 """Jet-parametrization solver: fiber data, published rows, dimensions."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from crrigid.corpus import load_corpus
+from crrigid.corpus import EXPECTATIONS, load_corpus
 from crrigid.jets import JET4_ORDER, column_count, field_row
 from crrigid.linalg import rank_of, rref
+from crrigid.linseries import LinSeries
 from crrigid.maps import MapGerm, map_frame
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
 from crrigid.pipeline import conjugate_reflection, direct_reflection, \
-    formal_jet, segre_fiber, solve_deformation
+    formal_jet, segre_divide, segre_fiber, solve_deformation
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
 from closed_forms import compose, cubic_deformation, \
@@ -24,30 +26,51 @@ I = Scalar(0, 0, 1)
 def test_fiber_of_quartic_source(cache):
     spec = cache.spec("example-6-1")
     fiber = segre_fiber(spec.source, 12)
-    zf = fiber.A1.frame
-    assert fiber.A1 == Series.monomial(zf, (1,), 2 * I)
-    # Uinv = z^2 / A1^2 = -1/4
-    assert fiber.Uinv == Series.const(fiber.Uinv.frame, Scalar(Fraction(-1, 4)))
+    xf = fiber.qpow[0].frame
+    # A1 = 2 i x1, so x1 / A1 = 1 / u1 = -i / 2
+    assert fiber.upow[1] == Series.const(xf, I * Scalar(Fraction(-1, 2)))
 
 
 def test_fiber_closed_form_of_quartic_source(cache):
-    """z * A1(z) psi(z, t) depends only on u = -4 z^2 t and equals
-    -(1 - sqrt(1 - 2 i u)) / 2 there."""
+    """Dividing x1 x2 by the quartic's Segre map gives alpha(z, w) = g(w)
+    = -(1 - sqrt(1 - 2 i w)) / 2 and no pole rows."""
     spec = cache.spec("example-6-1")
     kphi = 12
     fiber = segre_fiber(spec.source, kphi)
-    tf = fiber.psi.frame
-    y = Series.variable(tf, "z") \
-        * fiber.A1.rebase(frame("z", order=kphi)).rebase(tf) * fiber.psi
-    # expand g(u) = -(1 - sqrt(1 - 2 i u)) / 2 and map u^n -> (-4)^n z^2n t^n
+    xf = fiber.qpow[0].frame
+    phi = LinSeries.from_tags(xf, {"v": Series.monomial(xf, (1, 1), 1)})
+    alpha, poles = segre_divide(phi, fiber)
     uf = frame("u", order=kphi)
     sq = sqrt_unit(Series.const(uf, 1) + Series.monomial(uf, (1,), -2 * I))
     g = (Series.const(uf, 1) - sq).scale(Scalar(Fraction(-1, 2)))
-    expect = Series(tf, {
-        (2 * n, n): c * Scalar((-4) ** n)
-        for (n,), c in g.coeffs.items() if tf.admits((2 * n, n))})
-    assert {e: c for e, c in y.coeffs.items() if tf.wdeg(e) <= kphi} == \
-        {e: c for e, c in expect.coeffs.items() if tf.wdeg(e) <= kphi}
+    assert poles == {}
+    assert alpha == {(0, n): {"v": c} for (n,), c in g.coeffs.items()
+                     if 2 * n <= kphi}
+
+
+@pytest.mark.parametrize("entry", [e for e, x in EXPECTATIONS.items()
+                                   if not x.aut_only])
+def test_segre_divide_inverts_the_segre_pull_back(cache, entry):
+    """phi = alpha(x1, Q(x1, x2, 0)) divides back to exactly the rows of a
+    random alpha, with no pole rows; x1^m x2^3, m < 3, is exactly one pole
+    row."""
+    kphi = 12
+    source = cache.spec(entry).source
+    fiber = segre_fiber(source, kphi)
+    xf = fiber.qpow[0].frame
+    rng = random.Random(entry)
+    alpha = Series(map_frame(kphi), {
+        (a, k): Scalar(rng.randint(1, 5), 0, rng.randint(-3, 3))
+        for a in range(kphi + 1) for k in range(kphi // 2 + 1)
+        if a + 2 * k <= kphi})
+    phi = LinSeries.from_tags(
+        xf, {"v": alpha.substitute(_segre_map(source, xf))})
+    assert segre_divide(phi, fiber) == (
+        {e: {"v": c} for e, c in alpha.coeffs.items()}, {})
+    for m in range(3):
+        pole = LinSeries.from_tags(xf, {"v": Series.monomial(xf, (m, 3), 1)})
+        assert segre_divide(pole, fiber) == (
+            {}, {(m - 3, 3): {"v": Scalar(1)}})
 
 
 # published pole-condition rows for the quartic model, in the raw-derivative
@@ -130,6 +153,12 @@ def test_published_rows_as_printed_lie_in_pipeline_span(cache):
     assert hits == 6
 
 
+def _segre_map(source, xfrm):
+    """The bindings (z, w) = (x1, Q(x1, x2, 0)) onto the second Segre set."""
+    return {"z": Series.variable(xfrm, "x1"),
+            "w": source.Q.project(xfrm, {"z": "x1", "chi": "x2"})}
+
+
 def _second_segre_values(spec, work_order, fields):
     """phi of the two reflection stages, as jet_conditions forms it, with
     each row contracted with the 4-jet of each field V; and V(x1,
@@ -140,8 +169,7 @@ def _second_segre_values(spec, work_order, fields):
     H, source, target = spec.H, spec.source, spec.target
     abar = conjugate_reflection(H, source, target, kphi + 4, J)
     phi = direct_reflection(H, source, target, kphi + 2, xfrm, abar)
-    segre = {"z": Series.variable(xfrm, "x1"),
-             "w": source.Q.project(xfrm, {"z": "x1", "chi": "x2"})}
+    segre = _segre_map(source, xfrm)
     for V in fields:
         for p, v in zip(phi, V):
             got = {e: sum((c * V[key[1]].coefficient(key[2:])
@@ -180,6 +208,18 @@ def test_pipeline_contains_known_cubic_solution(cache):
     assert sol.dim == 1
     vec = field_row(cubic_deformation(cache.spec("example-6-3").H.frame))
     assert in_span(vec, sol.kernel_real, column_count(sol.jet_keys))
+
+
+@pytest.mark.parametrize("entry", [
+    e for e, x in EXPECTATIONS.items() if not (x.aut_only or x.degenerate)])
+def test_low_orders_never_undercount(cache, entry):
+    """Every row the pipeline keeps is exact, so at any work order its
+    dimension is an upper bound on the true one; false jet rows at slots
+    beyond the working order would push it below."""
+    spec = cache.spec(entry)
+    for work_order in range(2, 9):
+        sol = solve_deformation(spec.H, spec.source, spec.target, work_order)
+        assert sol.dim >= EXPECTATIONS[entry].dim, work_order
 
 
 def test_germ_shorter_than_the_solve_raises():

@@ -182,13 +182,6 @@ def test_frames_store_only_their_caps():
         frame("z", "u", order=8, caps={"z": 4, "w": 2})
 
 
-def test_rebase_rejects_inadmissible_exponents():
-    small_frame = frame("z", "w", order=3, weights=(1, 2))
-    f = Series.monomial(F, (4, 1), Scalar(1))
-    with pytest.raises(ValueError):
-        f.rebase(small_frame)
-
-
 def test_solve_implicit_quadratic():
     # y = x + y^2  =>  y = x + x^2 + 2x^3 + ...  (Catalan numbers)
     G = frame("x", "y", order=6)
