@@ -9,7 +9,8 @@ Runs ``check`` and ``normal-coords`` on every corpus entry, ``deform``,
 ``deform --oracle``, ``deform --with-oracle``, ``rigidity`` and
 ``genericity`` on every corpus entry that has a map, ``deform`` at
 ``--order`` 9 and 13 (orders where the pipeline stabilizes on a wrong
-dimension for some entries) on every such entry that is not degenerate,
+dimension for some entries) and ``deform --oracle --order 14`` (where the
+oracle does) on every such entry that is not degenerate,
 ``automorphisms target-6-4`` with ``--aut-order 11`` and without a flag,
 and ``selftest``, each in a fresh process on the ``src/`` tree next to this
 script.  Each line holds the command, its exit code and the sha256 of
@@ -47,6 +48,7 @@ def commands():
             continue
         for order in ("9", "13"):
             yield ["deform", entry, "--order", order]
+        yield ["deform", entry, "--oracle", "--order", "14"]
     yield ["automorphisms", "target-6-4", "--aut-order", "11"]
     yield ["automorphisms", "target-6-4"]
     yield ["selftest"]

@@ -217,7 +217,7 @@ def _statements(text: str):
         raise ParseError("unterminated statement (missing ';')", start)
 
 
-_HEAD = re.compile(r"^(vars|source|target|map|option)\s*(\((\d+)\))?\s*:?\s*",
+_HEAD = re.compile(r"^(vars|source|target|map|option)\b\s*(\((\d+)\))?\s*:?\s*",
                    re.IGNORECASE)
 
 
@@ -232,6 +232,9 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
             raise ParseError(f"unrecognized statement {stmt.split()[0]!r}",
                              line)
         kind = m.group(1).lower()
+        if m.group(2) and kind != "target":
+            raise ParseError(f"only 'target' takes a dimension (n), not "
+                             f"{kind!r}", line)
         rest = stmt[m.end():].strip()
         if kind == "option":
             parts = rest.split()

@@ -7,23 +7,23 @@ The linearized equation
 
 is solved by parametrizing every candidate solution by its 4-jet Lambda at
 the origin and expressing membership as an explicit system of linear
-conditions on Lambda.  The construction runs in two reflection stages:
+conditions on Lambda.  The construction runs in two stages of one
+reflection step (:func:`_reflect`): differentiate the equation twice along
+the anti-CR direction of the chart and Cramer-solve the 3x3 system.
 
 1. In the (z, chi, tau) chart alpha is replaced by its 4-jet polynomial.
-   Differentiating the equation along d/dz (the anti-CR direction there)
-   and Cramer-solving the resulting 3x3 system at z = 0 gives the
-   conjugate field alphabar_h(chi, tau) as a jet-linear series.
+   Reflecting along d/dz at z = 0 gives the conjugate field
+   alphabar_h(chi, tau) as a jet-linear series.
 2. In the (z, chi, w) chart the stage-1 series is pulled back to
-   alphabar_h(chi, Qbar(chi, z, w)).  Differentiating along d/dchi,
-   evaluating on the second Segre set {w = Q(z, chi, 0)} and
-   Cramer-solving gives a jet-linear series phi_l(x1, x2) with
-   alpha_l(x1, Q(x1, x2, 0)) = phi_l(x1, x2).
+   alphabar_h(chi, Qbar(chi, z, w)).  Reflecting along d/dchi on the
+   second Segre set {w = q}, q = Q(x1, x2, 0) the Segre map of the
+   division step, gives a jet-linear series phi_l(x1, x2) = alpha_l(x1, q).
 
-Writing phi_l = sum_k alpha_k(x1) q^k with q = Q(x1, x2, 0) and dividing
-by the powers of q one x2-degree at a time (:func:`segre_divide`) recovers
-alpha_l(z, w) = sum_k alpha_k(z) w^k.  Since q is divisible by x1, once
-the lower powers are removed the x2^k part of phi_l must be divisible by
-x1^k, and the candidate solution exists iff
+Writing phi_l = sum_k alpha_k(x1) q^k and dividing by the powers of q one
+x2-degree at a time (:func:`segre_divide`) recovers alpha_l(z, w) =
+sum_k alpha_k(z) w^k.  Since q is divisible by x1, once the lower powers
+are removed the x2^k part of phi_l must be divisible by x1^k, and the
+candidate solution exists iff
 
   (i)   the lower x1-powers vanish (rows ``pole``); the quotient is the
         candidate K_l(z, w, Lambda);
@@ -41,7 +41,7 @@ harvested at two consecutive orders to certify stabilization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame
@@ -68,17 +68,25 @@ def formal_jet(frm: Frame) -> List[LinSeries]:
     return [LinSeries(frm, rows) for rows in J]
 
 
-def _cramer(M: List[List[Series]], b: List[LinSeries], frm: Frame,
-            singular: str) -> List[LinSeries]:
-    """x with M x = b by Cramer's rule, x_h = sum_k b_k adj(M)[h][k] / det M,
-    in the frame of b; raises ``singular`` unless det M is a unit."""
+def _reflect(r: List[Series], rhs: LinSeries, var: str,
+             restrict: Callable) -> List[LinSeries]:
+    """One reflection step: x with sum_j d^k r_j x_j = d^k rhs, k = 0..2,
+    d = d/d``var``, every entry mapped by ``restrict``.  Cramer's rule,
+    x_h = sum_k b_k adj(M)[h][k] / det M, in the frame of the restricted
+    right side; raises unless det M is a unit."""
+    lhs, rhs_k = [list(r)], [rhs]
+    for _ in range(2):
+        lhs.append([s.partial(var) for s in lhs[-1]])
+        rhs_k.append(rhs_k[-1].partial(var))
+    M = [[restrict(s) for s in row] for row in lhs]
+    b = [restrict(s) for s in rhs_k]
     det = det3(M)
     if det.constant_term().is_zero():
-        raise DegenerateMapError(singular)
+        raise DegenerateMapError("reflection system is singular")
     detinv = det.invert_unit()
     adj = adjugate3(M)
-    return [sum((b[k] * adj[h][k] for k in range(3)), LinSeries(frm)) * detinv
-            for h in range(3)]
+    return [sum((b[k] * adj[h][k] for k in range(3)), LinSeries(b[0].frame))
+            * detinv for h in range(3)]
 
 
 def conjugate_reflection(H: MapGerm, source: Source, target: Target,
@@ -86,42 +94,33 @@ def conjugate_reflection(H: MapGerm, source: Source, target: Target,
     """Stage 1: the conjugate field alphabar_h(chi, tau), h = 0..2, as
     jet-linear series in the (unbarred) 4-jet J of alpha.
 
-    Differentiates the equation along d/dz, the anti-CR direction of the
-    (z, chi, tau) chart, and Cramer-solves at z = 0.  Only d/dz up to
-    order 2 is ever applied, so the chart carries a z-cap.
+    Reflects along d/dz, the anti-CR direction of the (z, chi, tau) chart,
+    at z = 0.  Only d/dz up to order 2 is ever applied, so the chart
+    carries a z-cap.
     """
     frm = zct_frame(order, zcap=2)
     holo, _ = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
-
     # the unknown replaced by its 4-jet polynomial evaluated on the germ
     rhs = -sum((J[j].substitute(holo) * r_on[j] for j in range(3)),
                LinSeries(frm))
-    lhs = [list(rb_on)]
-    rhs_k = [rhs]
-    for _ in range(2):
-        lhs.append([s.partial("z") for s in lhs[-1]])
-        rhs_k.append(rhs_k[-1].partial("z"))
-
     # the tau-cap is exact: stage 2 evaluates alphabar at tau = Qbar, which
     # vanishes on the second Segre set, after at most two d/dchi; a term in
     # the ideal (tau^3) never reaches phi
     ct = frame("chi", "tau", order=order, weights=(1, 2), caps={"tau": 2})
-    return _cramer([[s.project(ct) for s in row] for row in lhs],
-                   [r.project(ct) for r in rhs_k], ct,
-                   "conjugate reflection system is singular")
+    return _reflect(rb_on, rhs, "z", lambda s: s.project(ct))
 
 
 def direct_reflection(H: MapGerm, source: Source, target: Target,
-                      order: int, xfrm: Frame, abar: List[LinSeries]
+                      order: int, q: Series, abar: List[LinSeries]
                       ) -> List[LinSeries]:
     """Stage 2: alpha on the second Segre set.
 
     Works in the (z, chi, w) chart, where the equation reads
     sum_j r_j alpha_j(z, w) = -sum_h rbar_h alphabar_h(chi, Qbar(chi, z, w))
-    with ``abar`` the stage-1 field; applies d/dchi up to twice, evaluates
-    on {z = x1, chi = x2, w = Q(x1, x2, 0)} and Cramer-solves.  Returns
-    the jet-linear series phi_l(x1, x2) = alpha_l(x1, Q(x1, x2, 0)).
+    with ``abar`` the stage-1 field; reflects along d/dchi on
+    {z = x1, chi = x2, w = q}, q = Q(x1, x2, 0) the Segre map in the
+    frame (x1, x2) of the result.  Returns phi_l(x1, x2) = alpha_l(x1, q).
     """
     frm = zcw_frame(order)
     _, anti = chart = source.chart(frm)
@@ -129,18 +128,9 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
     on_chart = {"chi": anti["z"], "tau": anti["w"]}
     rhs = -sum((abar[h].substitute(on_chart) * rb_on[h] for h in range(3)),
                LinSeries(frm))
-    lhs = [list(r_on)]
-    rhs_k = [rhs]
-    for _ in range(2):
-        lhs.append([s.partial("chi") for s in lhs[-1]])
-        rhs_k.append(rhs_k[-1].partial("chi"))
-
-    bind = {"z": Series.variable(xfrm, "x1"),
-            "chi": Series.variable(xfrm, "x2"),
-            "w": source.Q.project(xfrm, {"z": "x1", "chi": "x2"})}
-    return _cramer([[s.substitute(bind) for s in row] for row in lhs],
-                   [r.substitute(bind) for r in rhs_k], xfrm,
-                   "reflection system is singular")
+    bind = {"z": Series.variable(q.frame, "x1"),
+            "chi": Series.variable(q.frame, "x2"), "w": q}
+    return _reflect(r_on, rhs, "chi", lambda s: s.substitute(bind))
 
 
 # -- division by the Segre map ---------------------------------------
@@ -195,31 +185,26 @@ def segre_divide(phi: LinSeries, fiber: SegreFiber
 
 # -- conditions -------------------------------------------------------
 
-@dataclass
-class JetConditions:
-    K: List[LinSeries]                             # candidate solution, (z, w)
-    rows_pole: Dict[Tuple[int, int, int], LinRow]  # (l, a, k) -> complex row
-    rows_jet: Dict[Tuple[int, int, int], LinRow]   # (l, m, n) -> complex row
-
-
 def jet_conditions(H: MapGerm, source: Source, target: Target,
-                   work_order: int) -> JetConditions:
-    """Pole and jet conditions of the parametrized candidate solution.
+                   work_order: int
+                   ) -> Tuple[List[LinSeries], Dict[tuple, LinRow],
+                              Dict[tuple, LinRow]]:
+    """The parametrized candidate solution K(z, w) and its pole rows,
+    keyed (l, a, k), and jet rows, keyed (l, m, n).
 
     ``work_order`` bounds the trusted weighted degree; internally one more
     plain degree is carried so that pole rows with a + 2 k = work_order + 1
     (which occur already in the quadric model) are available exactly.
     """
     kphi = work_order + 1
-    xfrm = frame("x1", "x2", order=kphi)
     # K's frame holds the whole 4-jet, also when kphi < JET4_ORDER
     mf = map_frame(max(kphi, JET4_ORDER))
     J = formal_jet(mf)
-    abar = conjugate_reflection(H, source, target, kphi + 4, J)
-    phi = direct_reflection(H, source, target, kphi + 2, xfrm, abar)
     fiber = segre_fiber(source, kphi)
+    abar = conjugate_reflection(H, source, target, kphi + 4, J)
+    phi = direct_reflection(H, source, target, kphi + 2, fiber.qpow[1], abar)
 
-    rows_pole: Dict[Tuple[int, int, int], LinRow] = {}
+    rows_pole: Dict[tuple, LinRow] = {}
     K: List[LinSeries] = []
     for ell in range(3):
         alpha, poles = segre_divide(phi[ell], fiber)
@@ -234,10 +219,10 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     rows_jet = {(ell, m, n): diffs[ell].coefficient_row((m, n))
                 for ell, m, n in slots
                 if m + 2 * n <= kphi and (m, n) in diffs[ell].support()}
-    return JetConditions(K, rows_pole, rows_jet)
+    return K, rows_pole, rows_jet
 
 
-def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
+def residual_rows(K: List[LinSeries], H: MapGerm, source: Source,
                   target: Target, order: int) -> Dict[tuple, LinRow]:
     """Condition (iii): the candidate K re-inserted into the linearized
     equation on the complexified germ, harvested to the given weighted
@@ -247,8 +232,8 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
     res = LinSeries(frm)
     for ell in range(3):
-        Kc = cond.K[ell].substitute(holo)
-        Kb = cond.K[ell].conj().substitute(anti)
+        Kc = K[ell].substitute(holo)
+        Kb = K[ell].conj().substitute(anti)
         res = res + Kc * r_on[ell] + Kb * rb_on[ell]
     return {exp: res.coefficient_row(exp)
             for exp in sorted(res.support(), key=frm.wdeg)}
@@ -259,9 +244,10 @@ def residual_rows(cond: JetConditions, H: MapGerm, source: Source,
 @dataclass
 class ConditionSystem:
     """Conditions (i)-(iii) at one working order, before elimination."""
-    jet: JetConditions
+    work_order: int
+    rows_pole: Dict[tuple, LinRow]   # (l, a, k) -> complex row
+    rows_jet: Dict[tuple, LinRow]    # (l, m, n) -> complex row
     residuals: Dict[tuple, LinRow]   # (z, chi, tau) exponent -> row
-    frame: Frame                  # the residual's frame, at the work order
 
 
 def condition_system(H: MapGerm, source: Source, target: Target,
@@ -270,10 +256,9 @@ def condition_system(H: MapGerm, source: Source, target: Target,
     ``work_order``.  The germs must be expanded to the order of the
     stage-1 frame, work_order + 5."""
     require_order(work_order + 5, H, source, target)
-    cond = jet_conditions(H, source, target, work_order)
-    return ConditionSystem(
-        cond, residual_rows(cond, H, source, target, work_order),
-        zct_frame(work_order))
+    K, rows_pole, rows_jet = jet_conditions(H, source, target, work_order)
+    return ConditionSystem(work_order, rows_pole, rows_jet,
+                           residual_rows(K, H, source, target, work_order))
 
 
 def solve_conditions(system: ConditionSystem) -> KernelSolve:
@@ -286,9 +271,9 @@ def solve_conditions(system: ConditionSystem) -> KernelSolve:
     after the residual rows of weighted order work_order, with
     stabilization over those two orders.
     """
-    work_order, wdeg = system.frame.order, system.frame.wdeg
-    jet, residuals = system.jet, system.residuals.items()
-    first = [*jet.rows_pole.values(), *jet.rows_jet.values(),
+    work_order = system.work_order
+    wdeg, residuals = zct_frame(work_order).wdeg, system.residuals.items()
+    first = [*system.rows_pole.values(), *system.rows_jet.values(),
              *(r for e, r in residuals if wdeg(e) < work_order)]
     return harvest_kernel(
         JET4, [],

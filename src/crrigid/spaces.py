@@ -171,12 +171,11 @@ def genericity_certificate(system: ConditionSystem) -> GenericityCertificate:
     is the linear-algebra content of the genericity statement for
     perturbations of the model embedding.
     """
-    cond = system.jet
     keys = JET4 + [bar_key(k) for k in JET4]
     drop = set(FREE_SLOTS)
     col = {k: i for i, k in enumerate(keys)}
     rows: List[Row] = []
-    for crow in [*cond.rows_pole.values(), *cond.rows_jet.values(),
+    for crow in [*system.rows_pole.values(), *system.rows_jet.values(),
                  *system.residuals.values()]:
         for source_row in (crow,
                            {bar_key(k): v.conjugate()

@@ -208,6 +208,23 @@ def test_target_dimension_and_signature_checked(target, message):
                          order=8).target.n == 4
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("target: hyperquadric +1", "targethyperquadric +1", 3),
+    ("source: imag(w) = z*conj(z)", "sourcehyperquadric", 2),
+    ("map: (z, 0*z, w);\n", "map: (z, 0*z, w);\noptionwork_order 9;\n", 5),
+    ("source:", "source(5):", 2),
+    ("map:", "map(3):", 4),
+    ("vars z w", "vars(2) z w", 1),
+], ids=["target-glued", "source-glued", "option-glued", "source-n",
+        "map-n", "vars-n"])
+def test_statement_head_is_a_whole_keyword(old, new, line):
+    """A keyword glued to its body is not a statement head, and only
+    ``target`` takes a dimension (n)."""
+    with pytest.raises(ParseError, match=f"line {line}: ") as exc:
+        parse_problem(_PROBLEM.replace(old, new), order=8)
+    assert exc.value.line == line
+
+
 def test_parse_errors_carry_line_numbers():
     text = "vars z w;\nsource: imag(w) = z*conj(z);\ntarget: hyperquadric +1;\nmap: (z, $, w);"
     with pytest.raises(ParseError) as exc:

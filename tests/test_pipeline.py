@@ -99,9 +99,8 @@ _HALVED_COLUMNS = {(2, 0, 3), (2, 0, 4), (1, 0, 2)}
 
 
 def _pipeline_pole_rows_derivative_convention(cache):
-    cond = cache.system("example-6-1").jet
     out = {}
-    for idx, row in cond.rows_pole.items():
+    for idx, row in cache.system("example-6-1").rows_pole.items():
         conv = {}
         for (_, j, m, n), c in row.items():
             conv[(j + 1, m, n)] = c * Fraction(1, factorial(m) * factorial(n))
@@ -168,7 +167,8 @@ def _second_segre_values(spec, work_order, fields):
     J = formal_jet(map_frame(max(kphi, JET4_ORDER)))
     H, source, target = spec.H, spec.source, spec.target
     abar = conjugate_reflection(H, source, target, kphi + 4, J)
-    phi = direct_reflection(H, source, target, kphi + 2, xfrm, abar)
+    phi = direct_reflection(H, source, target, kphi + 2,
+                            segre_fiber(source, kphi).qpow[1], abar)
     segre = _segre_map(source, xfrm)
     for V in fields:
         for p, v in zip(phi, V):
@@ -179,12 +179,14 @@ def _second_segre_values(spec, work_order, fields):
                 v.substitute(segre)
 
 
-@pytest.mark.parametrize("entry", ["example-6-3", "example-6-1"])
+@pytest.mark.parametrize("entry", ["example-6-3", "example-6-1",
+                                   "sphere-8"])
 def test_reflection_stages_reproduce_known_solutions(cache, entry):
     """Stages 1 and 2 give alpha on the second Segre set: contracted with
     the 4-jet of a known solution V, phi is V(x1, Q(x1, x2, 0)).  The
     solutions are the cubic field of example-6-3 and the ten fields V o H
-    of example-6-1, V an infinitesimal automorphism of the hyperquadric."""
+    of example-6-1 and of sphere-8, V an infinitesimal automorphism of the
+    hyperquadric; sphere-8 brings sqrt(2) and rational map components."""
     spec = cache.spec(entry)
     if entry == "example-6-3":
         fields = [cubic_deformation(spec.H.frame)]
@@ -210,16 +212,19 @@ def test_pipeline_contains_known_cubic_solution(cache):
     assert in_span(vec, sol.kernel_real, column_count(sol.jet_keys))
 
 
-@pytest.mark.parametrize("entry", [
-    e for e, x in EXPECTATIONS.items() if not (x.aut_only or x.degenerate)])
-def test_low_orders_never_undercount(cache, entry):
-    """Every row the pipeline keeps is exact, so at any work order its
+@pytest.mark.parametrize("entry, solve", [
+    pytest.param(e, solve, id=e + suffix)
+    for solve, suffix in ((solve_deformation, ""), (direct_solve, "-oracle"))
+    for e, x in EXPECTATIONS.items() if not (x.aut_only or x.degenerate)])
+def test_low_orders_never_undercount(cache, entry, solve):
+    """Every row either route keeps is exact, so at any order its
     dimension is an upper bound on the true one; false jet rows at slots
-    beyond the working order would push it below."""
+    beyond the working order would push it below.  Orders 2-16 include
+    the orders where the routes stabilize on a wrong, larger dimension."""
     spec = cache.spec(entry)
-    for work_order in range(2, 9):
-        sol = solve_deformation(spec.H, spec.source, spec.target, work_order)
-        assert sol.dim >= EXPECTATIONS[entry].dim, work_order
+    for order in range(2, 17):
+        sol = solve(spec.H, spec.source, spec.target, order)
+        assert sol.dim >= EXPECTATIONS[entry].dim, order
 
 
 def test_germ_shorter_than_the_solve_raises():
