@@ -6,14 +6,14 @@ Usage:
     python3 scripts/corpus_digest.py --against digest.txt
 
 Runs ``check`` and ``normal-coords`` on every corpus entry, ``deform``,
-``deform --oracle``, ``deform --with-oracle``, ``rigidity`` and
-``genericity`` on every corpus entry that has a map, ``deform`` at
-``--order`` 9 and 13 (orders where the pipeline stabilizes on a wrong
-dimension for some entries) and ``deform --oracle --order 14`` (where the
-oracle does) on every such entry that is not degenerate,
-``automorphisms target-6-4`` with ``--aut-order 11`` and without a flag,
-and ``selftest``, each in a fresh process on the ``src/`` tree next to this
-script.  Each line holds the command, its exit code and the sha256 of
+``deform --oracle``, ``deform --with-oracle``, ``rigidity``,
+``rigidity --oracle`` and ``genericity`` on every corpus entry that has a
+map, ``deform`` at ``--order`` 9 and 13 (orders where the pipeline
+stabilizes on a wrong dimension for some entries) and
+``deform --oracle --order 14`` (where the oracle does) on every such entry
+that is not degenerate, ``automorphisms target-6-4`` with ``--aut-order 11``
+and without a flag, and ``selftest``, each in a fresh process on the
+``src/`` tree next to this script.  Each line holds the command, its exit code and the sha256 of
 its stdout.  Run it on two checkouts and diff the outputs: a change that
 keeps every report and exit code prints the same lines.  With
 ``--against FILE`` it prints only the lines that differ from the saved
@@ -42,7 +42,7 @@ def commands():
             continue
         for cmd in (["deform"], ["deform", "--oracle"],
                     ["deform", "--with-oracle"], ["rigidity"],
-                    ["genericity"]):
+                    ["rigidity", "--oracle"], ["genericity"]):
             yield cmd + [entry]
         if exp.degenerate:
             continue

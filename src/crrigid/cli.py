@@ -107,7 +107,8 @@ def answer(command: str, spec: ProblemSpec, orders: Tuple[int, int, int],
         solve_deformation(H, source, target, work_order=wo)
     if command == "rigidity":
         rep = decide_rigidity(H, target, sol, aut_keq=ao)
-        stable = sol.stabilized and rep.aut_stabilized is not False
+        stable = sol.stabilized and (rep.trivial is None
+                                     or rep.trivial.aut.stabilized)
         doc = rp.rigidity_doc(rep)
     else:
         doc = rp.deform_doc(sol, None if oracle else cross)
@@ -223,11 +224,13 @@ def main(argv: Optional[list] = None) -> int:
                          f"({', '.join(CORPUS_IDS)}, or 'all')")
     ap.add_argument("--order", type=int, default=None,
                     help="working order of the solvers (default: the "
-                         "file's work_order and oracle_order, else 17 "
-                         "and 16)")
+                         "file's work_order and oracle_order, else "
+                         f"{SOLVER_ORDERS['work_order']} "
+                         f"and {SOLVER_ORDERS['oracle_order']})")
     ap.add_argument("--aut-order", type=int, default=None,
                     help="truncation order of the automorphism solver "
-                         "(default: the file's aut_order, else 9)")
+                         "(default: the file's aut_order, else "
+                         f"{SOLVER_ORDERS['aut_order']})")
     ap.add_argument("--oracle", action="store_true",
                     help="use the brute-truncation solver")
     ap.add_argument("--with-oracle", action="store_true",

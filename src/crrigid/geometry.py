@@ -144,7 +144,8 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
     frame (z, chi, tau), and the change g.
 
     rho must vanish at 0, be real (rho(z, w, chi, tau) =
-    conj-rho(chi, tau, z, w)) and have linear part (w - tau) / 2i.  Solves
+    conj-rho(chi, tau, z, w)) and have linear part a w + conj(a) tau with
+    a not real: no change (z, w + i g) straightens any other.  Solves
     rho = 0 for w, then constructs the unique change of coordinates
     (z, w) -> (z, w + i g(z, w)) with g = O(2), g(0, w) real, that makes
     the graph satisfy Q(z, 0, tau) = Q(0, chi, tau) = tau: the point
@@ -155,6 +156,11 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
     if not rho.constant_term().is_zero():
         raise ValueError("defining function must vanish at 0")
     check_defining_reality(rho)
+    # by reality the chi and tau terms are the conjugates of these
+    if rho.coefficient((1, 0, 0, 0)) or \
+            not rho.coefficient((0, 1, 0, 0)).imag_part():
+        raise ValueError("the source equation's linear part must be "
+                         "c*imag(w) + d*real(w), c and d real, c != 0")
     order = rho.frame.order
     sfrm = zct_frame(order)
     qtilde = solve_implicit(rho, "w", ("z", "chi", "tau"), sfrm)
@@ -250,26 +256,23 @@ class Target:
                 [g.conj(rename=self.swap).substitute(bind) for g in grad])
 
     def graph(self, frm: Frame) -> Series:
-        """w1 = W(z', zeta') solving rho = 0, over a frame of
-        :meth:`graph_frame`: the target variables except w1."""
+        """w1 = W(z', zeta') solving rho = 0, over a frame of the target
+        variables except w1."""
         return solve_implicit(self.rho, "w1", frm.vars, frm)
 
-    def graph_chart(self, frm: Frame) -> Dict[str, Series]:
-        """Every target variable as a series on the graph chart
-        {w1 = W} of the complexified germ (a frame of
-        :meth:`graph_frame`): w1 is bound to W, the others to themselves.
+    def graph_chart(self, order: int) -> Dict[str, Series]:
+        """Every target variable as a series to ``order`` on the graph
+        chart {w1 = W} of the complexified germ, over the target
+        variables except w1: w1 is bound to W, the others to themselves.
         A field V(Z) pulls back there as V.substitute over the bindings
         of z_i, w1, its conjugate as V.conj().substitute over those of
         bz_i, bw1."""
+        xvars, weights = zip(*[(v, w) for v, w in zip(
+            self.frame.vars, self.frame.weights) if v != "w1"])
+        frm = Frame(xvars, order, weights)
         bind = {v: Series.variable(frm, v) for v in frm.vars}
         bind["w1"] = self.graph(frm)
         return bind
-
-    def graph_frame(self, order: int) -> Frame:
-        xvars = tuple(v for v in self.frame.vars if v != "w1")
-        weights = tuple(w for v, w in zip(self.frame.vars, self.frame.weights)
-                        if v != "w1")
-        return Frame(xvars, order, weights)
 
     def levi_matrix(self) -> List[List[Scalar]]:
         """Hermitian matrix h with rho = (w1-bw1)/2i - sum h_jk z_j bz_k + ..."""

@@ -131,7 +131,7 @@ def infinitesimal_automorphisms(target: Target, keq: int,
     weights = (1,) * (n - 1) + (2,)
 
     def residual_at(K: int) -> LinSeries:
-        bind = target.graph_chart(target.graph_frame(K))
+        bind = target.graph_chart(K)
         r_on, rb_on = target.gradient_on(bind)
         return jet_residual(r_on, rb_on, [bind[v] for v in names[:n]],
                             [bind[v] for v in names[n:]],

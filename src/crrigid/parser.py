@@ -183,8 +183,7 @@ def parse_expression(text: str, frm: Frame,
         if not components:
             return series(tree)
         if not isinstance(tree, ast.Tuple):
-            raise ParseError("map components must be parenthesized: "
-                             "(a, b, c)", line)
+            raise ParseError("the map must be a tuple (a, b, c)", line)
         return [series(c) for c in tree.elts]
     except RecursionError:
         raise ParseError("expression too long or nested too deeply; group a "
@@ -294,7 +293,6 @@ def _parse_source(rest: str, order: int, line: int
     """The source germ and its :func:`normalize_defining` change g."""
     if rest.lower() in ("hyperquadric", "hyperquadric +1"):
         return Source.hyperquadric(order), None
-    # rho = Im w - (graph) has linear part (w - tau) / 2i
     rho = _equation(rest, defining_frame(order), SOURCE_SWAP, line)
     Q, change = normalize_defining(rho)
     return Source(Q), change

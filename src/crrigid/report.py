@@ -92,22 +92,22 @@ def deform_doc(sol, oracle=None) -> Dict:
     if oracle is not None:
         doc["oracle_dimension"] = oracle.dim
         doc["oracle_stabilized"] = oracle.stabilized
-        doc["oracle_agrees"] = (oracle.dim == sol.dim
-                                and oracle.kernel_real == sol.kernel_real)
+        # equal canonical kernels have equal lengths
+        doc["oracle_agrees"] = oracle.kernel_real == sol.kernel_real
     return doc
 
 
 def rigidity_doc(rep: RigidityReport) -> Dict:
+    sol, triv = rep.deformations, rep.trivial
     doc: Dict = {"command": "rigidity"}
-    doc["dimension"] = rep.dim
-    doc["stabilized"] = rep.stabilized
-    doc["target_levi_nondegenerate"] = rep.levi_nondegenerate
-    doc["automorphism_dimension"] = rep.aut_dim
-    doc["trivial_dimension"] = rep.trivial_dim
+    doc["dimension"] = sol.dim
+    doc["stabilized"] = sol.stabilized
+    doc["target_levi_nondegenerate"] = triv is not None
+    doc["automorphism_dimension"] = None if triv is None else triv.aut.dim
+    doc["trivial_dimension"] = None if triv is None else len(triv.rows)
     doc["trivial_contained"] = rep.trivial_contained
     doc["verdict"] = rep.verdict
-    doc["basis"] = basis_doc(rep.deformations.kernel_real,
-                             rep.deformations.jet_keys)
+    doc["basis"] = basis_doc(sol.kernel_real, sol.jet_keys)
     return doc
 
 

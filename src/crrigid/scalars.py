@@ -186,27 +186,15 @@ class Scalar:
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
-        terms = []
-        for coef, tag in ((self.a, ""), (self.b, "sqrt(2)"),
-                          (self.c, "i"), (self.e, "i*sqrt(2)")):
-            if coef == 0:
-                continue
-            mag = abs(coef)
-            if tag == "":
-                body = str(mag)
-            elif mag == 1:
-                body = tag
-            else:
-                body = f"{mag}*{tag}"
-            sign = "-" if coef < 0 else "+"
-            terms.append((sign, body))
-        if not terms:
-            return "0"
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+        out = ""
+        for n, tag in ((self.na, ""), (self.nb, "sqrt(2)"),
+                       (self.nc, "i"), (self.ne, "i*sqrt(2)")):
+            if n:
+                mag = Fraction(abs(n), self.nd)
+                body = f"{mag}*{tag}" if mag != 1 and tag else tag or str(mag)
+                sign = "-" if n < 0 else "+"
+                out = f"{out} {sign} {body}" if out else sign.strip("+") + body
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"

@@ -179,9 +179,8 @@ class Series:
                 # the break bounds the weighted degree; only caps remain
                 if capped and any(exp[i] > c for i, c in capped):
                     continue
+                # a product of nonzero field elements is nonzero
                 prod = ca * cb
-                if prod.is_zero():
-                    continue
                 prev = out.get(exp)
                 s = prod if prev is None else prev + prod
                 if s.is_zero():
@@ -195,14 +194,7 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             raise ValueError("negative power; use invert_unit")
-        result = Series.const(self.frame, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power_table([self], [(n,)])[0][n]
 
     # -- calculus -----------------------------------------------------
 

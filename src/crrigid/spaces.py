@@ -33,7 +33,6 @@ class NotMappedError(ValueError):
 @dataclass
 class TrivialSubspace:
     rows: List[Row]          # canonical basis of the 4-jets of V o H
-    dim: int                 # rank of the restriction
     aut: KernelSolve         # the target automorphism computation
 
 
@@ -56,7 +55,7 @@ def trivial_subspace(H: MapGerm, target: Target,
             if not lam.is_zero():
                 V[j] = V[j] + mono.scale(lam)
     rows = rref([field_row(V) for V in VoH], column_count(JET4))
-    return TrivialSubspace(rows, len(rows), aut)
+    return TrivialSubspace(rows, aut)
 
 
 # -- rigidity verdicts ------------------------------------------------
@@ -68,16 +67,10 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 @dataclass
 class RigidityReport:
-    dim: int                       # dim_R hol_0(H)
-    stabilized: bool
-    aut_dim: Optional[int]         # dim_R hol_0(M'), when computed
-    aut_stabilized: Optional[bool]
-    trivial_dim: Optional[int]     # rank of the restricted automorphisms
+    deformations: KernelSolve               # hol_0(H)
+    trivial: Optional[TrivialSubspace]      # None: target Levi-degenerate
     trivial_contained: Optional[bool]
-    levi_nondegenerate: bool
     verdict: str
-    deformations: KernelSolve
-    trivial: Optional[TrivialSubspace]
 
 
 #: The weighted order to which :func:`validate_embedding` checks that H
@@ -116,28 +109,21 @@ def decide_rigidity(H: MapGerm, target: Target, sol: KernelSolve,
     is its dimension), the map is rigid; otherwise the criteria are
     silent.
     """
-    dim = sol.dim
-    ncols = column_count(sol.jet_keys)
-    levi = target.levi_nondegenerate()
-
-    aut_dim = aut_stab = triv_dim = contained = triv = None
-    if levi:
+    triv = contained = None
+    if target.levi_nondegenerate():
         triv = trivial_subspace(H, target, aut_keq=aut_keq)
-        aut_dim = triv.aut.dim
-        aut_stab = triv.aut.stabilized
-        triv_dim = triv.dim
         # kernel_real is reduced, so its rank is dim
-        contained = rank_of(sol.kernel_real + triv.rows, ncols) == dim
+        contained = rank_of(sol.kernel_real + triv.rows,
+                            column_count(sol.jet_keys)) == sol.dim
 
-    if dim == 0 and sol.stabilized:
+    if sol.dim == 0 and sol.stabilized:
         verdict = VERDICT_RIGID_VANISHING
-    elif (levi and sol.stabilized and aut_stab and contained
-          and dim == triv_dim):
+    elif (contained and sol.stabilized and triv.aut.stabilized
+          and sol.dim == len(triv.rows)):
         verdict = VERDICT_RIGID_TRIVIAL
     else:
         verdict = VERDICT_INCONCLUSIVE
-    return RigidityReport(dim, sol.stabilized, aut_dim, aut_stab,
-                          triv_dim, contained, levi, verdict, sol, triv)
+    return RigidityReport(sol, triv, contained, verdict)
 
 
 # -- genericity certificate -------------------------------------------

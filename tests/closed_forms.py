@@ -152,7 +152,7 @@ def hyperquadric_hol0_basis(eps: int) -> List[List[Series]]:
 
 def verify_tangent(target: Target, fields: Sequence[Sequence[Series]]) -> None:
     """Check Re sum_j rho_{Z_j} V_j = 0 on the target germ, exactly."""
-    bind = target.graph_chart(target.graph_frame(fields[0][0].frame.order))
+    bind = target.graph_chart(fields[0][0].frame.order)
     r_on, rb_on = target.gradient_on(bind)
     names = target_vars(target.n)[:target.n]
     holo = {v: bind[v] for v in names}

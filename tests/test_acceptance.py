@@ -175,11 +175,11 @@ def test_criterion_06_sphere_embedding(cache, sphere_fields):
     rows_X = [field_row(V) for V in X]
     span_ok = all(in_span(r, sol.kernel_real, NC)
                   for r in rows_triv + rows_push + rows_X)
-    structure_ok = (triv.dim == exp.trivial_dim and residual_ok and span_ok
-                    and rep.verdict == VERDICT_INCONCLUSIVE
+    structure_ok = (len(triv.rows) == exp.trivial_dim and residual_ok
+                    and span_ok and rep.verdict == VERDICT_INCONCLUSIVE
                     and sol.stabilized)
     assert structure_ok, (
-        f"sphere structure: trivial dim {triv.dim} (want "
+        f"sphere structure: trivial dim {len(triv.rows)} (want "
         f"{exp.trivial_dim}), residuals zero {residual_ok}, kernel "
         f"containment {span_ok}, verdict {rep.verdict!r}, stabilized "
         f"{sol.stabilized}")
@@ -193,7 +193,7 @@ def test_criterion_06_sphere_embedding(cache, sphere_fields):
           and lower == sol.dim == exp.dim)
     _line(6, ok, "sphere embedding: closed-form fields residual-verified "
           "and inside the computed kernel, verdict inconclusive; rank of "
-          f"trivial {triv.dim} (want {exp.trivial_dim}), trivial ∪ 8 "
+          f"trivial {len(triv.rows)} (want {exp.trivial_dim}), trivial ∪ 8 "
           f"generators {with_X} (want 18), trivial ∪ 5 pushforwards "
           f"{with_push} (want 14), all fields {lower} = computed "
           f"stabilized dimension {sol.dim} (want {exp.dim})")

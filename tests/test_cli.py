@@ -244,6 +244,33 @@ def test_map_follows_the_source_into_normal_coordinates(tmp_path, capsys):
                           {"w^1": "1", "w^4": "i", "z^2 w^2": "2*i"}]
 
 
+def test_rigidity_on_a_levi_degenerate_target(tmp_path, capsys):
+    # the sphere into a target of Levi signature (1, 0): no automorphism
+    # solve runs, so its keys are null and the verdict stays open
+    path = tmp_path / "prob.crr"
+    path.write_text("vars z w;\nsource: hyperquadric;\n"
+                    "target: imag(w1) = z1*conj(z1) + z1^2*conj(z2)"
+                    " + conj(z1)^2*z2;\nmap: (z, 0, w);\n")
+    code, out, _ = _run(capsys, "check", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["target_levi_signature"] == [1, 0]
+    assert doc["target_levi_nondegenerate"] is False and doc["k0"] == 2
+    for flags in ((), ("--oracle",)):
+        code, out, _ = _run(capsys, "rigidity", str(path), *flags)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["dimension"] == 22 and doc["stabilized"] is True
+        assert doc["target_levi_nondegenerate"] is False
+        assert doc["automorphism_dimension"] is None
+        assert doc["trivial_dimension"] is None
+        assert doc["trivial_contained"] is None
+        assert doc["verdict"] == "inconclusive"
+    code, out, _ = _run(capsys, "deform", str(path), "--with-oracle")
+    doc = json.loads(out)
+    assert code == 0 and doc["dimension"] == doc["oracle_dimension"] == 22
+    assert doc["oracle_agrees"] is True
+
+
 def test_reproduce_fast_entries(monkeypatch, cache, capsys):
     _serve_from_cache(monkeypatch, cache, "target-6-4")
     code, _, err = _run(capsys, "reproduce", "example-6-4-t0")

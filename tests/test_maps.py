@@ -97,8 +97,7 @@ def test_target_isotropy_preserves_hyperquadric():
     # parametrize the complexified hyperquadric by (z1, z2, bz1, bz2, bw1)
     # with w1 = bw1 + 2i (z1 bz1 + eps z2 bz2); on it rho(sigma, bar sigma)
     # must vanish identically
-    gfrm = tgt.graph_frame(12)     # vars z1, z2, bz1, bz2, bw1
-    gv = {v: Series.variable(gfrm, v) for v in gfrm.vars}
+    gv = tgt.graph_chart(12)      # over z1, z2, bz1, bz2, bw1
     w1 = gv["bw1"] + (gv["z1"] * gv["bz1"]
                       + (gv["z2"] * gv["bz2"]).scale(eps)).scale(2 * I)
     sub = {"z1": gv["z1"], "z2": gv["z2"], "w1": w1}

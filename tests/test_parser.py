@@ -141,8 +141,8 @@ def test_map_is_one_tuple():
     assert spec.H == parse_problem(_PROBLEM.replace("0*z", "z^2"),
                                    order=8).H
     for body in ("(z)*(z, 0*z, w)", "z"):
-        with pytest.raises(ParseError, match="line 4: map components must "
-                                             "be parenthesized"):
+        with pytest.raises(ParseError, match=r"line 4: the map must be a "
+                                             r"tuple \(a, b, c\)"):
             parse_problem(_PROBLEM.replace("(z, 0*z, w)", body), order=8)
 
 
@@ -206,6 +206,23 @@ def test_target_dimension_and_signature_checked(target, message):
     # the signature -1 needs a second z; C^4 has two
     assert parse_problem(text.replace(target, "target(4): hyperquadric -1"),
                          order=8).target.n == 4
+
+
+@pytest.mark.parametrize("equation, accepted", [
+    ("imag(w) = real(z)", False),
+    ("real(w) = z*conj(z)", False),
+    ("3*imag(w) = z*conj(z)", True),
+    ("imag(w) = z*conj(z) + real(w)", True),
+    ("imag(w) + real(z*w) = z*conj(z)", True),
+], ids=["z-term", "real-w", "scaled", "plus-real-w", "zw-term"])
+def test_source_linear_part_checked(equation, accepted):
+    text = _PROBLEM.replace("imag(w) = z*conj(z)", equation)
+    if accepted:
+        parse_problem(text, order=8)
+    else:
+        with pytest.raises(ValueError, match=r"linear part must be "
+                                             r"c\*imag\(w\) \+ d\*real\(w\)"):
+            parse_problem(text, order=8)
 
 
 @pytest.mark.parametrize("old, new, line", [

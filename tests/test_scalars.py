@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crrigid.parser import parse_expression
 from crrigid.scalars import SQRT2 as SQ, Scalar, scalar
+from crrigid.series import frame
 from test_series import sqrt_rational
 
 I = Scalar(0, 0, 1)
@@ -106,6 +108,12 @@ wide_scalars = st.one_of(
     st.builds(lambda a, b: Scalar(a, b), part, part),
     st.builds(Scalar, part, part, part, part))
 rational_like = st.one_of(st.integers(-10 ** 20, 10 ** 20), wide)
+
+
+@given(st.one_of(scalars, wide_scalars))
+@settings(max_examples=200, deadline=None)
+def test_str_parses_back(x):
+    assert parse_expression(str(x), frame("z", order=1)).constant_term() == x
 
 
 def parts(x):

@@ -94,7 +94,7 @@ def test_jet_row_of_field_coordinates():
 
 def test_trivial_subspace_of_quartic(cache):
     triv = cache.trivial("example-6-1")
-    assert triv.dim == 10
+    assert len(triv.rows) == 10
     assert triv.aut.dim == 10
 
 
@@ -134,11 +134,12 @@ def test_rigidity_verdicts(cache):
     from crrigid.spaces import VERDICT_RIGID_TRIVIAL, VERDICT_RIGID_VANISHING
     rep1 = cache.rigidity("example-6-1")
     assert rep1.verdict == VERDICT_RIGID_TRIVIAL
-    assert rep1.dim == rep1.aut_dim == rep1.trivial_dim == 10
+    assert rep1.deformations.dim == rep1.trivial.aut.dim \
+        == len(rep1.trivial.rows) == 10
     assert rep1.trivial_contained
     rep2 = cache.rigidity("example-6-2")
     assert rep2.verdict == VERDICT_RIGID_VANISHING
-    assert rep2.dim == 0
+    assert rep2.deformations.dim == 0
 
 
 def test_all_trivial_verdict_needs_the_whole_kernel(cache, monkeypatch):
@@ -149,12 +150,12 @@ def test_all_trivial_verdict_needs_the_whole_kernel(cache, monkeypatch):
     full = cache.trivial("example-6-1")
     monkeypatch.setattr(spaces, "trivial_subspace",
                         lambda *args, **kwargs: spaces.TrivialSubspace(
-                            full.rows[:-1], full.dim - 1, full.aut))
+                            full.rows[:-1], full.aut))
     rep = spaces.decide_rigidity(spec.H, spec.target,
                                  cache.pipeline("example-6-1"),
                                  aut_keq=cache.orders("example-6-1")[2])
-    assert rep.dim == rep.aut_dim == 10
-    assert rep.trivial_dim == 9 and rep.trivial_contained
+    assert rep.deformations.dim == rep.trivial.aut.dim == 10
+    assert len(rep.trivial.rows) == 9 and rep.trivial_contained
     assert rep.verdict == spaces.VERDICT_INCONCLUSIVE
 
 
@@ -170,6 +171,6 @@ def test_trivial_rows_outside_a_smaller_kernel(cache, monkeypatch):
     smaller = replace(sol, kernel_real=sol.kernel_real[1:], dim=sol.dim - 1)
     rep = spaces.decide_rigidity(spec.H, spec.target, smaller,
                                  aut_keq=cache.orders("example-6-1")[2])
-    assert rep.dim == 9 and rep.trivial_dim == 10
+    assert rep.deformations.dim == 9 and len(rep.trivial.rows) == 10
     assert rep.trivial_contained is False
     assert rep.verdict == spaces.VERDICT_INCONCLUSIVE
