@@ -1,20 +1,28 @@
 #!/usr/bin/env python3
-"""Print one digest of the parsed germs, for identity checks of the parser
-and the series layer.
+"""Print two digests, of the parsed germs and of the pipeline's condition
+rows, for identity checks of the parser, the series layer and the
+pipeline.
 
 Usage:
     python3 scripts/germ_digest.py
 
 Parses every corpus entry and the perfbench presentations of seeds 1-8 of
 every workload, each at orders 12 and 24, on the ``src/`` tree next to
-this script.  The digest is the sha256 of the frames and of the
+this script.  The first digest is the sha256 of the frames and of the
 (exponent, numerators, denominator) terms of Q, rho, the normal-coordinate
 change g and each map component, in coefficient insertion order, so a
 change that moves the order in which terms are stored (and with it the
 order of elimination rows) changes it too.  A frame is hashed by its
 meaning (variables, order, weights and {variable: cap}), not by how it
-stores its caps.  Run it on two checkouts and compare the lines.  The
-perfbench modules are imported, never changed.
+stores its caps.
+
+The second digest is the sha256 of the pole, jet and residual rows of
+``pipeline.condition_system`` at each problem's work order, for the
+corpus entries with a map that are not degenerate and the seed 1-8
+presentations of ``rigidity-spherical``.  Each row is hashed with its
+keys and tags sorted, so a change that only reorders rows or tags keeps
+it.  Run it on two checkouts and compare the lines.  The perfbench
+modules are imported, never changed.
 """
 
 import hashlib
@@ -24,8 +32,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from crrigid.corpus import CORPUS_IDS, corpus_text  # noqa: E402
+from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text  # noqa: E402
 from crrigid.parser import parse_problem  # noqa: E402
+from crrigid.pipeline import condition_system  # noqa: E402
 from presentations import draw  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
@@ -51,6 +60,26 @@ def terms(s) -> str:
                   for e, c in s.coeffs.items()]))
 
 
+def rows_text(rows) -> str:
+    """Rows {key: {tag: Scalar}} with keys and tags sorted."""
+    return repr(sorted(
+        (key, sorted((tag, (c.na, c.nb, c.nc, c.ne, c.nd))
+                     for tag, c in row.items()))
+        for key, row in rows.items()))
+
+
+def conditions_text(text: str) -> str:
+    """The work order and the sorted rows of a problem's condition system."""
+    spec = parse_problem(text, order=ORDERS[-1])
+    work_order = spec.orders()[0]
+    if work_order + 5 > ORDERS[-1]:
+        spec = parse_problem(text, order=work_order + 5)
+    system = condition_system(spec.H, spec.source, spec.target, work_order)
+    return "|".join([str(system.work_order), rows_text(system.rows_pole),
+                     rows_text(system.rows_jet),
+                     rows_text(system.residuals)])
+
+
 def main() -> int:
     texts = [corpus_text(e) for e in CORPUS_IDS]
     for name, workload in sorted(WORKLOADS.items()):
@@ -66,6 +95,16 @@ def main() -> int:
             germs += spec.H.components if spec.H is not None else []
             digest.update("|".join(map(terms, germs)).encode())
     print(f"{len(texts)} problems at orders {ORDERS}: {digest.hexdigest()}")
+    solved = [corpus_text(e) for e, exp in EXPECTATIONS.items()
+              if not (exp.aut_only or exp.degenerate)]
+    slots = WORKLOADS["rigidity-spherical"].slots
+    solved += [draw("rigidity-spherical", seed, k, entry, corpus_text(entry),
+                    plan).text
+               for seed in SEEDS for k, (entry, plan) in enumerate(slots)]
+    digest = hashlib.sha256()
+    for text in solved:
+        digest.update(conditions_text(text).encode())
+    print(f"{len(solved)} condition systems: {digest.hexdigest()}")
     return 0
 
 

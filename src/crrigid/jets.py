@@ -6,11 +6,13 @@ Unknown tags used in this package:
   exponent e (z^m w^n for a deformation field)
 * ``("jetbar", j, e...)``  -- its formal complex conjugate
 
-A solve works over the real coordinates of an ordered list of jet tags:
-column 2k holds Re, column 2k+1 holds Im of tag k.  Only this module
-turns a tag index into a real column or back, and :func:`harvest_kernel`
-is the one elimination both solvers read their kernel from; it takes the
-real rows of :func:`realify_row`, which reads each complex row through
+A :class:`LinRow` is a complex-linear form over these tags, the
+coefficient ring of a :class:`~crrigid.linseries.LinSeries`.  A solve
+works over the real coordinates of an ordered list of jet tags: column
+2k holds Re, column 2k+1 holds Im of tag k.  Only this module turns a
+tag index into a real column or back, and :func:`harvest_kernel` is the
+one elimination both solvers read their kernel from; it takes the real
+rows of :func:`realify_row`, which reads each complex row through
 :func:`crrigid.linalg.integer_row` and stays in integers.
 """
 
@@ -25,9 +27,6 @@ from crrigid.linalg import Eliminator, IntRow, Row, integer_row, \
 from crrigid.scalars import ZERO, Scalar, I as IMAG
 from crrigid.series import Series
 
-#: A complex-linear row over jet tags, {tag: Scalar}.
-LinRow = Dict[Hashable, Scalar]
-
 
 def bar_key(key: Hashable) -> Hashable:
     """Swap ("jet", ...) and ("jetbar", ...) tags."""
@@ -37,6 +36,41 @@ def bar_key(key: Hashable) -> Hashable:
     if tag == "jetbar":
         return ("jet",) + tuple(key[1:])
     raise ValueError(f"cannot conjugate unknown tag {key!r}")
+
+
+class LinRow(dict):
+    """A complex-linear row {tag: Scalar} without zero entries.  Only
+    ``+=`` changes a row, in place; the rest build new rows."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "LinRow") -> "LinRow":
+        return LinRow(self).__iadd__(other)
+
+    def __iadd__(self, other: "LinRow") -> "LinRow":
+        for t, v in other.items():
+            s = self[t] + v if t in self else v
+            if s:
+                self[t] = s
+            else:
+                del self[t]
+        return self
+
+    def __neg__(self) -> "LinRow":
+        return LinRow({t: -v for t, v in self.items()})
+
+    def __mul__(self, c) -> "LinRow":
+        """The row times a Scalar or an int."""
+        out = LinRow()    # filled here: a dict display would be copied
+        for t, v in self.items():
+            out[t] = v * c
+        return out
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "LinRow":
+        """Each entry conjugated, its tag swapped by :func:`bar_key`."""
+        return LinRow({bar_key(t): v.conjugate() for t, v in self.items()})
 
 
 def jet_unknowns(ncomp: int, nvars_weights: Sequence[int], kmax: int,
@@ -136,10 +170,16 @@ def field_row(V: Sequence[Series], keys: Sequence[Hashable] = JET4) -> Row:
 class KernelSolve:
     """A solved deformation or automorphism space, from either route."""
     dims: Dict[Hashable, int]    # truncation (K, K) or harvest order -> dim
-    dim: int
-    stabilized: bool
     kernel_real: List[Row]       # canonical basis over the real columns
     jet_keys: List[Hashable]     # the tags of those columns
+
+    @property
+    def dim(self) -> int:
+        return len(self.kernel_real)
+
+    @property
+    def stabilized(self) -> bool:    # every order gives one dimension
+        return len(set(self.dims.values())) == 1
 
 
 def projected_kernel(kernel: List[Row], ncols: int) -> List[Row]:
@@ -173,5 +213,4 @@ def harvest_kernel(lead: List[Hashable], rest: Sequence[Hashable],
                 elim.add_row(r)
         kernel = projected_kernel(elim.kernel_basis(), column_count(lead))
         dims[order] = len(kernel)
-    return KernelSolve(dims, len(kernel), len(set(dims.values())) == 1,
-                       kernel, lead)
+    return KernelSolve(dims, kernel, lead)

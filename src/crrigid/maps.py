@@ -113,8 +113,8 @@ class NondegeneracyCheck:
     """Finite nondegeneracy data of an embedding at 0."""
     span_dims: List[int]          # dim E_k(0) for k = 0, 1, 2, ...
     k0: Optional[int]             # first k with full span, None if not reached
-    s0: Scalar                    # det(r, Lr, L^2 r)(0)
-    two_nondegenerate: bool
+    s0: Scalar                    # det(r, Lr, L^2 r)(0), nonzero iff H is
+                                  # 2-nondegenerate
 
 
 #: The chart order and the highest chi-derivative that
@@ -147,4 +147,4 @@ def nondegeneracy(H: MapGerm, source: Source, target: Target
     if n == 3:
         mat = [[rows[k][j].constant_term() for j in range(3)] for k in range(3)]
         s0 = det3(mat)
-    return NondegeneracyCheck(dims, k0, s0, not s0.is_zero())
+    return NondegeneracyCheck(dims, k0, s0)

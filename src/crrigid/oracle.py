@@ -75,7 +75,7 @@ def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
         # operations on the corpus
         residual = residual_at(K)
         wdeg = residual.frame.wdeg
-        exps = [e for e in residual.support() if K == keq or wdeg(e) == K]
+        exps = [e for e in residual.coeffs if K == keq or wdeg(e) == K]
         return (K, K), (residual.coefficient_row(e)
                         for e in sorted(exps, key=lambda e: (wdeg(e), e)))
 

@@ -294,8 +294,11 @@ def _parse_source(rest: str, order: int, line: int
     if rest.lower() in ("hyperquadric", "hyperquadric +1"):
         return Source.hyperquadric(order), None
     rho = _equation(rest, defining_frame(order), SOURCE_SWAP, line)
-    Q, change = normalize_defining(rho)
-    return Source(Q), change
+    try:
+        Q, change = normalize_defining(rho)
+        return Source(Q), change
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None
 
 
 def _parse_target(rest: str, n: int, order: int, line: int) -> Target:
@@ -311,5 +314,8 @@ def _parse_target(rest: str, n: int, order: int, line: int) -> Target:
             raise ParseError("hyperquadric -1 needs a target in C^n with "
                              "n >= 3", line)
         return Target.hyperquadric(eps, order, n=n)
-    return Target(_equation(rest, target_frame(n, order), target_swap(n),
-                            line), n)
+    rho = _equation(rest, target_frame(n, order), target_swap(n), line)
+    try:
+        return Target(rho, n)
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame
 from crrigid.linseries import LinRow, LinSeries
 from crrigid.linalg import adjugate3, det3
@@ -62,10 +61,9 @@ class DegenerateMapError(ValueError):
 def formal_jet(frm: Frame) -> List[LinSeries]:
     """J_j = sum of ("jet", j, m, n) z^m w^n over :data:`JET4`, per
     component."""
-    J: List[Dict[tuple, LinRow]] = [{} for _ in range(3)]
-    for key in JET4:
-        J[key[1]][tuple(key[2:])] = {key: Scalar(1)}
-    return [LinSeries(frm, rows) for rows in J]
+    return [LinSeries.from_tags(frm, {key: Series.monomial(frm, key[2:], 1)
+                                      for key in JET4 if key[1] == j})
+            for j in range(3)]
 
 
 def _reflect(r: List[Series], rhs: LinSeries, var: str,
@@ -172,13 +170,13 @@ def segre_divide(phi: LinSeries, fiber: SegreFiber
     kphi = phi.frame.order
     rest, alpha, poles = phi, {}, {}
     for k, (qk, uk) in enumerate(zip(fiber.qpow, fiber.upow)):
-        part = [(m, row) for (m, n), row in rest.rows.items() if n == k]
+        part = [(m, row) for (m, n), row in rest.coeffs.items() if n == k]
         poles.update({(m - k, k): row for m, row in part if m < k})
         top = {(m - k, 0): row for m, row in part if m >= k}
-        prod = (LinSeries(phi.frame, top) * uk).rows
+        prod = (LinSeries(phi.frame, top) * uk).coeffs
         ak = LinSeries(phi.frame, {e: r for e, r in prod.items()
                                    if e[0] + 2 * k <= kphi})
-        alpha.update({(a, k): r for (a, _), r in ak.rows.items()})
+        alpha.update({(a, k): r for (a, _), r in ak.coeffs.items()})
         rest = rest - ak * qk
     return alpha, poles
 
@@ -218,7 +216,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     slots = [(ell, 0, 0) for ell in range(3)] + [key[1:] for key in JET4]
     rows_jet = {(ell, m, n): diffs[ell].coefficient_row((m, n))
                 for ell, m, n in slots
-                if m + 2 * n <= kphi and (m, n) in diffs[ell].support()}
+                if m + 2 * n <= kphi and (m, n) in diffs[ell].coeffs}
     return K, rows_pole, rows_jet
 
 
@@ -236,7 +234,7 @@ def residual_rows(K: List[LinSeries], H: MapGerm, source: Source,
         Kb = K[ell].conj().substitute(anti)
         res = res + Kc * r_on[ell] + Kb * rb_on[ell]
     return {exp: res.coefficient_row(exp)
-            for exp in sorted(res.support(), key=frm.wdeg)}
+            for exp in sorted(res.coeffs, key=frm.wdeg)}
 
 
 # -- assembled solver -------------------------------------------------

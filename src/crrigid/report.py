@@ -39,7 +39,7 @@ def check_doc(spec: ProblemSpec, nd: NondegeneracyCheck) -> Dict:
         "transversal": transversality(H),
         "span_dims": nd.span_dims,
         "k0": nd.k0,
-        "two_nondegenerate": nd.two_nondegenerate,
+        "two_nondegenerate": not nd.s0.is_zero(),
         "s0": str(nd.s0),
     }
 
@@ -116,7 +116,7 @@ def genericity_doc(cert: GenericityCertificate) -> Dict:
         "command": "genericity",
         "rank": cert.rank,
         "columns": cert.ncols,
-        "full_rank": cert.certified,
+        "full_rank": cert.rank == cert.ncols,
         "free_slots": [list(map(str, k)) for k in FREE_SLOTS],
     }
 

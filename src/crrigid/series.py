@@ -1,9 +1,13 @@
-"""Truncated multivariate power series over Q(i, sqrt(2)).
+"""Truncated multivariate power series: the one series algebra, over
+Q(i, sqrt(2)) or over linear forms.
 
-A :class:`Series` is a sparse hash-map from exponent tuples to
-:class:`~crrigid.scalars.Scalar` coefficients, truncated to a fixed total
-(weighted) degree recorded in its :class:`Frame`.  Frames may additionally
-impose per-variable degree caps.
+A :class:`Series` is a sparse hash-map from exponent tuples to nonzero
+coefficients, truncated to a fixed total (weighted) degree recorded in its
+:class:`Frame`.  Frames may additionally impose per-variable degree caps.
+The coefficients are :class:`~crrigid.scalars.Scalar` elements, or, in a
+:class:`~crrigid.linseries.LinSeries`, :class:`~crrigid.jets.LinRow`
+linear forms; the methods use only what both rings provide, so each
+serves both, and a product with a LinSeries operand is a LinSeries.
 
 Two series are compatible only if their frames agree exactly; all binary
 operations check this.
@@ -136,23 +140,22 @@ class Series:
         for exp, c in other.coeffs.items():
             prev = out.get(exp)
             s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
+            if s:
                 out[exp] = s
-        return Series(self.frame, out)
+            else:
+                out.pop(exp, None)
+        return type(self)(self.frame, out)
 
     def __neg__(self) -> "Series":
-        return Series(self.frame, {e: -c for e, c in self.coeffs.items()})
+        return type(self)(self.frame, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def scale(self, value) -> "Series":
         v = scalar(value)
-        if v.is_zero():
-            return Series(self.frame, {})
-        return Series(self.frame, {e: c * v for e, c in self.coeffs.items()})
+        out = {e: c * v for e, c in self.coeffs.items()} if v else {}
+        return type(self)(self.frame, out)
 
     # -- multiplication -----------------------------------------------
 
@@ -161,15 +164,16 @@ class Series:
             return self.scale(other)
         self._assert_compatible(other)
         frm = self.frame
-        if not self.coeffs or not other.coeffs:
-            return Series(frm, {})
+        cls = type(other) if isinstance(other, type(self)) else type(self)
         a = sorted(((frm.wdeg(e), e, c) for e, c in self.coeffs.items()))
         b = sorted(((frm.wdeg(e), e, c) for e, c in other.coeffs.items()))
-        if len(a) > len(b):
+        # the outer loop: the shorter operand, or the LinSeries (row * scalar)
+        if (len(a) > len(b) if type(other) is type(self)
+                else cls is type(other)):
             a, b = b, a
         order = frm.order
         capped = frm.caps
-        out: Dict[Exponent, Scalar] = {}
+        out = {}
         for wa, ea, ca in a:
             limit = order - wa
             for wb, eb, cb in b:
@@ -179,15 +183,19 @@ class Series:
                 # the break bounds the weighted degree; only caps remain
                 if capped and any(exp[i] > c for i, c in capped):
                     continue
-                # a product of nonzero field elements is nonzero
+                # a product of nonzero field elements is nonzero; ``out``
+                # holds only products formed here, so ``+=`` may be in place
                 prod = ca * cb
                 prev = out.get(exp)
-                s = prod if prev is None else prev + prod
-                if s.is_zero():
-                    out.pop(exp, None)
+                if prev is None:
+                    out[exp] = prod
                 else:
-                    out[exp] = s
-        return Series(frm, out)
+                    prev += prod
+                    if prev:
+                        out[exp] = prev
+                    else:
+                        del out[exp]
+        return cls(frm, out)
 
     __rmul__ = __mul__
 
@@ -200,34 +208,37 @@ class Series:
 
     def partial(self, var: str) -> "Series":
         i = self.frame.index(var)
-        out: Dict[Exponent, Scalar] = {}
+        out = {}
         for exp, c in self.coeffs.items():
             k = exp[i]
             if k:
                 out[exp[:i] + (k - 1,) + exp[i + 1:]] = c * k
-        return Series(self.frame, out)
+        return type(self)(self.frame, out)
 
     def conj(self, rename: Optional[Mapping[str, str]] = None) -> "Series":
         """Conjugate coefficients; optionally rename variables as
         :meth:`project` does, by a swap such as z <-> chi, w <-> tau that
         keeps the frame's weights."""
-        out = Series(self.frame,
-                     {e: c.conjugate() for e, c in self.coeffs.items()})
+        out = type(self)(self.frame,
+                         {e: c.conjugate() for e, c in self.coeffs.items()})
         return out.project(self.frame, rename) if rename else out
 
     # -- substitution -------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "Series"]) -> "Series":
-        """Substitute a series for every variable (checked by
-        :func:`substitution_target`)."""
+        """Substitute an ordinary series for every variable (checked by
+        :func:`substitution_target`); each monomial is formed once."""
         target = substitution_target(self.frame, bindings)
         table = power_table([bindings[v] for v in self.frame.vars],
                             self.coeffs)
-        out: Dict[Exponent, Scalar] = {}
+        out = {}
         for exp, c in self.coeffs.items():
             for e, m in table_monomial(table, exp).coeffs.items():
-                out[e] = out[e] + m * c if e in out else m * c
-        return Series(target, {e: c for e, c in out.items() if c})
+                if e in out:    # a product formed here, as in __mul__
+                    out[e] += c * m
+                else:
+                    out[e] = c * m
+        return type(self)(target, {e: c for e, c in out.items() if c})
 
     def project(self, target: Frame,
                 rename: Optional[Mapping[str, str]] = None) -> "Series":
@@ -235,12 +246,12 @@ class Series:
         cannot hold: those in a variable it lacks (restricting to
         {var = 0}) and those its truncation does not admit."""
         move = projection(self.frame, target, rename)
-        out: Dict[Exponent, Scalar] = {}
+        out = {}
         for exp, c in self.coeffs.items():
             t = move(exp)
             if t is not None:
                 out[t] = c
-        return Series(target, out)
+        return type(self)(target, out)
 
     # -- units --------------------------------------------------------
 

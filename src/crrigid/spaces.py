@@ -93,7 +93,7 @@ def validate_embedding(H: MapGerm, source: Source, target: Target
         raise NotMappedError(
             "map does not send the source germ into the target germ")
     nd = nondegeneracy(H, source, target)
-    if not nd.two_nondegenerate:
+    if nd.s0.is_zero():
         raise DegenerateMapError("embedding is not 2-nondegenerate at 0")
     return nd
 
@@ -142,8 +142,7 @@ FREE_SLOTS: Tuple[Hashable, ...] = (
 @dataclass
 class GenericityCertificate:
     rank: int
-    ncols: int            # number of complement columns
-    certified: bool       # full column rank on the complement
+    ncols: int            # complement columns; full rank when rank == ncols
 
 
 def genericity_certificate(system: ConditionSystem) -> GenericityCertificate:
@@ -163,11 +162,9 @@ def genericity_certificate(system: ConditionSystem) -> GenericityCertificate:
     rows: List[Row] = []
     for crow in [*system.rows_pole.values(), *system.rows_jet.values(),
                  *system.residuals.values()]:
-        for source_row in (crow,
-                           {bar_key(k): v.conjugate()
-                            for k, v in crow.items()}):
+        for source_row in (crow, crow.conjugate()):
             rows.append({col[k]: v for k, v in source_row.items()
                          if k not in drop})
     ncols = len(keys) - len(drop)
     rank = rank_of(rows, len(keys))
-    return GenericityCertificate(rank, ncols, rank == ncols)
+    return GenericityCertificate(rank, ncols)

@@ -191,7 +191,8 @@ def test_deform_oracle_cubic(monkeypatch, cache, capsys):
 
 
 def test_unstabilized_cross_check_exits_1(monkeypatch, cache, capsys):
-    _serve_from_cache(monkeypatch, cache, "example-6-3", stabilized=False)
+    _serve_from_cache(monkeypatch, cache, "example-6-3",
+                      dims={(17, 17): 2, (18, 18): 1})
     code, out, _ = _run(capsys, "deform", "example-6-3", "--with-oracle")
     assert code == 1
     assert json.loads(out)["oracle_stabilized"] is False

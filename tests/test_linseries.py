@@ -21,7 +21,7 @@ def linseries_elems(draw):
 def by_tag(ls):
     """The inverse of :meth:`LinSeries.from_tags`: one series per unknown."""
     coeffs = {}
-    for exp, row in ls.rows.items():
+    for exp, row in ls.coeffs.items():
         for tag, c in row.items():
             coeffs.setdefault(tag, {})[exp] = c
     return {tag: Series(ls.frame, co) for tag, co in coeffs.items()}
@@ -48,7 +48,7 @@ def bindings(draw):
 def test_from_tags_round_trip(comps):
     ls = LinSeries.from_tags(F, comps)
     assert by_tag(ls) == {t: s for t, s in comps.items() if not s.is_zero()}
-    assert (not ls.support()) == all(s.is_zero() for s in comps.values())
+    assert (not ls.coeffs) == all(s.is_zero() for s in comps.values())
 
 
 @given(linseries_elems(), linseries_elems())
@@ -61,7 +61,7 @@ def test_add_and_sub(a, b):
                 for t in set(sa) | set(sb)}
         assert by_tag(got) == {t: s for t, s in want.items()
                                 if not s.is_zero()}
-    assert not (a - a).support()
+    assert not (a - a).coeffs
 
 
 @given(linseries_elems(), series_elems())
@@ -108,4 +108,27 @@ def test_coefficient_row(a):
         want = {t: s.coefficient(e) for t, s in comps.items()
                 if not s.coefficient(e).is_zero()}
         assert a.coefficient_row(e) == want
-        assert (e in a.support()) == bool(want)
+        assert (e in a.coeffs) == bool(want)
+
+
+def snapshot(s):
+    """A deep copy of a series' coefficients; Scalars are never mutated."""
+    return {e: dict(c) if isinstance(c, dict) else c
+            for e, c in s.coeffs.items()}
+
+
+@given(linseries_elems(), linseries_elems(), series_elems(), bindings())
+@settings(max_examples=30, deadline=None)
+def test_operations_return_linseries_and_keep_operands(a, b, s, bind):
+    """Each operation builds a new LinSeries and leaves every operand's
+    rows as they were: the products add into rows in place, which must
+    be rows they formed themselves."""
+    capped = frame("z", "w", order=5, weights=(1, 2), caps={"z": 2})
+    operands = [a, b, s, *bind.values()]
+    before = [snapshot(x) for x in operands]
+    for op in (lambda: a + b, lambda: a - b, lambda: -a,
+               lambda: a.scale(3), lambda: a * s, lambda: s * a,
+               lambda: a.partial("z"), lambda: a.conj(),
+               lambda: a.project(capped), lambda: a.substitute(bind)):
+        assert isinstance(op(), LinSeries)
+        assert [snapshot(x) for x in operands] == before

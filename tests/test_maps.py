@@ -48,7 +48,7 @@ def test_embedding_residual_detects_non_maps():
 def test_nondegeneracy_k0():
     spec = _quartic_embedding()
     nd = nondegeneracy(spec.H, spec.source, spec.target)
-    assert nd.two_nondegenerate
+    assert not nd.s0.is_zero()
     assert nd.k0 == 2
 
 
@@ -56,7 +56,7 @@ def test_degenerate_image_in_hyperplane():
     # (z, 0, w) maps the sphere into {z2 = 0}: not 2-nondegenerate
     spec = load_corpus("example-6-4-t0", order=ORDER)
     nd = nondegeneracy(spec.H, spec.source, spec.target)
-    assert not nd.two_nondegenerate
+    assert nd.s0.is_zero()
 
 
 def test_jet_row_of_quartic_embedding():

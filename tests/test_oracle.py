@@ -117,7 +117,7 @@ def test_residual_annihilated_by_known_deformation(cache):
     assignment = {("jet", 0, 1, 0): I, ("jet", 1, 2, 0): third,
                   ("jetbar", 0, 1, 0): -1 * I,
                   ("jetbar", 1, 2, 0): third.conjugate()}
-    for exp in residual.support():
+    for exp in residual.coeffs:
         row = residual.coefficient_row(exp)
         value = sum((c * assignment[k] for k, c in row.items()
                      if k in assignment), Scalar(0))

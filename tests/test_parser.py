@@ -198,7 +198,13 @@ def test_map_length_must_match_the_target(body, count):
      r"target\(0\): a target lives in C\^n with n >= 2"),
     ("target(2): hyperquadric -1",
      r"hyperquadric -1 needs a target in C\^n with n >= 3"),
-], ids=["C1", "C0", "C2-signature"])
+    ("target: imag(w1) = i*z1*z1",
+     "target defining function is not real"),
+    ("target: real(w1) = z1*conj(z1) + z2*conj(z2)",
+     r"target linear part must be \(w1 - bw1\)/2i"),
+    ("target: imag(w1) = z1*conj(z1) + z2*conj(z2) + 1",
+     "target defining function must vanish at 0"),
+], ids=["C1", "C0", "C2-signature", "not-real", "real-w1", "constant"])
 def test_target_dimension_and_signature_checked(target, message):
     text = f"vars z w;\nsource: imag(w) = z*conj(z);\n{target};\n"
     with pytest.raises(ParseError, match="line 3: " + message):
@@ -208,20 +214,24 @@ def test_target_dimension_and_signature_checked(target, message):
                          order=8).target.n == 4
 
 
-@pytest.mark.parametrize("equation, accepted", [
-    ("imag(w) = real(z)", False),
-    ("real(w) = z*conj(z)", False),
-    ("3*imag(w) = z*conj(z)", True),
-    ("imag(w) = z*conj(z) + real(w)", True),
-    ("imag(w) + real(z*w) = z*conj(z)", True),
-], ids=["z-term", "real-w", "scaled", "plus-real-w", "zw-term"])
-def test_source_linear_part_checked(equation, accepted):
+_LINEAR_PART = r"linear part must be c\*imag\(w\) \+ d\*real\(w\)"
+
+
+@pytest.mark.parametrize("equation, message", [
+    ("imag(w) = real(z)", _LINEAR_PART),
+    ("real(w) = z*conj(z)", _LINEAR_PART),
+    ("imag(w) = i*z*z", "defining function is not real"),
+    ("3*imag(w) = z*conj(z)", None),
+    ("imag(w) = z*conj(z) + real(w)", None),
+    ("imag(w) + real(z*w) = z*conj(z)", None),
+], ids=["z-term", "real-w", "not-real", "scaled", "plus-real-w", "zw-term"])
+def test_source_linear_part_checked(equation, message):
+    """A rejected source equation is a parse error on its line."""
     text = _PROBLEM.replace("imag(w) = z*conj(z)", equation)
-    if accepted:
+    if message is None:
         parse_problem(text, order=8)
     else:
-        with pytest.raises(ValueError, match=r"linear part must be "
-                                             r"c\*imag\(w\) \+ d\*real\(w\)"):
+        with pytest.raises(ParseError, match="line 2: .*" + message):
             parse_problem(text, order=8)
 
 

@@ -174,7 +174,7 @@ def _second_segre_values(spec, work_order, fields):
         for p, v in zip(phi, V):
             got = {e: sum((c * V[key[1]].coefficient(key[2:])
                            for key, c in row.items()), Scalar(0))
-                   for e, row in p.rows.items()}
+                   for e, row in p.coeffs.items()}
             yield Series(xfrm, {e: c for e, c in got.items() if c}), \
                 v.substitute(segre)
 

@@ -126,7 +126,6 @@ def test_free_slots():
 
 def test_genericity_certificate_quartic(cache):
     cert = cache.genericity("example-6-1")
-    assert cert.certified
     assert cert.rank == cert.ncols == 74
 
 
@@ -168,7 +167,7 @@ def test_trivial_rows_outside_a_smaller_kernel(cache, monkeypatch):
     sol = cache.pipeline("example-6-1")
     monkeypatch.setattr(spaces, "trivial_subspace", lambda *args, **kwargs:
                         cache.trivial("example-6-1"))
-    smaller = replace(sol, kernel_real=sol.kernel_real[1:], dim=sol.dim - 1)
+    smaller = replace(sol, kernel_real=sol.kernel_real[1:])
     rep = spaces.decide_rigidity(spec.H, spec.target, smaller,
                                  aut_keq=cache.orders("example-6-1")[2])
     assert rep.deformations.dim == 9 and len(rep.trivial.rows) == 10
