@@ -23,6 +23,9 @@ class LinSeries(Series):
 
     __slots__ = ()
 
+    # a fresh empty row on each call: ``+=`` changes a row in place
+    zero_coefficient = LinRow
+
     @staticmethod
     def from_tags(frm: Frame, comps: Mapping[Hashable, Series]) -> "LinSeries":
         """sum_k comps[k] * k, from one series per unknown tag."""
@@ -38,5 +41,5 @@ class LinSeries(Series):
     substitute = Series.substitute
 
     def coefficient_row(self, exp: Exponent) -> LinRow:
-        """The linear form attached to one series coefficient."""
-        return self.coeffs.get(exp, LinRow())
+        """:meth:`coefficient`, by the name perfbench counts harvests by."""
+        return self.coefficient(exp)

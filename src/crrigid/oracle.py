@@ -6,7 +6,8 @@ the defining real-linear equation on the complexified germ to a working
 order, and compute the exact kernel, projected to low-order jets.  They
 serve as the independent cross-check ("oracle") for the jet
 parametrization pipeline, and as the general-purpose automorphism solver
-for target germs.
+for target germs.  The oracle harvests one coefficient per conjugate pair
+(:func:`mirror_half`), the automorphism solver every coefficient.
 """
 
 from __future__ import annotations
@@ -102,14 +103,33 @@ def deformation_residual(H: MapGerm, source: Source, target: Target,
                         [anti["z"], anti["w"]], keys)
 
 
+def mirror_half(residual: LinSeries) -> LinSeries:
+    """The coefficients of a :func:`deformation_residual` at (z, chi,
+    tau) exponents (a, b, c) with a <= b, whose real rows span those of
+    all its coefficients at every weighted order.
+
+    Proof: R is real, so R(z, chi, tau) = Rbar(chi, z, Q(z, chi, tau)),
+    Rbar with conjugate coefficients and jet, jetbar tags swapped.  In
+    normal form Q = tau + q z chi + terms of weight >= 3 and positive z-
+    and chi-degree.  So the row of R at (a, b, c) is sum_k binom(c+k, k)
+    q^k conj(row at (b-k, a-k, c+k)) plus conjugates of rows of lower
+    weighted order; for a > b each (b-k, a-k, c+k) is kept.  A complex
+    row, its conjugate and their complex multiples span the same real
+    rows, so by induction on the weighted order the kept rows span all.
+    """
+    return LinSeries(residual.frame, {
+        e: row for e, row in residual.coeffs.items() if e[0] <= e[1]})
+
+
 def direct_solve(H: MapGerm, source: Source, target: Target,
                  keq: int) -> KernelSolve:
     """Independent deformation-space computation by brute truncation:
     :func:`truncated_solve` of the deformation equation, projected onto
-    the 4-jet.  The germs must be expanded to order keq + 1."""
+    the 4-jet, harvesting the :func:`mirror_half` of each residual.  The
+    germs must be expanded to order keq + 1."""
     require_order(keq + 1, H, source, target)
     return truncated_solve(
-        lambda K: deformation_residual(H, source, target, K),
+        lambda K: mirror_half(deformation_residual(H, source, target, K)),
         target.n, (1, 2), JET4, keq)
 
 

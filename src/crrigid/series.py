@@ -7,7 +7,7 @@ coefficients, truncated to a fixed total (weighted) degree recorded in its
 The coefficients are :class:`~crrigid.scalars.Scalar` elements, or, in a
 :class:`~crrigid.linseries.LinSeries`, :class:`~crrigid.jets.LinRow`
 linear forms; the methods use only what both rings provide, so each
-serves both, and a product with a LinSeries operand is a LinSeries.
+serves both; one LinSeries factor makes a LinSeries product, two a TypeError.
 
 Two series are compatible only if their frames agree exactly; all binary
 operations check this.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -44,7 +45,7 @@ class Frame:
         return self.vars.index(var)
 
     def wdeg(self, exp: Exponent) -> int:
-        return sum(e * w for e, w in zip(exp, self.weights))
+        return sum(map(mul, exp, self.weights))
 
     def admits(self, exp: Exponent) -> bool:
         for i, cap in self.caps:
@@ -111,11 +112,15 @@ class Series:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    #: the coefficient at an absent exponent, made on each call
+    zero_coefficient = staticmethod(lambda: ZERO)
+
     def coefficient(self, exp: Exponent) -> Scalar:
-        return self.coeffs.get(tuple(exp), ZERO)
+        c = self.coeffs.get(tuple(exp))
+        return self.zero_coefficient() if c is None else c
 
     def constant_term(self) -> Scalar:
-        return self.coeffs.get(self.frame.zero_exp(), ZERO)
+        return self.coefficient(self.frame.zero_exp())
 
     def vanishing_order(self) -> int:
         """Minimal weighted degree of a nonzero term (order+1 if zero)."""
@@ -163,10 +168,12 @@ class Series:
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         self._assert_compatible(other)
-        frm = self.frame
+        if type(other) is type(self) is not Series:
+            raise TypeError("a product of two LinSeries is not linear")
+        frm, wdeg = self.frame, self.frame.wdeg
         cls = type(other) if isinstance(other, type(self)) else type(self)
-        a = sorted(((frm.wdeg(e), e, c) for e, c in self.coeffs.items()))
-        b = sorted(((frm.wdeg(e), e, c) for e, c in other.coeffs.items()))
+        a = sorted(((wdeg(e), e, c) for e, c in self.coeffs.items()))
+        b = sorted(((wdeg(e), e, c) for e, c in other.coeffs.items()))
         # the outer loop: the shorter operand, or the LinSeries (row * scalar)
         if (len(a) > len(b) if type(other) is type(self)
                 else cls is type(other)):
@@ -179,7 +186,7 @@ class Series:
             for wb, eb, cb in b:
                 if wb > limit:
                     break
-                exp = tuple(x + y for x, y in zip(ea, eb))
+                exp = tuple(map(add, ea, eb))
                 # the break bounds the weighted degree; only caps remain
                 if capped and any(exp[i] > c for i, c in capped):
                     continue

@@ -1,11 +1,13 @@
 """Jet-linear series: each operation equals the same Series operation
 applied tag by tag."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrigid.jets import bar_key
+from crrigid.jets import LinRow, bar_key
 from crrigid.linseries import LinSeries
+from crrigid.scalars import ZERO, Scalar
 from crrigid.series import Series, frame
 
 from test_series import F, series_elems
@@ -109,6 +111,31 @@ def test_coefficient_row(a):
                 if not s.coefficient(e).is_zero()}
         assert a.coefficient_row(e) == want
         assert (e in a.coeffs) == bool(want)
+
+
+@given(linseries_elems(), linseries_elems())
+@settings(max_examples=10, deadline=None)
+def test_product_of_two_linseries_raises(a, b):
+    """Two linear forms multiply to a quadratic form, which no series
+    here holds."""
+    with pytest.raises(TypeError):
+        a * b
+    with pytest.raises(TypeError):
+        b * a
+
+
+def test_absent_coefficient_is_a_fresh_empty_row():
+    a = LinSeries.from_tags(F, {TAGS[0]: Series.variable(F, "z")})
+    row = a.coefficient((0, 1))
+    assert type(row) is LinRow and row == {}
+    assert type(a.constant_term()) is LinRow and a.constant_term() == {}
+    row += LinRow({TAGS[1]: Scalar(1)})
+    assert a.coefficient((0, 1)) == {} and a.coefficient_row((0, 1)) == {}
+    assert a.coefficient((1, 0)) == {TAGS[0]: Scalar(1)}
+    # a Series still answers the Scalar zero
+    for c in (Series.zero(F).coefficient((0, 1)),
+              Series.zero(F).constant_term()):
+        assert type(c) is Scalar and c == ZERO
 
 
 def snapshot(s):

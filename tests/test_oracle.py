@@ -1,11 +1,18 @@
-"""Brute-truncation solver: bookkeeping and a small end-to-end check."""
+"""Brute-truncation solver: bookkeeping, the mirror harvest, and a small
+end-to-end check."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrigid.jets import column_count, field_row, harvest_kernel, \
+from crrigid.corpus import EXPECTATIONS
+from crrigid.jets import JET4, column_count, field_row, harvest_kernel, \
     jet_unknowns, projected_kernel, realify_row
-from crrigid.oracle import deformation_residual
+from crrigid.linalg import Eliminator
+from crrigid.linseries import LinSeries
+from crrigid.oracle import deformation_residual, direct_solve, \
+    mirror_half, truncated_solve
+from crrigid.parser import parse_problem
 from crrigid.scalars import Scalar
 
 from closed_forms import cubic_deformation, in_span, realified
@@ -131,3 +138,62 @@ def test_oracle_dimension_on_cubic_example(cache):
     # kernel contains the known solution (i z, i z^2 / 3, 0)
     vec = field_row(cubic_deformation(cache.spec("example-6-3").H.frame))
     assert in_span(vec, res.kernel_real, column_count(res.jet_keys))
+
+
+# -- the mirror harvest -----------------------------------------------
+
+#: A source that is not rigid, with terms z^a chi^b of a != b and a
+#: tau-dependent term, under a map that is not an embedding.
+UNBALANCED = ("vars z w; source: imag(w) = z*conj(z)"
+              " + (2+i)*z^3*conj(z)^4 + (2-i)*z^4*conj(z)^3"
+              " + z*conj(z)*real(w); target: hyperquadric +1;"
+              " map: (z + z^2, z^2 - w*z, w);")
+MAP_ENTRIES = [e for e, x in EXPECTATIONS.items() if not x.aut_only]
+
+
+def ranks_by_order(residual, keys):
+    """The rank of the real rows of the residual coefficients of weighted
+    order <= W, for W = 0, .., the residual's order."""
+    col = {k: i for i, k in enumerate(keys)}
+    wdeg = residual.frame.wdeg
+    elim = Eliminator(column_count(keys))
+    ranks = []
+    for order in range(residual.frame.order + 1):
+        for exp, row in residual.coeffs.items():
+            if wdeg(exp) == order:
+                for r in realify_row(row, col):
+                    elim.add_row(r)
+        ranks.append(elim.rank)
+    return ranks
+
+
+@pytest.mark.parametrize("entry", MAP_ENTRIES + ["unbalanced"])
+def test_mirror_half_keeps_the_real_rank_at_every_order(cache, entry):
+    """The real rows at exponents (a, b, c) with a <= b span those of all
+    coefficients at every weighted order; keeping only a < b loses rank
+    (the rows at a = b are not conjugates of kept rows)."""
+    if entry == "unbalanced":
+        spec, K = parse_problem(UNBALANCED), 13
+    else:
+        spec, K = cache.spec(entry), 10
+    residual = deformation_residual(spec.H, spec.source, spec.target, K)
+    keys = jet_unknowns(spec.target.n, (1, 2), K, by_weight=True)
+    full = ranks_by_order(residual, keys)
+    assert ranks_by_order(mirror_half(residual), keys) == full
+    strict = LinSeries(residual.frame, {
+        e: row for e, row in residual.coeffs.items() if e[0] < e[1]})
+    assert ranks_by_order(strict, keys) != full
+
+
+@pytest.mark.parametrize("entry", ["example-6-1", "example-6-3"])
+@pytest.mark.parametrize("keq", [14, 16])
+def test_direct_solve_equals_a_full_harvest(cache, entry, keq):
+    """The oracle's answer, false plateau order 14 included, is that of a
+    harvest of every residual coefficient."""
+    s = cache.spec(entry)
+    full = truncated_solve(
+        lambda K: deformation_residual(s.H, s.source, s.target, K),
+        s.target.n, (1, 2), JET4, keq)
+    got = direct_solve(s.H, s.source, s.target, keq)
+    assert got.dims == full.dims
+    assert got.kernel_real == full.kernel_real

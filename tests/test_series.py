@@ -69,6 +69,51 @@ def test_ring_axioms(x, y, z):
     assert x * Series.const(F, 1) == x
 
 
+@st.composite
+def zct_pairs(draw):
+    """Two series on a (z, chi, tau) frame of weights (1, 1, 2) with a
+    random order and random caps, and the admission rule written out."""
+    order = draw(st.integers(0, 7))
+    caps = draw(st.dictionaries(st.sampled_from(("z", "chi", "tau")),
+                                st.integers(0, 3)))
+    frm = frame("z", "chi", "tau", order=order, weights=(1, 1, 2),
+                caps=caps)
+    cap = [caps.get(v, order) for v in frm.vars]
+
+    def admits(e):
+        return e[0] + e[1] + 2 * e[2] <= order and \
+            all(x <= c for x, c in zip(e, cap))
+
+    exps = [e for e in itertools.product(range(order + 1), repeat=3)
+            if admits(e)]
+    pair = []
+    for _ in range(2):
+        coeffs = {}
+        for e in draw(st.lists(st.sampled_from(exps), max_size=12)):
+            c = Scalar(draw(small), draw(small), draw(small), 0)
+            if not c.is_zero():
+                coeffs[e] = c
+        pair.append(Series(frm, coeffs))
+    return pair, admits
+
+
+@given(zct_pairs())
+@settings(max_examples=60, deadline=None)
+def test_product_equals_a_double_loop(case):
+    """The product, with its weighted-degree break and its caps, against
+    every pair of terms summed and truncated by hand."""
+    (x, y), admits = case
+    want = {}
+    for ea, ca in x.coeffs.items():
+        for eb, cb in y.coeffs.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
+            if admits(e):
+                want[e] = want.get(e, Scalar(0)) + ca * cb
+    want = {e: c for e, c in want.items() if not c.is_zero()}
+    for got in (x * y, y * x):
+        assert got.frame == x.frame and got.coeffs == want
+
+
 @given(series_elems(), series_elems())
 @settings(max_examples=30, deadline=None)
 def test_partial_is_a_derivation(x, y):
