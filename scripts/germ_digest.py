@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Print two digests, of the parsed germs and of the pipeline's condition
-rows, for identity checks of the parser, the series layer and the
-pipeline.
+"""Print three digests, of the parsed germs, of the pipeline's condition
+rows and of the truncated solvers' residual rows, for identity checks of
+the parser, the series layer, the pipeline and the oracle.
 
 Usage:
     python3 scripts/germ_digest.py
@@ -21,17 +21,25 @@ The second digest is the sha256 of the pole, jet and residual rows of
 corpus entries with a map that are not degenerate and the seed 1-8
 presentations of ``rigidity-spherical``.  Each row is hashed with its
 keys and tags sorted, so a change that only reorders rows or tags keeps
-it.  Run it on two checkouts and compare the lines.  The perfbench
-modules are imported, never changed.
+it.
+
+The third digest is the sha256 of the sorted rows of
+``oracle.deformation_residual`` at order 9 and of the automorphism
+residual of the target at order 7, the one ``infinitesimal_automorphisms``
+builds, for the same corpus entries and the seed 1-8 presentations of
+``oracle-nonspherical``.  Run it on two checkouts and compare the lines.
+The perfbench modules are imported, never changed.
 """
 
 import hashlib
 import os
 import sys
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+from crrigid import oracle  # noqa: E402
 from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text  # noqa: E402
 from crrigid.parser import parse_problem  # noqa: E402
 from crrigid.pipeline import condition_system  # noqa: E402
@@ -40,6 +48,7 @@ from run import WORKLOADS  # noqa: E402
 
 SEEDS = range(1, 9)
 ORDERS = (12, 24)
+RESIDUAL_ORDERS = (9, 7)    # deformation, automorphism
 
 
 def frame_meaning(frm) -> tuple:
@@ -80,6 +89,21 @@ def conditions_text(text: str) -> str:
                      rows_text(system.residuals)])
 
 
+def residuals_text(text: str) -> str:
+    """The sorted rows of a problem's deformation residual and of its
+    target's automorphism residual, the latter read by standing in for
+    ``truncated_solve``, which ``infinitesimal_automorphisms`` hands the
+    residual builder."""
+    spec = parse_problem(text, order=ORDERS[0])
+    kdef, kaut = RESIDUAL_ORDERS
+    deform = oracle.deformation_residual(spec.H, spec.source, spec.target,
+                                         kdef)
+    with mock.patch.object(oracle, "truncated_solve",
+                           lambda residual_at, *_: residual_at(kaut)):
+        aut = oracle.infinitesimal_automorphisms(spec.target, kaut)
+    return "|".join(rows_text(r.coeffs) for r in (deform, aut))
+
+
 def main() -> int:
     texts = [corpus_text(e) for e in CORPUS_IDS]
     for name, workload in sorted(WORKLOADS.items()):
@@ -97,14 +121,18 @@ def main() -> int:
     print(f"{len(texts)} problems at orders {ORDERS}: {digest.hexdigest()}")
     solved = [corpus_text(e) for e, exp in EXPECTATIONS.items()
               if not (exp.aut_only or exp.degenerate)]
-    slots = WORKLOADS["rigidity-spherical"].slots
-    solved += [draw("rigidity-spherical", seed, k, entry, corpus_text(entry),
-                    plan).text
-               for seed in SEEDS for k, (entry, plan) in enumerate(slots)]
-    digest = hashlib.sha256()
-    for text in solved:
-        digest.update(conditions_text(text).encode())
-    print(f"{len(solved)} condition systems: {digest.hexdigest()}")
+    for label, workload, rows in (
+            ("condition systems", "rigidity-spherical", conditions_text),
+            (f"residual pairs at orders {RESIDUAL_ORDERS}",
+             "oracle-nonspherical", residuals_text)):
+        texts = solved + [
+            draw(workload, seed, k, entry, corpus_text(entry), plan).text
+            for seed in SEEDS
+            for k, (entry, plan) in enumerate(WORKLOADS[workload].slots)]
+        digest = hashlib.sha256()
+        for text in texts:
+            digest.update(rows(text).encode())
+        print(f"{len(texts)} {label}: {digest.hexdigest()}")
     return 0
 
 

@@ -60,10 +60,11 @@ class LinRow(dict):
         return LinRow({t: -v for t, v in self.items()})
 
     def __mul__(self, c) -> "LinRow":
-        """The row times a Scalar or an int."""
+        """The row times a Scalar or an int; empty when c is zero."""
         out = LinRow()    # filled here: a dict display would be copied
-        for t, v in self.items():
-            out[t] = v * c
+        if c:
+            for t, v in self.items():
+                out[t] = v * c
         return out
 
     __rmul__ = __mul__

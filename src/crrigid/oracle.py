@@ -12,14 +12,15 @@ for target germs.  The oracle harvests one coefficient per conjugate pair
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-from crrigid.series import Series, power_table, table_monomial
+from crrigid.series import Exponent, Series, power_table, table_monomial
 from crrigid.linseries import LinSeries
 from crrigid.geometry import Source, Target, target_vars, zct_frame
 from crrigid.maps import MapGerm, pull_back, require_order
-from crrigid.jets import JET4, KernelSolve, bar_key, harvest_kernel, \
-    jet_unknowns
+from crrigid.jets import JET4, KernelSolve, LinRow, bar_key, \
+    harvest_kernel, jet_unknowns
 
 
 # -- the truncated tangency equation ----------------------------------
@@ -32,21 +33,76 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
     ``holo`` with exponent exp in V_j, ("jetbar", j, exp) its conjugate,
     whose monomial is taken in ``anti``.
 
-    A run of keys sharing one exponent, as :func:`jet_unknowns` orders
-    them, forms its monomial once.
+    The rows are written directly, in the order of ``keys`` with each jet
+    tag before its jetbar tag: a tag's terms are those of its
+    :func:`monomial_multiples` product, shifted, where the frame admits
+    them.  That is the truncation of the full product, since a term past
+    the order or a cap has every multiple past it too.
     """
+    frm = r_on[0].frame
+    admits = frm.admits if frm.caps else None
     exps = [tuple(key[2:]) for key in keys]
-    holo_pow, anti_pow = power_table(holo, exps), power_table(anti, exps)
-    comps: Dict[Hashable, Series] = {}
-    last = None
+    sides = (monomial_multiples(r_on, holo, exps),
+             monomial_multiples(rb_on, anti, exps))
+    out: Dict[Exponent, LinRow] = {}
     for key, exp in zip(keys, exps):
-        if exp != last:
-            mono = table_monomial(holo_pow, exp)
-            monob = table_monomial(anti_pow, exp)
-            last = exp
-        comps[key] = r_on[key[1]] * mono
-        comps[bar_key(key)] = rb_on[key[1]] * monob
-    return LinSeries.from_tags(r_on[0].frame, comps)
+        for tag, multiple in zip((key, bar_key(key)), sides):
+            shift, limit, terms = multiple(key[1], exp)
+            for w, e, c in terms:
+                if w > limit:    # the terms are sorted by weighted degree
+                    break
+                if shift is not None:
+                    e = tuple(map(add, e, shift))
+                    if admits is not None and not admits(e):
+                        continue
+                row = out.get(e)
+                if row is None:
+                    row = out[e] = LinRow()
+                row[tag] = c
+    return LinSeries(frm, out)
+
+
+def monomial_multiples(r: Sequence[Series], gens: Sequence[Series],
+                       exps: Sequence[Exponent]) -> Callable:
+    """r[j] * prod_i gens[i]^exp[i] for exp in ``exps``, as a function of
+    (j, exp) giving (shift, limit, terms): the terms (wdeg, e, c) of a
+    product, sorted, each moved to e + shift (None when it is zero) and
+    kept up to the weighted degree ``limit`` before the move.
+
+    A generator of one term with coefficient 1, such as a chart variable,
+    multiplies by shifting exponents.  So one product is formed for each
+    j and power of the other generators, none for their power 0, and the
+    shift, limit and power of each exp are found once.
+    """
+    frm = r[0].frame
+    shifts = [next(iter(g.coeffs)) if len(g.coeffs) == 1
+              and next(iter(g.coeffs.values())) == 1 else None for g in gens]
+    other = [i for i, s in enumerate(shifts) if s is None]
+    table = power_table([gens[i] for i in other],
+                        [tuple(e[i] for i in other) for e in exps])
+    cuts: Dict[Exponent, tuple] = {}
+    products: Dict[Tuple[int, Exponent], list] = {}
+
+    def multiple(j: int, exp: Exponent) -> tuple:
+        cut = cuts.get(exp)
+        if cut is None:
+            shift = frm.zero_exp()
+            for s, k in zip(shifts, exp):
+                if s is not None and k:
+                    shift = tuple(a + k * b for a, b in zip(shift, s))
+            cut = cuts[exp] = (shift if any(shift) else None,
+                               frm.order - frm.wdeg(shift),
+                               tuple(exp[i] for i in other))
+        shift, limit, power = cut
+        terms = products.get((j, power))
+        if terms is None:
+            prod = r[j] * table_monomial(table, power) if any(power) \
+                else r[j]
+            terms = products[j, power] = sorted(
+                (frm.wdeg(e), e, c) for e, c in prod.coeffs.items())
+        return shift, limit, terms
+
+    return multiple
 
 
 def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,

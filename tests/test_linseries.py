@@ -138,6 +138,15 @@ def test_absent_coefficient_is_a_fresh_empty_row():
         assert type(c) is Scalar and c == ZERO
 
 
+def test_row_times_zero_is_empty():
+    """A row holds no zero entries, so a zero factor gives the empty,
+    falsy row, on either side and as a Scalar or an int."""
+    row = LinRow({TAGS[0]: Scalar(2), TAGS[2]: Scalar(1, 0, 1)})
+    for prod in (row * 0, 0 * row, row * ZERO, ZERO * row):
+        assert type(prod) is LinRow and prod == {} and not prod
+    assert row * Scalar(3) == {TAGS[0]: Scalar(6), TAGS[2]: Scalar(3, 0, 3)}
+
+
 def snapshot(s):
     """A deep copy of a series' coefficients; Scalars are never mutated."""
     return {e: dict(c) if isinstance(c, dict) else c

@@ -1,22 +1,26 @@
-"""Brute-truncation solver: bookkeeping, the mirror harvest, and a small
-end-to-end check."""
+"""Brute-truncation solver: bookkeeping, the residual, the mirror
+harvest, and a small end-to-end check."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crrigid.corpus import EXPECTATIONS
-from crrigid.jets import JET4, column_count, field_row, harvest_kernel, \
-    jet_unknowns, projected_kernel, realify_row
+from crrigid.geometry import target_vars, zct_frame
+from crrigid.jets import JET4, bar_key, column_count, field_row, \
+    harvest_kernel, jet_unknowns, projected_kernel, realify_row
 from crrigid.linalg import Eliminator
 from crrigid.linseries import LinSeries
+from crrigid.maps import pull_back
 from crrigid.oracle import deformation_residual, direct_solve, \
-    mirror_half, truncated_solve
+    jet_residual, mirror_half, truncated_solve
 from crrigid.parser import parse_problem
 from crrigid.scalars import Scalar
+from crrigid.series import Series, frame, power_table, table_monomial
 
 from closed_forms import cubic_deformation, in_span, realified
 from test_linalg import field_elements
+from test_series import series_elems
 
 I = Scalar(0, 0, 1)
 
@@ -138,6 +142,100 @@ def test_oracle_dimension_on_cubic_example(cache):
     # kernel contains the known solution (i z, i z^2 / 3, 0)
     vec = field_row(cubic_deformation(cache.spec("example-6-3").H.frame))
     assert in_span(vec, res.kernel_real, column_count(res.jet_keys))
+
+
+# -- the jet residual -------------------------------------------------
+
+def per_key_residual(r_on, rb_on, holo, anti, keys):
+    """The reference for :func:`jet_residual`: one full product per key
+    and side, r_j times its monomial, merged by ``LinSeries.from_tags``."""
+    exps = [tuple(key[2:]) for key in keys]
+    holo_pow, anti_pow = power_table(holo, exps), power_table(anti, exps)
+    comps = {}
+    for key, exp in zip(keys, exps):
+        comps[key] = r_on[key[1]] * table_monomial(holo_pow, exp)
+        comps[bar_key(key)] = rb_on[key[1]] * table_monomial(anti_pow, exp)
+    return LinSeries.from_tags(r_on[0].frame, comps)
+
+
+def assert_same_residual(got, want):
+    assert type(got) is LinSeries
+    assert got == want
+    # each row lists its tags in the reference's order
+    assert all(list(got.coeffs[e]) == list(row)
+               for e, row in want.coeffs.items())
+
+
+def oracle_chart(spec, frm):
+    """(r_on, rb_on, holo, anti) of :func:`deformation_residual`."""
+    holo, anti = chart = spec.source.chart(frm)
+    r_on, rb_on = spec.target.gradient_on(pull_back(spec.H, chart))
+    return r_on, rb_on, [holo["z"], holo["w"]], [anti["z"], anti["w"]]
+
+
+@pytest.mark.parametrize("entry", ["example-6-2", "example-6-3"])
+def test_jet_residual_equals_the_per_key_products_on_the_oracle_chart(
+        cache, entry):
+    spec, K = cache.spec(entry), 9
+    keys = jet_unknowns(spec.target.n, (1, 2), K, by_weight=True)
+    want = per_key_residual(*oracle_chart(spec, zct_frame(K)), keys)
+    assert_same_residual(
+        deformation_residual(spec.H, spec.source, spec.target, K), want)
+
+
+@pytest.mark.parametrize("entry", ["example-6-1", "target-6-4"])
+def test_jet_residual_equals_the_per_key_products_on_a_graph_chart(
+        cache, entry):
+    """On the automorphism solver's chart every anti generator is a
+    variable, so that side forms no product and no power table."""
+    target, K = cache.spec(entry).target, 7
+    n, names = target.n, target_vars(target.n)
+    bind = target.graph_chart(K)
+    anti = [bind[v] for v in names[n:]]
+    assert all(len(g.coeffs) == 1 for g in anti)
+    args = (*target.gradient_on(bind), [bind[v] for v in names[:n]], anti)
+    keys = jet_unknowns(n, (1,) * (n - 1) + (2,), K, by_weight=True)
+    assert_same_residual(jet_residual(*args, keys),
+                         per_key_residual(*args, keys))
+
+
+def test_jet_residual_drops_a_shift_past_a_cap(cache):
+    """On a capped chart the shifted terms past a cap are dropped, as
+    ``Series.__mul__`` drops them, and none below it."""
+    spec, K = cache.spec("example-6-3"), 9
+    frm = frame("z", "chi", "tau", order=K, weights=(1, 1, 2),
+                caps={"z": 2, "chi": 3})
+    args = oracle_chart(spec, frm)
+    keys = jet_unknowns(spec.target.n, (1, 2), K, by_weight=True)
+    got = jet_residual(*args, keys)
+    assert_same_residual(got, per_key_residual(*args, keys))
+    assert max(e[0] for e in got.coeffs) == 2
+    assert max(e[1] for e in got.coeffs) == 3
+
+
+CAPPED = frame("z", "w", order=6, weights=(1, 2), caps={"z": 3})
+
+
+@st.composite
+def generators(draw):
+    """A generator on CAPPED: a variable, a monomial with coefficient 1,
+    one term with another coefficient, or a drawn series."""
+    z, w = Series.variable(CAPPED, "z"), Series.variable(CAPPED, "w")
+    return draw(st.sampled_from([
+        z, w, z * w, Series.const(CAPPED, 1), z.scale(2), w.scale(I),
+        draw(series_elems()).project(CAPPED)]))
+
+
+@given(st.lists(series_elems(), min_size=4, max_size=4),
+       st.lists(generators(), min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_jet_residual_equals_the_per_key_products(r, gens):
+    """Only a term with coefficient 1 is taken for a shift."""
+    r = [s.project(CAPPED) for s in r]
+    keys = jet_unknowns(2, (1, 2), 4, by_weight=True)
+    args = (r[:2], r[2:], gens[:2], gens[2:])
+    assert_same_residual(jet_residual(*args, keys),
+                         per_key_residual(*args, keys))
 
 
 # -- the mirror harvest -----------------------------------------------
