@@ -24,9 +24,9 @@ keys and tags sorted, so a change that only reorders rows or tags keeps
 it.
 
 The third digest is the sha256 of the sorted rows of
-``oracle.deformation_residual`` at order 9 and of the automorphism
-residual of the target at order 7, the one ``infinitesimal_automorphisms``
-builds, for the same corpus entries and the seed 1-8 presentations of
+``oracle.deformation_residual`` at order 9 and of
+``oracle.automorphism_residual`` of the target at order 7, for the same
+corpus entries and the seed 1-8 presentations of
 ``oracle-nonspherical``.  Run it on two checkouts and compare the lines.
 The perfbench modules are imported, never changed.
 """
@@ -34,7 +34,6 @@ The perfbench modules are imported, never changed.
 import hashlib
 import os
 import sys
-from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -52,13 +51,10 @@ RESIDUAL_ORDERS = (9, 7)    # deformation, automorphism
 
 
 def frame_meaning(frm) -> tuple:
-    """(vars, order, weights, {variable: cap}) of a frame whose caps are
-    (index, cap) pairs, or, in older checkouts, one cap per variable with
-    -1 for none."""
-    pairs = frm.caps if all(isinstance(c, tuple) for c in frm.caps) \
-        else [(i, c) for i, c in enumerate(frm.caps) if c != -1]
+    """(vars, order, weights, {variable: cap}) of a frame, whose caps are
+    (index, cap) pairs."""
     return (frm.vars, frm.order, frm.weights,
-            sorted((frm.vars[i], c) for i, c in pairs))
+            sorted((frm.vars[i], c) for i, c in frm.caps))
 
 
 def terms(s) -> str:
@@ -91,16 +87,12 @@ def conditions_text(text: str) -> str:
 
 def residuals_text(text: str) -> str:
     """The sorted rows of a problem's deformation residual and of its
-    target's automorphism residual, the latter read by standing in for
-    ``truncated_solve``, which ``infinitesimal_automorphisms`` hands the
-    residual builder."""
+    target's automorphism residual."""
     spec = parse_problem(text, order=ORDERS[0])
     kdef, kaut = RESIDUAL_ORDERS
     deform = oracle.deformation_residual(spec.H, spec.source, spec.target,
                                          kdef)
-    with mock.patch.object(oracle, "truncated_solve",
-                           lambda residual_at, *_: residual_at(kaut)):
-        aut = oracle.infinitesimal_automorphisms(spec.target, kaut)
+    aut = oracle.automorphism_residual(spec.target, kaut)
     return "|".join(rows_text(r.coeffs) for r in (deform, aut))
 
 

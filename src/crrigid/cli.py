@@ -23,8 +23,8 @@ from crrigid.parser import MIN_ORDER, SOLVER_ORDERS, ParseError, \
     ProblemSpec, parse_problem
 from crrigid.pipeline import DegenerateMapError, condition_system, \
     solve_deformation
-from crrigid.spaces import VALIDATION_ORDER, decide_rigidity, \
-    genericity_certificate, validate_embedding
+from crrigid.spaces import decide_rigidity, genericity_certificate, \
+    validate_embedding
 
 
 def _load(problem: str, order: Optional[int] = None,
@@ -47,7 +47,7 @@ def _load(problem: str, order: Optional[int] = None,
     spec = parse_problem(text, order=expand)
     wo, oo, ao = orders = spec.orders(order, aut_order)
     # the pipeline's stage-1 frame and the truncated solvers' K = keq + 1
-    need = max(wo + 5, oo + 1, ao + 1, VALIDATION_ORDER)
+    need = max(wo + 5, oo + 1, ao + 1)
     if need > expand:
         spec = parse_problem(text, order=need)
     return spec, orders

@@ -147,11 +147,12 @@ def normalize_defining(rho: Series) -> Tuple[Series, Optional[Series]]:
     conj-rho(chi, tau, z, w)) and have linear part a w + conj(a) tau with
     a not real: no change (z, w + i g) straightens any other.  Solves
     rho = 0 for w, then constructs the unique change of coordinates
-    (z, w) -> (z, w + i g(z, w)) with g = O(2), g(0, w) real, that makes
-    the graph satisfy Q(z, 0, tau) = Q(0, chi, tau) = tau: the point
-    (z, w) in normal coordinates is (z, w + i g(z, w)) in the given ones.
-    g is a series in (z, w) with weights (1, 2), None when the graph is
-    already normal.
+    (z, w) -> (z, w + i g(z, w)) with g(0, w) real that makes the graph
+    satisfy Q(z, 0, tau) = Q(0, chi, tau) = tau: the point (z, w) in
+    normal coordinates is (z, w + i g(z, w)) in the given ones.  g is a
+    series in (z, w) with weights (1, 2), None when the graph is already
+    normal.  g has a term in w when a is not imaginary: imag(w) +
+    real(w)/3 = z*conj(z) + (z*conj(z))^2 gives g = -w/3.
     """
     if not rho.constant_term().is_zero():
         raise ValueError("defining function must vanish at 0")

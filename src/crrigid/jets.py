@@ -6,6 +6,9 @@ Unknown tags used in this package:
   exponent e (z^m w^n for a deformation field)
 * ``("jetbar", j, e...)``  -- its formal complex conjugate
 
+Every tag list is a :func:`jet_unknowns` list, bounded by the weighted
+degree of e; :data:`JET4` takes unit weights.
+
 A :class:`LinRow` is a complex-linear form over these tags, the
 coefficient ring of a :class:`~crrigid.linseries.LinSeries`.  A solve
 works over the real coordinates of an ordered list of jet tags: column
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from crrigid.linalg import Eliminator, IntRow, Row, integer_row, \
@@ -74,35 +78,25 @@ class LinRow(dict):
         return LinRow({bar_key(t): v.conjugate() for t, v in self.items()})
 
 
-def jet_unknowns(ncomp: int, nvars_weights: Sequence[int], kmax: int,
-                 by_weight: bool = False) -> List[Hashable]:
-    """Ordered unknown tags ("jet", j, exp...) with 1 <= deg(exp) <= kmax.
+def jet_unknowns(ncomp: int, weights: Sequence[int], kmax: int
+                 ) -> List[Hashable]:
+    """Ordered unknown tags ("jet", j, exp...) with 1 <= wdeg(exp) <= kmax,
+    wdeg(exp) = sum(w_i e_i) over the variable ``weights``.
 
-    With ``by_weight`` the degree bound uses the weighted degree
-    sum(w_i e_i); this matters for soundness of the truncated solvers: an
-    equation row of weighted order W only involves jet coordinates of
-    weighted degree <= W, so a weighted unknown set never silently drops
-    contributions of admissible rows.
+    The weighted bound keeps the truncated solvers sound: an equation
+    row of weighted order W only involves jet coordinates of weighted
+    degree <= W, so the unknown set never silently drops contributions
+    of admissible rows.  Unit weights bound the plain degree.
     """
-    nv = len(nvars_weights)
-    exps = []
-    for exp in product(*(range(kmax + 1) for _ in range(nv))):
-        deg = sum(e * w for e, w in zip(exp, nvars_weights)) if by_weight \
-            else sum(exp)
-        if deg > kmax or sum(exp) == 0:
-            continue
-        exps.append(exp)
+    exps = [exp for exp in product(range(kmax + 1), repeat=len(weights))
+            if 0 < sum(map(mul, exp, weights)) <= kmax]
     exps.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
-    keys = []
-    for exp in exps:
-        for j in range(ncomp):
-            keys.append(("jet", j) + tuple(exp))
-    return keys
+    return [("jet", j) + exp for exp in exps for j in range(ncomp)]
 
 
-#: The 4-jet of a deformation field over (z, w), into C^3: validation
-#: rejects any other target as not 2-nondegenerate.
-JET4: List[Hashable] = jet_unknowns(3, (1, 2), 4)
+#: The 4-jet (plain degree <= 4) of a deformation field over (z, w),
+#: into C^3: validation rejects any other target as not 2-nondegenerate.
+JET4: List[Hashable] = jet_unknowns(3, (1, 1), 4)
 #: The largest weighted degree (z-degree + 2 w-degree) in :data:`JET4`.
 JET4_ORDER = max(m + 2 * n for (_, _, m, n) in JET4)
 

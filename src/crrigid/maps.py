@@ -117,19 +117,21 @@ class NondegeneracyCheck:
                                   # 2-nondegenerate
 
 
-#: The chart order and the highest chi-derivative that
-#: :func:`nondegeneracy` reads; it needs values at 0 only.
-_ND_ORDER, _ND_KMAX = 8, 4
+#: The highest chi-derivative that :func:`nondegeneracy` reads.  It reads
+#: values at 0 only, so terms of weighted degree <= _ND_KMAX.
+_ND_KMAX = 4
 
 
 def nondegeneracy(H: MapGerm, source: Source, target: Target
                   ) -> NondegeneracyCheck:
     """Finite nondegeneracy of H at 0: the spans at 0 of the rows
     rows[k][j] = (d/dchi)^k r_j(H, Hbar), k <= 4, the pulled-back gradient
-    on the (z, chi, w) parametrization of the complexified source germ."""
+    on the (z, chi, w) parametrization of the complexified source germ,
+    taken to the weighted order 4 those values read."""
+    require_order(_ND_KMAX, H, source, target)
     # only r_j is needed here, so Target.gradient_on (which also forms
     # rbar_j) is not used
-    bind = pull_back(H, source.chart(zcw_frame(_ND_ORDER)))
+    bind = pull_back(H, source.chart(zcw_frame(_ND_KMAX)))
     rows = [[g.substitute(bind) for g in target.gradient()]]
     for _ in range(_ND_KMAX):
         rows.append([s.partial("chi") for s in rows[-1]])

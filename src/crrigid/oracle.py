@@ -123,8 +123,7 @@ def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
     """
     proj = set(proj_keys)
     # the projected jet occupies the leading columns
-    rest = [k for k in jet_unknowns(n, weights, keq + 1, by_weight=True)
-            if k not in proj]
+    rest = [k for k in jet_unknowns(n, weights, keq + 1) if k not in proj]
 
     def harvest(K: int):
         # the new rows of residual_at(K), by weighted order, ties by
@@ -154,7 +153,7 @@ def deformation_residual(H: MapGerm, source: Source, target: Target,
     frm = zct_frame(work_order)
     holo, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
-    keys = jet_unknowns(target.n, (1, 2), work_order, by_weight=True)
+    keys = jet_unknowns(target.n, (1, 2), work_order)
     return jet_residual(r_on, rb_on, [holo["z"], holo["w"]],
                         [anti["z"], anti["w"]], keys)
 
@@ -191,27 +190,33 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
 
 # -- infinitesimal automorphisms of a target germ ---------------------
 
+def automorphism_residual(target: Target, order: int) -> LinSeries:
+    """The automorphism equation residual sum_j rho_{Z_j} V_j + conj as a
+    jet-linear series on the graph chart of the complexified target
+    germ, V replaced by its formal jet of weighted order ``order`` in the
+    weights of that chart."""
+    n = target.n
+    names = target_vars(n)
+    bind = target.graph_chart(order)
+    r_on, rb_on = target.gradient_on(bind)
+    return jet_residual(r_on, rb_on, [bind[v] for v in names[:n]],
+                        [bind[v] for v in names[n:]],
+                        jet_unknowns(n, target.frame.weights[:n], order))
+
+
 def infinitesimal_automorphisms(target: Target, keq: int,
                                 proj_order: int = 2) -> KernelSolve:
     """dim of the space of infinitesimal CR automorphisms of M' fixing 0.
 
     Solves Re sum_j rho_{Z_j}(Z, conj Z) V_j(Z) = 0 on the graph chart of
-    M' with the jet of V as unknowns, by :func:`truncated_solve`.  The
-    kernel is projected onto jets of order <= ``proj_order``
-    (automorphisms of a Levi-nondegenerate germ are determined by their
-    2-jets).  The target must be expanded to order keq + 1.
+    M' with the jet of V as unknowns: :func:`truncated_solve` of
+    :func:`automorphism_residual`.  The kernel is projected onto jets of
+    plain degree <= ``proj_order`` (automorphisms of a Levi-nondegenerate
+    germ are determined by their 2-jets).  The target must be expanded to
+    order keq + 1.
     """
     require_order(keq + 1, target)
     n = target.n
-    names = target_vars(n)
-    weights = (1,) * (n - 1) + (2,)
-
-    def residual_at(K: int) -> LinSeries:
-        bind = target.graph_chart(K)
-        r_on, rb_on = target.gradient_on(bind)
-        return jet_residual(r_on, rb_on, [bind[v] for v in names[:n]],
-                            [bind[v] for v in names[n:]],
-                            jet_unknowns(n, weights, K, by_weight=True))
-
-    return truncated_solve(residual_at, n, weights,
-                           jet_unknowns(n, weights, proj_order), keq)
+    return truncated_solve(lambda K: automorphism_residual(target, K), n,
+                           target.frame.weights[:n],
+                           jet_unknowns(n, (1,) * n, proj_order), keq)

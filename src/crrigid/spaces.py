@@ -17,7 +17,7 @@ from crrigid.series import Series, power_table, table_monomial
 from crrigid.linalg import Row, rank_of, rref
 from crrigid.geometry import Source, Target
 from crrigid.maps import MapGerm, NondegeneracyCheck, map_frame, \
-    nondegeneracy, embedding_residual, require_order, transversality
+    nondegeneracy, embedding_residual, transversality
 from crrigid.jets import JET4, JET4_ORDER, KernelSolve, bar_key, \
     column_count, coordinate, field_row
 from crrigid.oracle import infinitesimal_automorphisms
@@ -73,23 +73,17 @@ class RigidityReport:
     verdict: str
 
 
-#: The weighted order to which :func:`validate_embedding` checks that H
-#: maps the source germ into the target germ.
-VALIDATION_ORDER = 10
-
-
 def validate_embedding(H: MapGerm, source: Source, target: Target
                        ) -> NondegeneracyCheck:
     """Raise if H is not a transversal 2-nondegenerate embedding of the
-    source germ into the target germ, or if the germs are expanded below
-    :data:`VALIDATION_ORDER`; else return H's nondegeneracy at 0."""
-    require_order(VALIDATION_ORDER, H, source, target)
+    source germ into the target germ, checked to the order the germs are
+    expanded to; else return H's nondegeneracy at 0."""
     if not H.is_immersion():
         raise DegenerateMapError("map is not an immersion at 0")
     if not transversality(H):
         raise DegenerateMapError("map is not transversal at 0")
-    if not embedding_residual(H, source, target,
-                              VALIDATION_ORDER).is_zero():
+    order = min(g.frame.order for g in (H, source, target))
+    if not embedding_residual(H, source, target, order).is_zero():
         raise NotMappedError(
             "map does not send the source germ into the target germ")
     nd = nondegeneracy(H, source, target)

@@ -124,13 +124,28 @@ def test_genericity_validates_the_map(tmp_path, capsys):
 
 
 def test_validation_expands_the_germs_it_reads(capsys):
-    # validation reads the germs at order 10, deeper than --order 2 needs
+    # the germs are expanded to order 9, deeper than --order 2 needs, and
+    # validation reads them to that order
     code, out, err = _run(capsys, "rigidity", "sphere-8", "--order", "2",
                           "--aut-order", "2")
     assert code == 1, err
     doc = json.loads(out)
     assert doc["command"] == "rigidity"
     assert doc["stabilized"] is False
+
+
+@pytest.mark.parametrize("command", ["check", "deform", "rigidity"])
+def test_map_leaving_the_target_above_order_10_exits_2(tmp_path, capsys,
+                                                      command):
+    # w + z^12 leaves the target only at weighted order 12: validation
+    # reads the germs to the order they are expanded to
+    path = tmp_path / "p.crr"
+    path.write_text(corpus_text("example-6-1").replace(
+        "map: (z, z^2, w);", "map: (z, z^2, w + z^12);"))
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 2
+    assert not out
+    assert "map does not send the source germ into the target germ" in err
 
 
 def test_rigidity_not_stabilized_exits_1(capsys):
@@ -243,6 +258,28 @@ def test_map_follows_the_source_into_normal_coordinates(tmp_path, capsys):
     assert doc["map"] == [{"z^1": "1"},
                           {"w^2": "1", "z^2": "1", "z^2 w^3": "4*i"},
                           {"w^1": "1", "w^4": "i", "z^2 w^2": "2*i"}]
+
+
+def test_a_real_part_in_the_linear_part_gives_a_linear_gauge(tmp_path,
+                                                             capsys):
+    # imag(w) + real(w)/3: the change to normal coordinates g is linear
+    path = tmp_path / "prob.crr"
+    path.write_text("vars z w;\n"
+                    "source: imag(w) + real(w)/3"
+                    " = z*conj(z) + (z*conj(z))^2;\n"
+                    "target: hyperquadric +1;\n"
+                    "map: (z, z^2, (1 + i/3)*w);\n")
+    code, out, _ = _run(capsys, "deform", str(path), "--with-oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dimension"] == doc["oracle_dimension"] == 10
+    assert doc["oracle_agrees"] is True
+    assert doc["map_rewritten_with_g"] == {"w^1": "-1/3"}
+    code, out, _ = _run(capsys, "normal-coords", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["g"] == {"w^1": "-1/3"}
+    assert doc["Q"] == {"tau^1": "1", "z^1 chi^1": "9/5*i",
+                        "z^2 chi^2": "9/5*i"}
 
 
 def test_rigidity_on_a_levi_degenerate_target(tmp_path, capsys):

@@ -52,6 +52,19 @@ def test_nondegeneracy_k0():
     assert nd.k0 == 2
 
 
+@pytest.mark.parametrize("entry", ["example-6-1", "sphere-8"])
+def test_nondegeneracy_reads_weighted_order_4(entry):
+    # values at 0 of at most 4 chi-derivatives: germs cut at order 4 give
+    # the answer of the full germs, and germs cut at 3 are refused
+    deep = load_corpus(entry)
+    want = nondegeneracy(deep.H, deep.source, deep.target)
+    cut = load_corpus(entry, order=4)
+    assert nondegeneracy(cut.H, cut.source, cut.target) == want
+    low = load_corpus(entry, order=3)
+    with pytest.raises(ValueError, match="expanded to order 4"):
+        nondegeneracy(low.H, low.source, low.target)
+
+
 def test_degenerate_image_in_hyperplane():
     # (z, 0, w) maps the sphere into {z2 = 0}: not 2-nondegenerate
     spec = load_corpus("example-6-4-t0", order=ORDER)
@@ -61,7 +74,7 @@ def test_degenerate_image_in_hyperplane():
 
 def test_jet_row_of_quartic_embedding():
     spec = _quartic_embedding()
-    col = {k: i for i, k in enumerate(jet_unknowns(3, (1, 2), 4))}
+    col = {k: i for i, k in enumerate(jet_unknowns(3, (1, 1), 4))}
     row = field_row(spec.H.components)
     # H = (z, z^2, w): three real 4-jet coordinates, all equal to one
     assert row == {2 * col[("jet", 0, 1, 0)]: Scalar(1),

@@ -12,8 +12,8 @@ from crrigid.jets import JET4, bar_key, column_count, field_row, \
 from crrigid.linalg import Eliminator
 from crrigid.linseries import LinSeries
 from crrigid.maps import pull_back
-from crrigid.oracle import deformation_residual, direct_solve, \
-    jet_residual, mirror_half, truncated_solve
+from crrigid.oracle import automorphism_residual, deformation_residual, \
+    direct_solve, jet_residual, mirror_half, truncated_solve
 from crrigid.parser import parse_problem
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame, power_table, table_monomial
@@ -26,8 +26,9 @@ I = Scalar(0, 0, 1)
 
 
 def test_jet_unknowns_counts():
-    # plain degree m + n <= 4, (m, n) != (0, 0), three components
-    keys = jet_unknowns(3, (1, 2), 4)
+    # unit weights: plain degree m + n <= 4, (m, n) != (0, 0), three
+    # components
+    keys = jet_unknowns(3, (1, 1), 4)
     per_comp = [(m, n) for m in range(5) for n in range(5)
                 if 0 < m + n <= 4]
     assert len(keys) == 3 * len(per_comp) == 42
@@ -37,7 +38,7 @@ def test_jet_unknowns_counts():
 
 
 def test_jet_unknowns_by_weight_bound():
-    keys = jet_unknowns(3, (1, 2), 6, by_weight=True)
+    keys = jet_unknowns(3, (1, 2), 6)
     assert all(m + 2 * n <= 6 for (_, _, m, n) in keys)
     assert ("jet", 0, 6, 0) in keys          # weight 6, plain degree 6
     assert ("jet", 0, 0, 3) in keys          # weight 6, plain degree 3
@@ -177,7 +178,7 @@ def oracle_chart(spec, frm):
 def test_jet_residual_equals_the_per_key_products_on_the_oracle_chart(
         cache, entry):
     spec, K = cache.spec(entry), 9
-    keys = jet_unknowns(spec.target.n, (1, 2), K, by_weight=True)
+    keys = jet_unknowns(spec.target.n, (1, 2), K)
     want = per_key_residual(*oracle_chart(spec, zct_frame(K)), keys)
     assert_same_residual(
         deformation_residual(spec.H, spec.source, spec.target, K), want)
@@ -194,8 +195,8 @@ def test_jet_residual_equals_the_per_key_products_on_a_graph_chart(
     anti = [bind[v] for v in names[n:]]
     assert all(len(g.coeffs) == 1 for g in anti)
     args = (*target.gradient_on(bind), [bind[v] for v in names[:n]], anti)
-    keys = jet_unknowns(n, (1,) * (n - 1) + (2,), K, by_weight=True)
-    assert_same_residual(jet_residual(*args, keys),
+    keys = jet_unknowns(n, (1,) * (n - 1) + (2,), K)
+    assert_same_residual(automorphism_residual(target, K),
                          per_key_residual(*args, keys))
 
 
@@ -206,7 +207,7 @@ def test_jet_residual_drops_a_shift_past_a_cap(cache):
     frm = frame("z", "chi", "tau", order=K, weights=(1, 1, 2),
                 caps={"z": 2, "chi": 3})
     args = oracle_chart(spec, frm)
-    keys = jet_unknowns(spec.target.n, (1, 2), K, by_weight=True)
+    keys = jet_unknowns(spec.target.n, (1, 2), K)
     got = jet_residual(*args, keys)
     assert_same_residual(got, per_key_residual(*args, keys))
     assert max(e[0] for e in got.coeffs) == 2
@@ -232,7 +233,7 @@ def generators(draw):
 def test_jet_residual_equals_the_per_key_products(r, gens):
     """Only a term with coefficient 1 is taken for a shift."""
     r = [s.project(CAPPED) for s in r]
-    keys = jet_unknowns(2, (1, 2), 4, by_weight=True)
+    keys = jet_unknowns(2, (1, 2), 4)
     args = (r[:2], r[2:], gens[:2], gens[2:])
     assert_same_residual(jet_residual(*args, keys),
                          per_key_residual(*args, keys))
@@ -275,7 +276,7 @@ def test_mirror_half_keeps_the_real_rank_at_every_order(cache, entry):
     else:
         spec, K = cache.spec(entry), 10
     residual = deformation_residual(spec.H, spec.source, spec.target, K)
-    keys = jet_unknowns(spec.target.n, (1, 2), K, by_weight=True)
+    keys = jet_unknowns(spec.target.n, (1, 2), K)
     full = ranks_by_order(residual, keys)
     assert ranks_by_order(mirror_half(residual), keys) == full
     strict = LinSeries(residual.frame, {
