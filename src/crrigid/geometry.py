@@ -244,15 +244,12 @@ class Target:
 
     # -- derived data --------------------------------------------------
 
-    def gradient(self) -> List[Series]:
-        """r_j = d rho / d Z_j for Z = (z1, .., z_{n-1}, w1)."""
-        return [self.rho.partial(v) for v in target_vars(self.n)[:self.n]]
-
     def gradient_on(self, bind: Dict[str, Series]
                     ) -> Tuple[List[Series], List[Series]]:
-        """r_j and rbar_j (r_j conjugated, its variables swapped), with
-        every target variable bound by ``bind``."""
-        grad = self.gradient()
+        """r_j = d rho / d Z_j for Z = (z1, .., z_{n-1}, w1) and rbar_j
+        (r_j conjugated, its variables swapped), with every target
+        variable bound by ``bind``."""
+        grad = [self.rho.partial(v) for v in target_vars(self.n)[:self.n]]
         return ([g.substitute(bind) for g in grad],
                 [g.conj(rename=self.swap).substitute(bind) for g in grad])
 

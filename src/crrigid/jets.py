@@ -71,8 +71,6 @@ class LinRow(dict):
                 out[t] = v * c
         return out
 
-    __rmul__ = __mul__
-
     def conjugate(self) -> "LinRow":
         """Each entry conjugated, its tag swapped by :func:`bar_key`."""
         return LinRow({bar_key(t): v.conjugate() for t, v in self.items()})

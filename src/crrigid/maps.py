@@ -92,12 +92,9 @@ def pull_back(H: MapGerm, chart: Tuple[Dict[str, Series], Dict[str, Series]]
     complexified source germ, as returned by :meth:`Source.chart`:
     z_i, w1 to the components of H and bz_i, bw1 to their conjugates."""
     holo, anti = chart
-    frm = holo["z"].frame
-    # a (z, chi, w) chart binds z and w to themselves
-    hol = [c.project(frm) if "w" in frm.vars else c.substitute(holo)
-           for c in H.components]
     return dict(zip(target_vars(len(H)),
-                    hol + [c.conj().substitute(anti) for c in H.components]))
+                    [c.substitute(holo) for c in H.components]
+                    + [c.conj().substitute(anti) for c in H.components]))
 
 
 def embedding_residual(H: MapGerm, source: Source, target: Target,
@@ -129,10 +126,8 @@ def nondegeneracy(H: MapGerm, source: Source, target: Target
     on the (z, chi, w) parametrization of the complexified source germ,
     taken to the weighted order 4 those values read."""
     require_order(_ND_KMAX, H, source, target)
-    # only r_j is needed here, so Target.gradient_on (which also forms
-    # rbar_j) is not used
-    bind = pull_back(H, source.chart(zcw_frame(_ND_KMAX)))
-    rows = [[g.substitute(bind) for g in target.gradient()]]
+    chart = source.chart(zcw_frame(_ND_KMAX))
+    rows = [target.gradient_on(pull_back(H, chart))[0]]
     for _ in range(_ND_KMAX):
         rows.append([s.partial("chi") for s in rows[-1]])
     n = target.n

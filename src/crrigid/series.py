@@ -7,17 +7,16 @@ coefficients, truncated to a fixed total (weighted) degree recorded in its
 The coefficients are :class:`~crrigid.scalars.Scalar` elements, or, in a
 :class:`~crrigid.linseries.LinSeries`, :class:`~crrigid.jets.LinRow`
 linear forms; the methods use only what both rings provide, so each
-serves both; one LinSeries factor makes a LinSeries product, two a TypeError.
-
-Two series are compatible only if their frames agree exactly; all binary
-operations check this.
+serves both.  A sum takes two series of one type, a product a plain
+Series on the right and gives the type of its left factor (linear forms
+stand on the left); both need equal frames, and :meth:`Series.scale` is
+the one scalar multiple.  Any other operand is a TypeError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -140,6 +139,8 @@ class Series:
             raise ValueError("incompatible series frames")
 
     def __add__(self, other: "Series") -> "Series":
+        if type(other) is not type(self):
+            raise TypeError("a sum takes two series of one type")
         self._assert_compatible(other)
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
@@ -164,19 +165,15 @@ class Series:
 
     # -- multiplication -----------------------------------------------
 
-    def __mul__(self, other) -> "Series":
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
+    def __mul__(self, other: "Series") -> "Series":
+        if type(other) is not Series:
+            raise TypeError("a product takes a plain Series on the right")
         self._assert_compatible(other)
-        if type(other) is type(self) is not Series:
-            raise TypeError("a product of two LinSeries is not linear")
         frm, wdeg = self.frame, self.frame.wdeg
-        cls = type(other) if isinstance(other, type(self)) else type(self)
         a = sorted(((wdeg(e), e, c) for e, c in self.coeffs.items()))
         b = sorted(((wdeg(e), e, c) for e, c in other.coeffs.items()))
         # the outer loop: the shorter operand, or the LinSeries (row * scalar)
-        if (len(a) > len(b) if type(other) is type(self)
-                else cls is type(other)):
+        if type(self) is Series and len(a) > len(b):
             a, b = b, a
         order = frm.order
         capped = frm.caps
@@ -202,9 +199,7 @@ class Series:
                         out[exp] = prev
                     else:
                         del out[exp]
-        return cls(frm, out)
-
-    __rmul__ = __mul__
+        return type(self)(frm, out)
 
     def __pow__(self, n: int) -> "Series":
         if n < 0:
@@ -238,9 +233,11 @@ class Series:
         target = substitution_target(self.frame, bindings)
         table = power_table([bindings[v] for v in self.frame.vars],
                             self.coeffs)
+        one = {target.zero_exp(): Scalar(1)}
         out = {}
         for exp, c in self.coeffs.items():
-            for e, m in table_monomial(table, exp).coeffs.items():
+            terms = table_monomial(table, exp).coeffs if any(exp) else one
+            for e, m in terms.items():
                 if e in out:    # a product formed here, as in __mul__
                     out[e] += c * m
                 else:
@@ -343,12 +340,15 @@ def power_table(gens: Sequence[Series], exps: Iterable[Exponent]
 
 def table_monomial(table: Sequence[Sequence[Series]], exp: Exponent
                    ) -> Series:
-    """prod_i g_i^exp_i from a :func:`power_table` of the g_i."""
+    """prod_i g_i^exp_i from a :func:`power_table` of the g_i; ``exp``
+    needs a positive entry, as a table without generators holds no 1."""
     term = None
     for powers, e in zip(table, exp):
         if e:
             term = powers[e] if term is None else term * powers[e]
-    return table[0][0] if term is None else term
+    if term is None:
+        raise ValueError("table_monomial needs a positive exponent entry")
+    return term
 
 
 def solve_implicit(F: Series, yvar: str, xvars: Tuple[str, ...],

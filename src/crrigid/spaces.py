@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
-from crrigid.series import Series, power_table, table_monomial
+from crrigid.series import Series, frame
 from crrigid.linalg import Row, rank_of, rref
-from crrigid.geometry import Source, Target
+from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, NondegeneracyCheck, map_frame, \
     nondegeneracy, embedding_residual, transversality
 from crrigid.jets import JET4, JET4_ORDER, KernelSolve, bar_key, \
@@ -39,23 +39,19 @@ class TrivialSubspace:
 def trivial_subspace(H: MapGerm, target: Target,
                      aut_keq: int) -> TrivialSubspace:
     """The trivial deformations V o H, V an infinitesimal automorphism of
-    the target fixing 0, as 4-jet vectors of the embedding."""
+    the target fixing 0, as 4-jet vectors of the embedding.  H vanishes
+    at 0, so the 4-jet of V o H is that of V's 4-jet composed with H."""
     aut = infinitesimal_automorphisms(target, keq=aut_keq, proj_order=4)
+    vf = frame(*target_vars(target.n)[:target.n], order=4)
     mf = map_frame(JET4_ORDER)
-    exps = [tuple(key[2:]) for key in aut.jet_keys]
-    table = power_table([c.project(mf) for c in H.components], exps)
-    VoH = [[Series.zero(mf)] * target.n for _ in aut.kernel_real]
-    last = None
-    for k, (key, exp) in enumerate(zip(aut.jet_keys, exps)):
-        if exp != last:
-            mono, last = table_monomial(table, exp), exp
-        j = key[1]
-        for V, vec in zip(VoH, aut.kernel_real):
-            lam = coordinate(vec, k)
-            if not lam.is_zero():
-                V[j] = V[j] + mono.scale(lam)
-    rows = rref([field_row(V) for V in VoH], column_count(JET4))
-    return TrivialSubspace(rows, aut)
+    bind = dict(zip(vf.vars, [c.project(mf) for c in H.components]))
+    VoH = []
+    for vec in aut.kernel_real:
+        V = [Series.zero(vf)] * target.n
+        for k, key in enumerate(aut.jet_keys):
+            V[key[1]] += Series.monomial(vf, key[2:], coordinate(vec, k))
+        VoH.append(field_row([v.substitute(bind) for v in V]))
+    return TrivialSubspace(rref(VoH, column_count(JET4)), aut)
 
 
 # -- rigidity verdicts ------------------------------------------------

@@ -224,6 +224,57 @@ def test_cross_check_compares_spans(monkeypatch, cache, capsys):
     assert doc["oracle_agrees"] is False
 
 
+_E61 = corpus_text("example-6-1")
+_E61_MAP = "map: (z, z^2, w);"
+
+
+@pytest.mark.parametrize("command, problem, code, message", [
+    ("check", _E61.replace(_E61_MAP, "map: (z^2, z^3, w);"), 2,
+     "input error: map is not an immersion at 0"),
+    ("check", _E61.replace(_E61_MAP, "map: (z, w, z^2);"), 2,
+     "input error: map is not transversal at 0"),
+    ("check", _E61.replace(_E61_MAP, "map: (z, z^2, w)"), 2,
+     "input error: line 5: unterminated statement (missing ';')"),
+    ("check", _E61 + "option work_order;\n", 2,
+     "input error: line 6: option takes a name and a value"),
+    ("check", _E61.replace("vars z w;", "vars x y;"), 2,
+     "input error: line 2: sources live in variables 'z w'"),
+    ("check", _E61.replace("imag(w) =", "imag(w)"), 2,
+     "input error: line 3: expected 'imag(...) = expression'"),
+    ("check", _E61.replace("hyperquadric +1", "hyperquadric +2"), 2,
+     "input error: line 4: hyperquadric signature must be +1 or -1"),
+    ("check", _E61.replace(_E61_MAP, "map: (1 + z, z^2, w);"), 2,
+     "input error: line 5: map germ must vanish at the origin"),
+    ("deform", "target-6-4", 2,
+     "input error: this command needs a 'map:' statement"),
+    ("genericity", "example-6-1", 0, "certificate rank 74/74: full rank"),
+], ids=["not-immersive", "not-transversal", "no-semicolon",
+        "option-without-value", "vars-x-y", "source-without-equals",
+        "hyperquadric-plus-2", "map-not-vanishing", "deform-without-map",
+        "genericity-full-rank"])
+def test_exit_code_and_stderr(tmp_path, capsys, command, problem, code,
+                              message):
+    if problem not in EXPECTATIONS:
+        path = tmp_path / "p.crr"
+        path.write_text(problem)
+        problem = str(path)
+    got, out, err = _run(capsys, command, problem)
+    assert got == code
+    assert bool(out) == (code == 0)
+    assert message in err
+
+
+def test_load_expands_again_for_a_work_order_above_the_default(tmp_path):
+    # the first parse is at the default work order 17 + 7; option
+    # work_order 20 needs its stage-1 frame, of order 20 + 5
+    path = tmp_path / "p.crr"
+    path.write_text(_E61 + "option work_order 20;\n")
+    spec, orders = cli._load(str(path))
+    assert orders == (20, 16, 9)
+    assert {g.frame.order for g in (spec.source, spec.target, spec.H)} \
+        == {25}
+
+
 def test_problem_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "prob.crr"
     path.write_text(corpus_text("example-6-1"))

@@ -140,11 +140,34 @@ def test_absent_coefficient_is_a_fresh_empty_row():
 
 def test_row_times_zero_is_empty():
     """A row holds no zero entries, so a zero factor gives the empty,
-    falsy row, on either side and as a Scalar or an int."""
+    falsy row, as a Scalar or an int; the factor stands on the right."""
     row = LinRow({TAGS[0]: Scalar(2), TAGS[2]: Scalar(1, 0, 1)})
-    for prod in (row * 0, 0 * row, row * ZERO, ZERO * row):
+    for prod in (row * 0, row * ZERO):
         assert type(prod) is LinRow and prod == {} and not prod
     assert row * Scalar(3) == {TAGS[0]: Scalar(6), TAGS[2]: Scalar(3, 0, 3)}
+    for zero in (0, ZERO):
+        with pytest.raises(TypeError):
+            zero * row
+
+
+def test_mixed_operands_raise_type_error():
+    """A sum takes two series of one type and a product a plain Series on
+    the right; numbers are no series (``scale`` multiplies by them).  The
+    type is checked before the frame, and a mixed sum raises also where
+    the supports are disjoint, as at w + a with a held at z."""
+    a = LinSeries.from_tags(F, {TAGS[0]: Series.variable(F, "z")})
+    far = LinSeries(frame("z", "w", order=4, weights=(1, 2)))
+    s, w = Series.variable(F, "z"), Series.variable(F, "w")
+    for op in (lambda: s * 3, lambda: 3 * s, lambda: s * ZERO,
+               lambda: ZERO * s, lambda: s * a, lambda: a * 3,
+               lambda: 3 * a, lambda: s * far,
+               lambda: w + a, lambda: a + w, lambda: s + a, lambda: a + s,
+               lambda: w - a, lambda: a - w, lambda: s + 3,
+               lambda: w + far):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError):     # one type, two frames
+        a + far
 
 
 def snapshot(s):
@@ -163,7 +186,7 @@ def test_operations_return_linseries_and_keep_operands(a, b, s, bind):
     operands = [a, b, s, *bind.values()]
     before = [snapshot(x) for x in operands]
     for op in (lambda: a + b, lambda: a - b, lambda: -a,
-               lambda: a.scale(3), lambda: a * s, lambda: s * a,
+               lambda: a.scale(3), lambda: a * s,
                lambda: a.partial("z"), lambda: a.conj(),
                lambda: a.project(capped), lambda: a.substitute(bind)):
         assert isinstance(op(), LinSeries)

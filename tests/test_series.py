@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crrigid.scalars import Scalar
-from crrigid.series import Series, frame, reversion, solve_implicit
+from crrigid.series import Series, frame, power_table, reversion, \
+    solve_implicit, table_monomial
 
 I = Scalar(0, 0, 1)
 
@@ -181,6 +182,22 @@ def test_substitution_composes():
     g = f.substitute({"z": z + w, "w": w.scale(2)})
     expect = (z + w) * (z + w) + w.scale(2)
     assert g == expect
+    # the constant term carries over to the target frame
+    G = frame("x", order=4)
+    x = Series.variable(G, "x")
+    one = Series.const(F, 3) + z
+    assert one.substitute({"z": x, "w": x * x}) == Series.const(G, 3) + x
+
+
+def test_table_monomial_needs_a_positive_exponent_entry():
+    z, w = Series.variable(F, "z"), Series.variable(F, "w")
+    table = power_table([z, w], [(2, 1)])
+    assert table_monomial(table, (2, 1)) == z * z * w
+    assert table_monomial(table, (0, 1)) == w
+    # an empty table (no generators) holds no 1 to return
+    for tbl, exp in ((table, (0, 0)), ([], ())):
+        with pytest.raises(ValueError, match="positive exponent entry"):
+            table_monomial(tbl, exp)
 
 
 @st.composite
