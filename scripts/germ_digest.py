@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print three digests, of the parsed germs, of the pipeline's condition
-rows and of the truncated solvers' residual rows, for identity checks of
-the parser, the series layer, the pipeline and the oracle.
+"""Print four digests, of the parsed germs, of the pipeline's condition
+rows, of the truncated solvers' residual rows and of the answers on the
+benchmark's presentations, for identity checks of the parser, the series
+layer, the pipeline, the oracle and the solves.
 
 Usage:
     python3 scripts/germ_digest.py
@@ -27,8 +28,14 @@ The third digest is the sha256 of the sorted rows of
 ``oracle.deformation_residual`` at order 9 and of
 ``oracle.automorphism_residual`` of the target at order 7, for the same
 corpus entries and the seed 1-8 presentations of
-``oracle-nonspherical``.  Run it on two checkouts and compare the lines.
-The perfbench modules are imported, never changed.
+``oracle-nonspherical``.
+
+The fourth digest is the sha256 of the exit code and the rendered report
+of ``cli.answer`` on the seed 1-8 presentation of every workload slot,
+each parsed at order 24 and answered by its workload's command, so it
+pins the answers on the benchmark's own problems.  Run it on two
+checkouts and compare the lines.  The perfbench modules are imported,
+never changed.
 """
 
 import hashlib
@@ -38,7 +45,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from crrigid import oracle  # noqa: E402
+from crrigid import oracle, report  # noqa: E402
+from crrigid.cli import answer  # noqa: E402
 from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text  # noqa: E402
 from crrigid.parser import parse_problem  # noqa: E402
 from crrigid.pipeline import condition_system  # noqa: E402
@@ -97,12 +105,12 @@ def residuals_text(text: str) -> str:
 
 
 def main() -> int:
-    texts = [corpus_text(e) for e in CORPUS_IDS]
-    for name, workload in sorted(WORKLOADS.items()):
-        for seed in SEEDS:
-            for k, (entry, plan) in enumerate(workload.slots):
-                texts.append(draw(name, seed, k, entry, corpus_text(entry),
-                                  plan).text)
+    drawn = [(workload, draw(name, seed, k, entry, corpus_text(entry),
+                             plan).text)
+             for name, workload in sorted(WORKLOADS.items())
+             for seed in SEEDS
+             for k, (entry, plan) in enumerate(workload.slots)]
+    texts = [corpus_text(e) for e in CORPUS_IDS] + [t for _, t in drawn]
     digest = hashlib.sha256()
     for order in ORDERS:
         for text in texts:
@@ -125,6 +133,13 @@ def main() -> int:
         for text in texts:
             digest.update(rows(text).encode())
         print(f"{len(texts)} {label}: {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for workload, text in drawn:
+        spec = parse_problem(text, order=ORDERS[-1])
+        doc, code = answer(workload.command, spec, spec.orders(),
+                           oracle="--oracle" in workload.options)
+        digest.update(f"{code}|{report.render(doc)}".encode())
+    print(f"{len(drawn)} benchmark answers: {digest.hexdigest()}")
     return 0
 
 

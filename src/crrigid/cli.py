@@ -75,7 +75,7 @@ def _check_flags(args) -> None:
     if not (args.oracle and route in _READS):
         route = args.command
     for flag in sorted(set().union(*_READS.values())):
-        given = getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+        given = getattr(args, flag[2:].replace("-", "_")) is not None
         if given and flag not in _READS[route]:
             raise ParseError(f"{flag} does not apply to {route}")
 
@@ -231,9 +231,9 @@ def main(argv: Optional[list] = None) -> int:
                     help="truncation order of the automorphism solver "
                          "(default: the file's aut_order, else "
                          f"{SOLVER_ORDERS['aut_order']})")
-    ap.add_argument("--oracle", action="store_true",
+    ap.add_argument("--oracle", action="store_true", default=None,
                     help="use the brute-truncation solver")
-    ap.add_argument("--with-oracle", action="store_true",
+    ap.add_argument("--with-oracle", action="store_true", default=None,
                     help="cross-check the result with the brute solver")
     args = ap.parse_intermixed_args(argv)
     if args.command not in ("selftest", "reproduce") and args.problem is None:

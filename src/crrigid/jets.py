@@ -175,27 +175,20 @@ class KernelSolve:
         return len(set(self.dims.values())) == 1
 
 
-def projected_kernel(kernel: List[Row], ncols: int) -> List[Row]:
-    """Canonical basis of the span of ``kernel`` projected onto its first
-    ``ncols`` columns; its length is the projected dimension."""
-    return rref([{c: v for c, v in vec.items() if c < ncols}
-                 for vec in kernel], ncols)
-
-
 def harvest_kernel(lead: List[Hashable], rest: Sequence[Hashable],
                    harvests: Iterable[Tuple[Hashable, Iterable[LinRow]]]
                    ) -> KernelSolve:
     """The real kernel of complex rows harvested at consecutive orders,
     projected onto the tags ``lead``.
 
-    One elimination over the real columns of ``lead + rest`` takes the
-    new rows of each harvest (order, rows) and records the kernel
-    projected onto ``lead`` after each order; the
-    reduced row form is canonical, so each kernel is that of a fresh
-    elimination.  The answer is the last order's, stabilized when every
+    One elimination over the real columns of ``rest + lead`` takes the
+    new rows of each harvest (order, rows); after each order, the rows
+    pivoted in lead columns give the projected kernel
+    (:meth:`~crrigid.linalg.Eliminator.kernel_basis`).  The answer is the
+    last order's in canonical reduced row form, stabilized when every
     order gives one dimension.
     """
-    keys = list(lead) + list(rest)
+    keys = list(rest) + list(lead)
     col = {k: i for i, k in enumerate(keys)}
     elim = Eliminator(column_count(keys))
 
@@ -204,6 +197,6 @@ def harvest_kernel(lead: List[Hashable], rest: Sequence[Hashable],
         for row in rows:
             for r in realify_row(row, col):
                 elim.add_row(r)
-        kernel = projected_kernel(elim.kernel_basis(), column_count(lead))
+        kernel = elim.kernel_basis(column_count(rest))
         dims[order] = len(kernel)
-    return KernelSolve(dims, kernel, lead)
+    return KernelSolve(dims, rref(kernel, column_count(lead)), lead)

@@ -150,15 +150,24 @@ class Eliminator:
         rows[lead] = new
         return True
 
-    def kernel_basis(self) -> List[Row]:
-        """Canonical kernel basis (one vector per free column, unit there)."""
+    def kernel_basis(self, first: int) -> List[Row]:
+        """The kernel projected onto the columns from ``first`` on,
+        renumbered from 0: one vector per free column there, unit at it;
+        first = 0 gives the canonical kernel basis.  Exact, since each row
+        is fully reduced and pivoted at its smallest column: a row pivoted
+        from first on has no entry before first, and a row pivoted before
+        first holds no pivot column but its own, so its pivot unknown meets
+        it whatever the later columns are.  The rows pivoted from first on
+        thus cut out the projection of the full kernel."""
         rows = self._rows
-        basis = {f: {f: Scalar(1)} for f in range(self.ncols) if f not in rows}
+        basis = {f: {f - first: Scalar(1)}
+                 for f in range(first, self.ncols) if f not in rows}
         for p, prow in rows.items():
-            d = -numerators(prow[p])[0]
-            for c, v in prow.items():
-                if c != p:
-                    basis[c][p] = reduced(*numerators(v), d)
+            if p >= first:
+                d = -numerators(prow[p])[0]
+                for c, v in prow.items():
+                    if c != p:
+                        basis[c][p - first] = reduced(*numerators(v), d)
         return list(basis.values())
 
 

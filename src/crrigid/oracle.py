@@ -122,18 +122,15 @@ def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
     projected dimensions to agree.
     """
     proj = set(proj_keys)
-    # the projected jet occupies the leading columns
     rest = [k for k in jet_unknowns(n, weights, keq + 1) if k not in proj]
 
     def harvest(K: int):
-        # the new rows of residual_at(K), by weighted order, ties by
-        # exponent: of the orders tried, the one needing the fewest row
-        # operations on the corpus
+        # the new rows of residual_at(K), by weighted order
         residual = residual_at(K)
         wdeg = residual.frame.wdeg
         exps = [e for e in residual.coeffs if K == keq or wdeg(e) == K]
         return (K, K), (residual.coefficient_row(e)
-                        for e in sorted(exps, key=lambda e: (wdeg(e), e)))
+                        for e in sorted(exps, key=wdeg))
 
     # residual_at(keq + 1) is built once the order-keq rows are eliminated
     return harvest_kernel(proj_keys, rest, map(harvest, (keq, keq + 1)))

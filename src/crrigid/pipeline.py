@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from crrigid.series import Frame, Series, frame
+from crrigid.series import Frame, Series, frame, power_table
 from crrigid.linseries import LinRow, LinSeries
 from crrigid.linalg import adjugate3, det3
 from crrigid.geometry import Source, Target, zct_frame, zcw_frame
@@ -133,30 +133,19 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
 
 # -- division by the Segre map ---------------------------------------
 
-@dataclass
-class SegreFiber:
-    qpow: List[Series]   # q^k, q = Q(x1, x2, 0), k = 0..kphi
-    upow: List[Series]   # u1^-k, A1 = x1 u1 the x2-linear part of q
-
-
-def segre_fiber(source: Source, kphi: int) -> SegreFiber:
-    """The powers of the Segre map q = Q(x1, x2, 0) and of 1/u1, in the
-    frame (x1, x2) of phi, total order ``kphi``."""
+def segre_fiber(source: Source, kphi: int) -> List[List[Series]]:
+    """q^k and u1^-k, k = 0..kphi, as a power table in the frame (x1, x2)
+    of phi: q = Q(x1, x2, 0) the Segre map and x1 u1 its x2-linear part."""
     xfrm = frame("x1", "x2", order=kphi)
     q = source.Q.project(xfrm, {"z": "x1", "chi": "x2"})
     u1 = Series(xfrm, {(m - 1, 0): c for (m, n), c in q.coeffs.items()
                        if n == 1})
     if u1.constant_term().is_zero():
         raise DegenerateMapError("source germ is Levi degenerate")
-    qpow, upow = [Series.const(xfrm, 1)], [Series.const(xfrm, 1)]
-    uinv = u1.invert_unit()
-    for _ in range(kphi):
-        qpow.append(qpow[-1] * q)
-        upow.append(upow[-1] * uinv)
-    return SegreFiber(qpow, upow)
+    return power_table([q, u1.invert_unit()], [(kphi, kphi)])
 
 
-def segre_divide(phi: LinSeries, fiber: SegreFiber
+def segre_divide(phi: LinSeries, fiber: List[List[Series]]
                  ) -> Tuple[Dict[tuple, LinRow], Dict[tuple, LinRow]]:
     """Solve phi(x1, x2) = sum_k alpha_k(x1) q^k for alpha(z, w) =
     sum_k alpha_k(z) w^k, one power k of x2 at a time.
@@ -169,7 +158,7 @@ def segre_divide(phi: LinSeries, fiber: SegreFiber
     """
     kphi = phi.frame.order
     rest, alpha, poles = phi, {}, {}
-    for k, (qk, uk) in enumerate(zip(fiber.qpow, fiber.upow)):
+    for k, (qk, uk) in enumerate(zip(*fiber)):
         part = [(m, row) for (m, n), row in rest.coeffs.items() if n == k]
         poles.update({(m - k, k): row for m, row in part if m < k})
         top = {(m - k, 0): row for m, row in part if m >= k}
@@ -200,7 +189,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     J = formal_jet(mf)
     fiber = segre_fiber(source, kphi)
     abar = conjugate_reflection(H, source, target, kphi + 4, J)
-    phi = direct_reflection(H, source, target, kphi + 2, fiber.qpow[1], abar)
+    phi = direct_reflection(H, source, target, kphi + 2, fiber[0][1], abar)
 
     rows_pole: Dict[tuple, LinRow] = {}
     K: List[LinSeries] = []

@@ -18,8 +18,9 @@ from crrigid.linalg import Row, rank_of, rref
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, NondegeneracyCheck, map_frame, \
     nondegeneracy, embedding_residual, transversality
-from crrigid.jets import JET4, JET4_ORDER, KernelSolve, bar_key, \
+from crrigid.jets import JET4, JET4_ORDER, KernelSolve, LinRow, bar_key, \
     column_count, coordinate, field_row
+from crrigid.linseries import LinSeries
 from crrigid.oracle import infinitesimal_automorphisms
 from crrigid.pipeline import ConditionSystem, DegenerateMapError
 
@@ -45,13 +46,17 @@ def trivial_subspace(H: MapGerm, target: Target,
     vf = frame(*target_vars(target.n)[:target.n], order=4)
     mf = map_frame(JET4_ORDER)
     bind = dict(zip(vf.vars, [c.project(mf) for c in H.components]))
-    VoH = []
-    for vec in aut.kernel_real:
-        V = [Series.zero(vf)] * target.n
-        for k, key in enumerate(aut.jet_keys):
-            V[key[1]] += Series.monomial(vf, key[2:], coordinate(vec, k))
-        VoH.append(field_row([v.substitute(bind) for v in V]))
-    return TrivialSubspace(rref(VoH, column_count(JET4)), aut)
+    # V_j of every vector, one series: coefficients keyed by vector index
+    V = [LinSeries(vf) for _ in range(target.n)]
+    for i, vec in enumerate(aut.kernel_real):
+        for k in sorted({c // 2 for c in vec}):    # the nonzero coordinates
+            _, j, *e = aut.jet_keys[k]
+            V[j].coeffs.setdefault(tuple(e), LinRow())[i] = coordinate(vec, k)
+    VoH = [v.substitute(bind) for v in V]
+    rows = [field_row([Series(mf, {e: r[i] for e, r in s.coeffs.items()
+                                   if i in r}) for s in VoH])
+            for i in range(aut.dim)]
+    return TrivialSubspace(rref(rows, column_count(JET4)), aut)
 
 
 # -- rigidity verdicts ------------------------------------------------

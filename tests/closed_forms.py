@@ -256,7 +256,7 @@ def eliminated(rows: Sequence[Row], ncols: int) -> Eliminator:
 
 
 def kernel_of(rows: Sequence[Row], ncols: int) -> List[Row]:
-    return eliminated(rows, ncols).kernel_basis()
+    return eliminated(rows, ncols).kernel_basis(0)
 
 
 def in_span(vec: Row, basis: Sequence[Row], ncols: int) -> bool:

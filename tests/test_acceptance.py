@@ -58,7 +58,7 @@ def test_criterion_02_fiber_and_published_rows(cache):
     spec = cache.spec("example-6-1")
     fiber = segre_fiber(spec.source, 12)
     # the x2-linear part of the Segre map q = Q(x1, x2, 0)
-    a1_ok = {e: c for e, c in fiber.qpow[1].coeffs.items()
+    a1_ok = {e: c for e, c in fiber[0][1].coeffs.items()
              if e[1] == 1} == {(1, 1): 2 * I}
     # closed form of the Segre division (checked exactly in test_pipeline)
     tp.test_fiber_closed_form_of_quartic_source(cache)

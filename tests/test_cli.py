@@ -413,10 +413,16 @@ def test_selftest_with_a_problem_exits_2(capsys, problem):
     ("normal-coords", ("--aut-order", "5")),
     ("deform", ("--aut-order", "5")),
     ("genericity", ("--aut-order", "5")),
+    # 0 is a value given, not an absent flag
+    ("check", ("--order", "0")),
+    ("automorphisms", ("--order", "0")),
+    ("selftest", ("--order", "0")),
+    ("reproduce", ("--aut-order", "0")),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
 def test_flag_a_command_does_not_read_exits_2(capsys, command, flags):
-    entry = "target-6-4" if command == "automorphisms" else "example-6-1"
-    argv = command.split() + [entry, *flags]
+    entry = {"automorphisms": ["target-6-4"], "selftest": [],
+             "reproduce": []}.get(command, ["example-6-1"])
+    argv = command.split() + [*entry, *flags]
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert not out

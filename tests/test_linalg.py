@@ -181,11 +181,30 @@ def test_eliminator_matches_scalar_gauss_jordan(case):
         grew.append(new.add_row(integer_row(r)))
         assert grew[-1] == ref.add_row(dict(r))
         assert new.rank == ref.rank
-        assert new.kernel_basis() == ref.kernel_basis()
+        assert new.kernel_basis(0) == ref.kernel_basis()
     assert rref(rows, ncols) == ref.rref()
     assert rank_of(rows, ncols) == ref.rank == sum(grew)
     for vec in probes:
         assert in_span(vec, rows, ncols) == (not ref.reduce(vec))
+
+
+@given(row_streams())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_projects_the_kernel(case):
+    """kernel_basis(first) spans the kernel projected onto the columns
+    from first on, renumbered from 0, for every split: the projection of
+    the reference kernel basis, read by the reference formula."""
+    ncols, rows, _ = case
+    new, ref = Eliminator(ncols), ReferenceEliminator(ncols)
+    for r in rows:
+        new.add_row(integer_row(r))
+        ref.add_row(dict(r))
+    kernel = ref.kernel_basis()
+    for first in range(ncols + 1):
+        width = ncols - first
+        projected = rref([{c - first: v for c, v in vec.items() if c >= first}
+                          for vec in kernel], width)
+        assert rref(new.kernel_basis(first), width) == projected
 
 
 @given(row_streams())

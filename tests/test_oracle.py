@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from crrigid.corpus import EXPECTATIONS
 from crrigid.geometry import target_vars, zct_frame
 from crrigid.jets import JET4, bar_key, column_count, field_row, \
-    harvest_kernel, jet_unknowns, projected_kernel, realify_row
+    harvest_kernel, jet_unknowns, realify_row
 from crrigid.linalg import Eliminator
 from crrigid.linseries import LinSeries
 from crrigid.maps import pull_back
@@ -88,18 +88,6 @@ def test_realify_row_matches_scalar_parts(entries):
         factor = g[min(g)] / w[min(w)]
         assert factor.sign() > 0
         assert g == {c: v * factor for c, v in w.items()}
-
-
-def test_projected_dim():
-    kern = [{0: Scalar(1), 5: Scalar(2)},
-            {5: Scalar(1)},
-            {1: Scalar(1), 5: Scalar(3)}]
-    assert projected_kernel(kern, 2) == [{0: Scalar(1)}, {1: Scalar(1)}]
-    # vectors vanishing on the kept columns contribute nothing
-    kern = [{2: Scalar(1), 5: Scalar(2)},
-            {5: Scalar(1)},
-            {3: Scalar(1), 5: Scalar(3)}]
-    assert projected_kernel(kern, 2) == []
 
 
 def test_harvest_kernel_on_hand_made_rows():

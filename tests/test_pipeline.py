@@ -7,13 +7,15 @@ from math import factorial
 import pytest
 
 from crrigid.corpus import EXPECTATIONS, load_corpus
+from crrigid.geometry import zct_frame
 from crrigid.jets import JET4_ORDER, column_count, field_row
 from crrigid.linalg import rank_of, rref
 from crrigid.linseries import LinSeries
 from crrigid.maps import MapGerm, map_frame
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
-from crrigid.pipeline import conjugate_reflection, direct_reflection, \
-    formal_jet, segre_divide, segre_fiber, solve_deformation
+from crrigid.pipeline import condition_system, conjugate_reflection, \
+    direct_reflection, formal_jet, segre_divide, segre_fiber, \
+    solve_deformation
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame
 from closed_forms import compose, cubic_deformation, \
@@ -26,9 +28,9 @@ I = Scalar(0, 0, 1)
 def test_fiber_of_quartic_source(cache):
     spec = cache.spec("example-6-1")
     fiber = segre_fiber(spec.source, 12)
-    xf = fiber.qpow[0].frame
+    xf = fiber[0][0].frame
     # A1 = 2 i x1, so x1 / A1 = 1 / u1 = -i / 2
-    assert fiber.upow[1] == Series.const(xf, I * Scalar(Fraction(-1, 2)))
+    assert fiber[1][1] == Series.const(xf, I * Scalar(Fraction(-1, 2)))
 
 
 def test_fiber_closed_form_of_quartic_source(cache):
@@ -37,7 +39,7 @@ def test_fiber_closed_form_of_quartic_source(cache):
     spec = cache.spec("example-6-1")
     kphi = 12
     fiber = segre_fiber(spec.source, kphi)
-    xf = fiber.qpow[0].frame
+    xf = fiber[0][0].frame
     phi = LinSeries.from_tags(xf, {"v": Series.monomial(xf, (1, 1), 1)})
     alpha, poles = segre_divide(phi, fiber)
     uf = frame("u", order=kphi)
@@ -57,7 +59,7 @@ def test_segre_divide_inverts_the_segre_pull_back(cache, entry):
     kphi = 12
     source = cache.spec(entry).source
     fiber = segre_fiber(source, kphi)
-    xf = fiber.qpow[0].frame
+    xf = fiber[0][0].frame
     rng = random.Random(entry)
     alpha = Series(map_frame(kphi), {
         (a, k): Scalar(rng.randint(1, 5), 0, rng.randint(-3, 3))
@@ -168,7 +170,7 @@ def _second_segre_values(spec, work_order, fields):
     H, source, target = spec.H, spec.source, spec.target
     abar = conjugate_reflection(H, source, target, kphi + 4, J)
     phi = direct_reflection(H, source, target, kphi + 2,
-                            segre_fiber(source, kphi).qpow[1], abar)
+                            segre_fiber(source, kphi)[0][1], abar)
     segre = _segre_map(source, xfrm)
     for V in fields:
         for p, v in zip(phi, V):
@@ -225,6 +227,26 @@ def test_low_orders_never_undercount(cache, entry, solve):
     for order in range(2, 17):
         sol = solve(spec.H, spec.source, spec.target, order)
         assert sol.dim >= EXPECTATIONS[entry].dim, order
+
+
+@pytest.mark.parametrize("entry", ["example-6-1", "sphere-8", "example-6-3"])
+def test_condition_system_is_the_restriction_of_the_next(cache, entry):
+    """The system at work order W is the one at W + 1 restricted to the
+    rows trusted at W: pole rows (l, a, k) with a + 2k <= W + 1, jet rows
+    (l, m, n) with m + 2n <= W + 1 and residual rows of weighted order
+    <= W.  A jet slot dropped below its bound breaks the equality."""
+    spec = cache.spec(entry)
+    systems = [condition_system(spec.H, spec.source, spec.target, W)
+               for W in range(2, 10)]
+    wdeg = zct_frame(9).wdeg
+    for low, high in zip(systems, systems[1:]):
+        W = low.work_order
+        assert low.rows_pole == {key: r for key, r in high.rows_pole.items()
+                                 if key[1] + 2 * key[2] <= W + 1}, W
+        assert low.rows_jet == {key: r for key, r in high.rows_jet.items()
+                                if key[1] + 2 * key[2] <= W + 1}, W
+        assert low.residuals == {e: r for e, r in high.residuals.items()
+                                 if wdeg(e) <= W}, W
 
 
 def test_germ_shorter_than_the_solve_raises():
