@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Print four digests, of the parsed germs, of the pipeline's condition
-rows, of the truncated solvers' residual rows and of the answers on the
-benchmark's presentations, for identity checks of the parser, the series
-layer, the pipeline, the oracle and the solves.
+"""Print five digests, of the parsed germs, of the pipeline's condition
+rows, of the truncated solvers' residual rows, of the answers on the
+benchmark's presentations and of the targets' automorphism kernels, for
+identity checks of the parser, the series layer, the pipeline, the oracle
+and the solves.
 
 Usage:
     python3 scripts/germ_digest.py
@@ -33,9 +34,16 @@ corpus entries and the seed 1-8 presentations of
 The fourth digest is the sha256 of the exit code and the rendered report
 of ``cli.answer`` on the seed 1-8 presentation of every workload slot,
 each parsed at order 24 and answered by its workload's command, so it
-pins the answers on the benchmark's own problems.  Run it on two
-checkouts and compare the lines.  The perfbench modules are imported,
-never changed.
+pins the answers on the benchmark's own problems.
+
+The fifth digest is the sha256 of the dims and the canonical kernel of
+``oracle.infinitesimal_automorphisms(target, 9, proj_order=4)`` for the
+target of every corpus entry and of every seed 1-8 presentation, each
+parsed at order 12.  The reports show only the dimension of this kernel;
+the trivial deformations of ``rigidity`` are composed from it.
+
+Run it on two checkouts and compare the lines.  The perfbench modules are
+imported, never changed.
 """
 
 import hashlib
@@ -56,6 +64,7 @@ from run import WORKLOADS  # noqa: E402
 SEEDS = range(1, 9)
 ORDERS = (12, 24)
 RESIDUAL_ORDERS = (9, 7)    # deformation, automorphism
+AUT_ORDERS = (9, 4)         # truncation, projection of the kernel
 
 
 def frame_meaning(frm) -> tuple:
@@ -110,15 +119,16 @@ def main() -> int:
              for name, workload in sorted(WORKLOADS.items())
              for seed in SEEDS
              for k, (entry, plan) in enumerate(workload.slots)]
-    texts = [corpus_text(e) for e in CORPUS_IDS] + [t for _, t in drawn]
+    problems = [corpus_text(e) for e in CORPUS_IDS] + [t for _, t in drawn]
     digest = hashlib.sha256()
     for order in ORDERS:
-        for text in texts:
+        for text in problems:
             spec = parse_problem(text, order=order)
             germs = [spec.source.Q, spec.target.rho, spec.change]
             germs += spec.H.components if spec.H is not None else []
             digest.update("|".join(map(terms, germs)).encode())
-    print(f"{len(texts)} problems at orders {ORDERS}: {digest.hexdigest()}")
+    print(f"{len(problems)} problems at orders {ORDERS}: "
+          f"{digest.hexdigest()}")
     solved = [corpus_text(e) for e, exp in EXPECTATIONS.items()
               if not (exp.aut_only or exp.degenerate)]
     for label, workload, rows in (
@@ -140,6 +150,15 @@ def main() -> int:
                            oracle="--oracle" in workload.options)
         digest.update(f"{code}|{report.render(doc)}".encode())
     print(f"{len(drawn)} benchmark answers: {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for text in problems:
+        aut = oracle.infinitesimal_automorphisms(
+            parse_problem(text, order=ORDERS[0]).target, AUT_ORDERS[0],
+            proj_order=AUT_ORDERS[1])
+        digest.update(repr((sorted(aut.dims.items()), rows_text(
+            dict(enumerate(aut.kernel_real))))).encode())
+    print(f"{len(problems)} automorphism kernels at orders {AUT_ORDERS}: "
+          f"{digest.hexdigest()}")
     return 0
 
 

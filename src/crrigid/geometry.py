@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from crrigid.scalars import ZERO, Scalar, I as IMAG
 from crrigid.series import Frame, Series, frame, solve_implicit
+from crrigid.bindings import Bindings
 
 # canonical frames ----------------------------------------------------
 
@@ -101,9 +102,10 @@ class Source:
 
     # -- parametrizations of the complexified germ --------------------
 
-    def chart(self, frm: Frame) -> Tuple[Dict[str, Series], Dict[str, Series]]:
+    def chart(self, frm: Frame) -> Tuple[Bindings, Bindings]:
         """(z, w) and their conjugates as series on a chart of the
-        complexified germ: ({"z": z, "w": w}, {"z": chi, "w": tau}).
+        complexified germ: the :class:`Bindings` {"z": z, "w": w} and
+        {"z": chi, "w": tau}.
 
         The chart is read from the frame's variables: (z, chi, tau) with
         w = Q (a :func:`zct_frame`), or (z, chi, w) with tau = Qbar (a
@@ -116,7 +118,7 @@ class Source:
         else:
             w = Series.variable(frm, "w")
             tau = self.Q.conj().project(frm, SOURCE_SWAP)
-        return {"z": z, "w": w}, {"z": chi, "w": tau}
+        return Bindings({"z": z, "w": w}), Bindings({"z": chi, "w": tau})
 
 
 # normalization -------------------------------------------------------
@@ -244,7 +246,7 @@ class Target:
 
     # -- derived data --------------------------------------------------
 
-    def gradient_on(self, bind: Dict[str, Series]
+    def gradient_on(self, bind: Bindings
                     ) -> Tuple[List[Series], List[Series]]:
         """r_j = d rho / d Z_j for Z = (z1, .., z_{n-1}, w1) and rbar_j
         (r_j conjugated, its variables swapped), with every target
@@ -258,10 +260,11 @@ class Target:
         variables except w1."""
         return solve_implicit(self.rho, "w1", frm.vars, frm)
 
-    def graph_chart(self, order: int) -> Dict[str, Series]:
+    def graph_chart(self, order: int) -> Bindings:
         """Every target variable as a series to ``order`` on the graph
         chart {w1 = W} of the complexified germ, over the target
-        variables except w1: w1 is bound to W, the others to themselves.
+        variables except w1: w1 is bound to W, the others to themselves,
+        which multiply by shifting exponents.
         A field V(Z) pulls back there as V.substitute over the bindings
         of z_i, w1, its conjugate as V.conj().substitute over those of
         bz_i, bw1."""
@@ -270,7 +273,7 @@ class Target:
         frm = Frame(xvars, order, weights)
         bind = {v: Series.variable(frm, v) for v in frm.vars}
         bind["w1"] = self.graph(frm)
-        return bind
+        return Bindings(bind)
 
     def levi_matrix(self) -> List[List[Scalar]]:
         """Hermitian matrix h with rho = (w1-bw1)/2i - sum h_jk z_j bz_k + ..."""

@@ -10,10 +10,11 @@ complexified source germ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from crrigid.scalars import Scalar
 from crrigid.series import Frame, Series, frame
+from crrigid.bindings import Bindings
 from crrigid.geometry import Source, Target, target_vars, zct_frame, \
     zcw_frame
 from crrigid.linalg import Eliminator, det3, integer_row, rank_of
@@ -86,15 +87,15 @@ def transversality(H: MapGerm) -> bool:
                 and last.coefficient((0, 1)).is_zero())
 
 
-def pull_back(H: MapGerm, chart: Tuple[Dict[str, Series], Dict[str, Series]]
-              ) -> Dict[str, Series]:
+def pull_back(H: MapGerm, chart: Tuple[Bindings, Bindings]) -> Bindings:
     """The target variables bound to (H, Hbar) on a chart of the
     complexified source germ, as returned by :meth:`Source.chart`:
     z_i, w1 to the components of H and bz_i, bw1 to their conjugates."""
     holo, anti = chart
-    return dict(zip(target_vars(len(H)),
-                    [c.substitute(holo) for c in H.components]
-                    + [c.conj().substitute(anti) for c in H.components]))
+    return Bindings(dict(zip(
+        target_vars(len(H)),
+        [c.substitute(holo) for c in H.components]
+        + [c.conj().substitute(anti) for c in H.components])))
 
 
 def embedding_residual(H: MapGerm, source: Source, target: Target,

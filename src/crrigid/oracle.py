@@ -6,8 +6,8 @@ the defining real-linear equation on the complexified germ to a working
 order, and compute the exact kernel, projected to low-order jets.  They
 serve as the independent cross-check ("oracle") for the jet
 parametrization pipeline, and as the general-purpose automorphism solver
-for target germs.  The oracle harvests one coefficient per conjugate pair
-(:func:`mirror_half`), the automorphism solver every coefficient.
+for target germs.  Both harvest one coefficient per conjugate pair
+(:func:`mirror_half`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 from operator import add
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
-from crrigid.series import Exponent, Series, power_table, table_monomial
+from crrigid.series import Exponent, Series
+from crrigid.bindings import Bindings
 from crrigid.linseries import LinSeries
 from crrigid.geometry import Source, Target, target_vars, zct_frame
 from crrigid.maps import MapGerm, pull_back, require_order
@@ -26,12 +27,14 @@ from crrigid.jets import JET4, KernelSolve, LinRow, bar_key, \
 # -- the truncated tangency equation ----------------------------------
 
 def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
-                 holo: Sequence[Series], anti: Sequence[Series],
+                 holo: Tuple[Bindings, Sequence[str]],
+                 anti: Tuple[Bindings, Sequence[str]],
                  keys: Sequence[Hashable]) -> LinSeries:
     """sum_j r_j V_j + rbar_j conj(V_j) on a chart, with V the formal jet
-    over ``keys``: ("jet", j, exp) is the coefficient of the monomial in
-    ``holo`` with exponent exp in V_j, ("jetbar", j, exp) its conjugate,
-    whose monomial is taken in ``anti``.
+    over ``keys``: ("jet", j, exp) is the coefficient in V_j of the
+    monomial with exponent exp in the variables ``names`` of
+    ``holo = (chart, names)``, bound by the chart, and ("jetbar", j, exp)
+    its conjugate, whose monomial is taken in ``anti`` likewise.
 
     The rows are written directly, in the order of ``keys`` with each jet
     tag before its jetbar tag: a tag's terms are those of its
@@ -42,8 +45,8 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
     frm = r_on[0].frame
     admits = frm.admits if frm.caps else None
     exps = [tuple(key[2:]) for key in keys]
-    sides = (monomial_multiples(r_on, holo, exps),
-             monomial_multiples(rb_on, anti, exps))
+    sides = (monomial_multiples(r_on, *holo),
+             monomial_multiples(rb_on, *anti))
     out: Dict[Exponent, LinRow] = {}
     for key, exp in zip(keys, exps):
         for tag, multiple in zip((key, bar_key(key)), sides):
@@ -62,42 +65,31 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
     return LinSeries(frm, out)
 
 
-def monomial_multiples(r: Sequence[Series], gens: Sequence[Series],
-                       exps: Sequence[Exponent]) -> Callable:
-    """r[j] * prod_i gens[i]^exp[i] for exp in ``exps``, as a function of
-    (j, exp) giving (shift, limit, terms): the terms (wdeg, e, c) of a
-    product, sorted, each moved to e + shift (None when it is zero) and
-    kept up to the weighted degree ``limit`` before the move.
+def monomial_multiples(r: Sequence[Series], chart: Bindings,
+                       names: Sequence[str]) -> Callable:
+    """r[j] * prod_i chart[names[i]]^exp[i], as a function of (j, exp)
+    giving (shift, limit, terms): the terms (wdeg, e, c) of a product,
+    sorted, each moved to e + shift (None when it is zero) and kept up to
+    the weighted degree ``limit`` before the move.
 
-    A generator of one term with coefficient 1, such as a chart variable,
-    multiplies by shifting exponents.  So one product is formed for each
-    j and power of the other generators, none for their power 0, and the
-    shift, limit and power of each exp are found once.
+    The chart splits each monomial into the shift of its bindings of one
+    term with coefficient 1, such as chart variables, and a monomial of
+    its other bindings, which it keeps (:meth:`Bindings.splitter`).  So
+    one product is formed for each j and monomial of the other bindings,
+    none for their power 0, and the split of each exp is found once.
     """
-    frm = r[0].frame
-    shifts = [next(iter(g.coeffs)) if len(g.coeffs) == 1
-              and next(iter(g.coeffs.values())) == 1 else None for g in gens]
-    other = [i for i, s in enumerate(shifts) if s is None]
-    table = power_table([gens[i] for i in other],
-                        [tuple(e[i] for i in other) for e in exps])
+    frm, split = r[0].frame, chart.splitter(names)
     cuts: Dict[Exponent, tuple] = {}
     products: Dict[Tuple[int, Exponent], list] = {}
 
     def multiple(j: int, exp: Exponent) -> tuple:
         cut = cuts.get(exp)
         if cut is None:
-            shift = frm.zero_exp()
-            for s, k in zip(shifts, exp):
-                if s is not None and k:
-                    shift = tuple(a + k * b for a, b in zip(shift, s))
-            cut = cuts[exp] = (shift if any(shift) else None,
-                               frm.order - frm.wdeg(shift),
-                               tuple(exp[i] for i in other))
+            cut = cuts[exp] = split(exp)
         shift, limit, power = cut
         terms = products.get((j, power))
         if terms is None:
-            prod = r[j] * table_monomial(table, power) if any(power) \
-                else r[j]
+            prod = r[j] * chart.monomial(power) if any(power) else r[j]
             terms = products[j, power] = sorted(
                 (frm.wdeg(e), e, c) for e, c in prod.coeffs.items())
         return shift, limit, terms
@@ -147,30 +139,38 @@ def deformation_residual(H: MapGerm, source: Source, target: Target,
     *weighted* order ``work_order`` (z-degree + 2 w-degree); the residual
     is linear in the jet and its conjugate.
     """
-    frm = zct_frame(work_order)
-    holo, anti = chart = source.chart(frm)
+    holo, anti = chart = source.chart(zct_frame(work_order))
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
     keys = jet_unknowns(target.n, (1, 2), work_order)
-    return jet_residual(r_on, rb_on, [holo["z"], holo["w"]],
-                        [anti["z"], anti["w"]], keys)
+    return jet_residual(r_on, rb_on, (holo, ("z", "w")), (anti, ("z", "w")),
+                        keys)
 
 
-def mirror_half(residual: LinSeries) -> LinSeries:
-    """The coefficients of a :func:`deformation_residual` at (z, chi,
-    tau) exponents (a, b, c) with a <= b, whose real rows span those of
-    all its coefficients at every weighted order.
+def mirror_half(residual: LinSeries, m: int) -> LinSeries:
+    """The coefficients of a residual at exponents (a, b, c) with
+    a <= b, as tuples, whose real rows span those of all its
+    coefficients at every weighted order.
 
-    Proof: R is real, so R(z, chi, tau) = Rbar(chi, z, Q(z, chi, tau)),
-    Rbar with conjugate coefficients and jet, jetbar tags swapped.  In
-    normal form Q = tau + q z chi + terms of weight >= 3 and positive z-
-    and chi-degree.  So the row of R at (a, b, c) is sum_k binom(c+k, k)
-    q^k conj(row at (b-k, a-k, c+k)) plus conjugates of rows of lower
-    weighted order; for a > b each (b-k, a-k, c+k) is kept.  A complex
-    row, its conjugate and their complex multiples span the same real
-    rows, so by induction on the weighted order the kept rows span all.
+    The residual is a :func:`deformation_residual` on the (x, y, omega) =
+    (z, chi, tau) chart, m = 1, or an :func:`automorphism_residual` on
+    the (z', zeta', bw1) graph chart, m = n - 1: a, b and c are the
+    exponents of x, y and omega, and W(x, y, omega) is the chart's value
+    of the conjugate variable of omega, w = Q or w1 = W.
+
+    Proof: the equation is real and the germ too, so R(x, y, omega) =
+    Rbar(y, x, W(x, y, omega)), Rbar with conjugate coefficients and jet,
+    jetbar tags swapped.  W = omega + terms of weighted degree >= 2 in x
+    and y: a normal form has no linear term but tau, and
+    :meth:`~crrigid.geometry.Target.verify` fixes the linear part.  So
+    the row of R at (a, b, c) is conj(row at (b, a, c)), plus conjugates
+    of rows of its own weighted order and omega-degree > c, plus rows of
+    lower weighted order.  For a > b, (b, a, c) is kept.  A complex row,
+    its conjugate and their complex multiples span the same real rows, so
+    by induction on the weighted order, then on descending omega-degree,
+    the kept rows span all.
     """
     return LinSeries(residual.frame, {
-        e: row for e, row in residual.coeffs.items() if e[0] <= e[1]})
+        e: row for e, row in residual.coeffs.items() if e[:m] <= e[m:2 * m]})
 
 
 def direct_solve(H: MapGerm, source: Source, target: Target,
@@ -181,7 +181,7 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
     germs must be expanded to order keq + 1."""
     require_order(keq + 1, H, source, target)
     return truncated_solve(
-        lambda K: mirror_half(deformation_residual(H, source, target, K)),
+        lambda K: mirror_half(deformation_residual(H, source, target, K), 1),
         target.n, (1, 2), JET4, keq)
 
 
@@ -194,10 +194,9 @@ def automorphism_residual(target: Target, order: int) -> LinSeries:
     weights of that chart."""
     n = target.n
     names = target_vars(n)
-    bind = target.graph_chart(order)
-    r_on, rb_on = target.gradient_on(bind)
-    return jet_residual(r_on, rb_on, [bind[v] for v in names[:n]],
-                        [bind[v] for v in names[n:]],
+    chart = target.graph_chart(order)
+    r_on, rb_on = target.gradient_on(chart)
+    return jet_residual(r_on, rb_on, (chart, names[:n]), (chart, names[n:]),
                         jet_unknowns(n, target.frame.weights[:n], order))
 
 
@@ -206,14 +205,14 @@ def infinitesimal_automorphisms(target: Target, keq: int,
     """dim of the space of infinitesimal CR automorphisms of M' fixing 0.
 
     Solves Re sum_j rho_{Z_j}(Z, conj Z) V_j(Z) = 0 on the graph chart of
-    M' with the jet of V as unknowns: :func:`truncated_solve` of
-    :func:`automorphism_residual`.  The kernel is projected onto jets of
-    plain degree <= ``proj_order`` (automorphisms of a Levi-nondegenerate
-    germ are determined by their 2-jets).  The target must be expanded to
-    order keq + 1.
+    M' with the jet of V as unknowns: :func:`truncated_solve` of the
+    :func:`mirror_half` of :func:`automorphism_residual`.  The kernel is
+    projected onto jets of plain degree <= ``proj_order`` (automorphisms
+    of a Levi-nondegenerate germ are determined by their 2-jets).  The
+    target must be expanded to order keq + 1.
     """
     require_order(keq + 1, target)
     n = target.n
-    return truncated_solve(lambda K: automorphism_residual(target, K), n,
-                           target.frame.weights[:n],
-                           jet_unknowns(n, (1,) * n, proj_order), keq)
+    return truncated_solve(
+        lambda K: mirror_half(automorphism_residual(target, K), n - 1), n,
+        target.frame.weights[:n], jet_unknowns(n, (1,) * n, proj_order), keq)

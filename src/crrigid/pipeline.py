@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from crrigid.series import Frame, Series, frame, power_table
+from crrigid.bindings import Bindings
 from crrigid.linseries import LinRow, LinSeries
 from crrigid.linalg import adjugate3, det3
 from crrigid.geometry import Source, Target, zct_frame, zcw_frame
@@ -123,11 +124,11 @@ def direct_reflection(H: MapGerm, source: Source, target: Target,
     frm = zcw_frame(order)
     _, anti = chart = source.chart(frm)
     r_on, rb_on = target.gradient_on(pull_back(H, chart))
-    on_chart = {"chi": anti["z"], "tau": anti["w"]}
+    on_chart = Bindings({"chi": anti["z"], "tau": anti["w"]})
     rhs = -sum((abar[h].substitute(on_chart) * rb_on[h] for h in range(3)),
                LinSeries(frm))
-    bind = {"z": Series.variable(q.frame, "x1"),
-            "chi": Series.variable(q.frame, "x2"), "w": q}
+    bind = Bindings({"z": Series.variable(q.frame, "x1"),
+                     "chi": Series.variable(q.frame, "x2"), "w": q})
     return _reflect(r_on, rhs, "chi", lambda s: s.substitute(bind))
 
 

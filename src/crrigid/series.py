@@ -10,7 +10,9 @@ linear forms; the methods use only what both rings provide, so each
 serves both.  A sum takes two series of one type, a product a plain
 Series on the right and gives the type of its left factor (linear forms
 stand on the left); both need equal frames, and :meth:`Series.scale` is
-the one scalar multiple.  Any other operand is a TypeError.
+the one scalar multiple.  Any other operand is a TypeError.  A
+substitution goes through a :class:`~crrigid.bindings.Bindings`, which
+keeps the powers it forms for the next series substituted through it.
 """
 
 from __future__ import annotations
@@ -219,25 +221,46 @@ class Series:
 
     def conj(self, rename: Optional[Mapping[str, str]] = None) -> "Series":
         """Conjugate coefficients; optionally rename variables as
-        :meth:`project` does, by a swap such as z <-> chi, w <-> tau that
-        keeps the frame's weights."""
-        out = type(self)(self.frame,
-                         {e: c.conjugate() for e, c in self.coeffs.items()})
-        return out.project(self.frame, rename) if rename else out
+        :meth:`project` does, by a swap such as z <-> chi, w <-> tau.  The
+        rename must map the frame's variables, weights and caps onto
+        themselves, so that no term is dropped; else ValueError."""
+        frm = self.frame
+        out = type(self)(frm, {e: c.conjugate()
+                               for e, c in self.coeffs.items()})
+        if not rename:
+            return out
+        names = [rename.get(v, v) for v in frm.vars]
+        caps = dict(frm.caps)
+        if sorted(names) != sorted(frm.vars) or any(
+                (frm.weights[i], caps.get(i)) != (frm.weights[j], caps.get(j))
+                for i, j in enumerate(map(frm.index, names))):
+            raise ValueError(f"the rename {dict(rename)} does not map the "
+                             "frame's variables, weights and caps onto "
+                             "themselves")
+        return out.project(frm, rename)
 
     # -- substitution -------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "Series"]) -> "Series":
-        """Substitute an ordinary series for every variable (checked by
-        :func:`substitution_target`); each monomial is formed once."""
-        target = substitution_target(self.frame, bindings)
-        table = power_table([bindings[v] for v in self.frame.vars],
-                            self.coeffs)
-        one = {target.zero_exp(): Scalar(1)}
+        """Substitute an ordinary series for every variable, through a
+        :class:`~crrigid.bindings.Bindings` (a plain mapping makes one for
+        this call alone), which checks the bindings."""
+        from crrigid.bindings import Bindings    # which builds on Series
+        if not isinstance(bindings, Bindings):
+            bindings = Bindings(bindings)
+        target = bindings.target(self.frame)
+        split, terms = bindings.splitter(self.frame.vars), bindings.terms
+        admits = target.admits if target.caps else None
         out = {}
         for exp, c in self.coeffs.items():
-            terms = table_monomial(table, exp).coeffs if any(exp) else one
-            for e, m in terms.items():
+            shift, limit, key = split(exp)
+            for w, e, m in terms(key):
+                if w > limit:    # the terms are sorted by weighted degree
+                    break
+                if shift is not None:
+                    e = tuple(map(add, e, shift))
+                    if admits is not None and not admits(e):
+                        continue
                 if e in out:    # a product formed here, as in __mul__
                     out[e] += c * m
                 else:
@@ -269,29 +292,6 @@ class Series:
         for _ in range(steps):
             g = g * (two - self * g)
         return g
-
-
-def substitution_target(frm: Frame, bindings: Mapping[str, Series]
-                        ) -> Frame:
-    """The frame a substitution into ``frm`` lands in.
-
-    Every variable of ``frm`` must be bound.  Each binding must have zero
-    constant term and weighted vanishing order at least the weight of the
-    variable it replaces (this keeps truncation exact).  All bindings must
-    share one target frame.
-    """
-    if set(bindings) != set(frm.vars):
-        raise ValueError("substitute requires a binding for every variable")
-    target = bindings[frm.vars[0]].frame
-    for v, w in zip(frm.vars, frm.weights):
-        b = bindings[v]
-        if b.frame != target:
-            raise ValueError("bindings with mismatched frames")
-        if not b.constant_term().is_zero():
-            raise ValueError(f"binding for {v} has nonzero constant term")
-        if b.vanishing_order() < w:
-            raise ValueError(f"binding for {v} vanishes to too low an order")
-    return target
 
 
 def projection(source: Frame, target: Frame,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
 from crrigid.series import Series, frame
+from crrigid.bindings import Bindings
 from crrigid.linalg import Row, rank_of, rref
 from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, NondegeneracyCheck, map_frame, \
@@ -45,7 +46,8 @@ def trivial_subspace(H: MapGerm, target: Target,
     aut = infinitesimal_automorphisms(target, keq=aut_keq, proj_order=4)
     vf = frame(*target_vars(target.n)[:target.n], order=4)
     mf = map_frame(JET4_ORDER)
-    bind = dict(zip(vf.vars, [c.project(mf) for c in H.components]))
+    bind = Bindings(dict(zip(vf.vars,
+                             [c.project(mf) for c in H.components])))
     # V_j of every vector, one series: coefficients keyed by vector index
     V = [LinSeries(vf) for _ in range(target.n)]
     for i, vec in enumerate(aut.kernel_real):

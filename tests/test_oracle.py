@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crrigid.bindings import Bindings
 from crrigid.corpus import EXPECTATIONS
-from crrigid.geometry import target_vars, zct_frame
+from crrigid.geometry import Target, target_vars, zct_frame
 from crrigid.jets import JET4, bar_key, column_count, field_row, \
     harvest_kernel, jet_unknowns, realify_row
 from crrigid.linalg import Eliminator
 from crrigid.linseries import LinSeries
 from crrigid.maps import pull_back
 from crrigid.oracle import automorphism_residual, deformation_residual, \
-    direct_solve, jet_residual, mirror_half, truncated_solve
+    direct_solve, infinitesimal_automorphisms, jet_residual, mirror_half, \
+    truncated_solve
 from crrigid.parser import parse_problem
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame, power_table, table_monomial
@@ -139,7 +141,8 @@ def per_key_residual(r_on, rb_on, holo, anti, keys):
     """The reference for :func:`jet_residual`: one full product per key
     and side, r_j times its monomial, merged by ``LinSeries.from_tags``."""
     exps = [tuple(key[2:]) for key in keys]
-    holo_pow, anti_pow = power_table(holo, exps), power_table(anti, exps)
+    holo_pow, anti_pow = (power_table([chart[v] for v in names], exps)
+                          for chart, names in (holo, anti))
     comps = {}
     for key, exp in zip(keys, exps):
         comps[key] = r_on[key[1]] * table_monomial(holo_pow, exp)
@@ -159,7 +162,7 @@ def oracle_chart(spec, frm):
     """(r_on, rb_on, holo, anti) of :func:`deformation_residual`."""
     holo, anti = chart = spec.source.chart(frm)
     r_on, rb_on = spec.target.gradient_on(pull_back(spec.H, chart))
-    return r_on, rb_on, [holo["z"], holo["w"]], [anti["z"], anti["w"]]
+    return r_on, rb_on, (holo, ("z", "w")), (anti, ("z", "w"))
 
 
 @pytest.mark.parametrize("entry", ["example-6-2", "example-6-3"])
@@ -179,10 +182,10 @@ def test_jet_residual_equals_the_per_key_products_on_a_graph_chart(
     variable, so that side forms no product and no power table."""
     target, K = cache.spec(entry).target, 7
     n, names = target.n, target_vars(target.n)
-    bind = target.graph_chart(K)
-    anti = [bind[v] for v in names[n:]]
-    assert all(len(g.coeffs) == 1 for g in anti)
-    args = (*target.gradient_on(bind), [bind[v] for v in names[:n]], anti)
+    chart = target.graph_chart(K)
+    assert chart.gens == ("w1",)
+    args = (*target.gradient_on(chart), (chart, names[:n]),
+            (chart, names[n:]))
     keys = jet_unknowns(n, (1,) * (n - 1) + (2,), K)
     assert_same_residual(automorphism_residual(target, K),
                          per_key_residual(*args, keys))
@@ -222,7 +225,8 @@ def test_jet_residual_equals_the_per_key_products(r, gens):
     """Only a term with coefficient 1 is taken for a shift."""
     r = [s.project(CAPPED) for s in r]
     keys = jet_unknowns(2, (1, 2), 4)
-    args = (r[:2], r[2:], gens[:2], gens[2:])
+    args = (r[:2], r[2:], (Bindings(dict(zip("ab", gens[:2]))), "ab"),
+            (Bindings(dict(zip("ab", gens[2:]))), "ab"))
     assert_same_residual(jet_residual(*args, keys),
                          per_key_residual(*args, keys))
 
@@ -266,7 +270,7 @@ def test_mirror_half_keeps_the_real_rank_at_every_order(cache, entry):
     residual = deformation_residual(spec.H, spec.source, spec.target, K)
     keys = jet_unknowns(spec.target.n, (1, 2), K)
     full = ranks_by_order(residual, keys)
-    assert ranks_by_order(mirror_half(residual), keys) == full
+    assert ranks_by_order(mirror_half(residual, 1), keys) == full
     strict = LinSeries(residual.frame, {
         e: row for e, row in residual.coeffs.items() if e[0] < e[1]})
     assert ranks_by_order(strict, keys) != full
@@ -284,3 +288,61 @@ def test_direct_solve_equals_a_full_harvest(cache, entry, keq):
     got = direct_solve(s.H, s.source, s.target, keq)
     assert got.dims == full.dims
     assert got.kernel_real == full.kernel_real
+
+
+#: Targets whose graph charts the mirror harvest is checked on: corpus
+#: targets (target-6-4 in C^2), and problem texts for a target with
+#: harmonic quadratic terms and one sheared by z1 -> z1 + (1+i) w1^2,
+#: whose graph W has terms in bw1 beyond the linear one.
+GRAPH_TARGETS = {
+    "hyperquadric": None,
+    "example-6-2": None,
+    "example-6-4": None,
+    "target-6-4": None,
+    "harmonic-quadratic": "imag(w1) = z1*conj(z1) + z2*conj(z2)"
+                          " + real(z1^2) + imag(z1*z2)",
+    "r-shear": "imag(w1) = (z1 + (1+i)*w1^2)*conj(z1 + (1+i)*w1^2)"
+               " + z2*conj(z2)",
+}
+
+
+def graph_target(cache, name):
+    if name == "hyperquadric":
+        return Target.hyperquadric(1, 12)
+    text = GRAPH_TARGETS[name]
+    if text is None:
+        return cache.spec(name).target
+    return parse_problem(f"vars z w; source: hyperquadric; target: {text};",
+                         order=12).target
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_TARGETS))
+def test_mirror_half_keeps_the_real_rank_on_graph_charts(cache, name):
+    """On a target's graph chart, over (z', zeta', bw1) with m = n - 1
+    variables in z' and in zeta', the rows at a <= b (as tuples) span
+    all at every weighted order, and those at a < b do not."""
+    target, K = graph_target(cache, name), 8
+    n, m = target.n, target.n - 1
+    residual = automorphism_residual(target, K)
+    keys = jet_unknowns(n, target.frame.weights[:n], K)
+    full = ranks_by_order(residual, keys)
+    assert ranks_by_order(mirror_half(residual, m), keys) == full
+    strict = LinSeries(residual.frame, {
+        e: row for e, row in residual.coeffs.items() if e[:m] < e[m:2 * m]})
+    assert ranks_by_order(strict, keys) != full
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_TARGETS))
+def test_infinitesimal_automorphisms_equal_a_full_harvest(cache, name):
+    """The automorphism solve's dims and canonical kernel, projected onto
+    the 4-jet as ``rigidity`` reads it, are those of a harvest of every
+    residual coefficient at aut orders 7-9."""
+    target = graph_target(cache, name)
+    n = target.n
+    proj = jet_unknowns(n, (1,) * n, 4)
+    for keq in (7, 8, 9):
+        full = truncated_solve(lambda K: automorphism_residual(target, K), n,
+                               target.frame.weights[:n], proj, keq)
+        got = infinitesimal_automorphisms(target, keq, proj_order=4)
+        assert got.dims == full.dims
+        assert got.kernel_real == full.kernel_real

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crrigid.bindings import Bindings
+from crrigid.geometry import SOURCE_SWAP, zct_frame
+from crrigid.linseries import LinSeries
 from crrigid.scalars import Scalar
 from crrigid.series import Series, frame, power_table, reversion, \
     solve_implicit, table_monomial
@@ -155,6 +158,24 @@ def test_conjugation_renames_on_a_weighted_frame():
                          (0, 1, 1, 0): Scalar(0, 0, 0, -1)}
 
 
+def test_conjugation_renames_only_onto_the_frame_itself():
+    """A rename that would move a term past a cap, onto another weight or
+    out of the frame raises, where it used to drop the term."""
+    chi = Series.variable(zct_frame(8, zcap=2), "chi")
+    capped = frame("z", "chi", "w", "tau", order=8, weights=(1, 1, 2, 2),
+                   caps={"z": 2})
+    skew = frame("z", "chi", order=4, weights=(1, 2))
+    for x in (chi * chi * chi, Series.variable(capped, "chi"),
+              Series.variable(skew, "z")):
+        with pytest.raises(ValueError, match="does not map the frame"):
+            x.conj(rename=SOURCE_SWAP)
+    both = frame("z", "chi", "w", "tau", order=8, weights=(1, 1, 2, 2),
+                 caps={"z": 2, "chi": 2})
+    x = Series.monomial(both, (0, 2, 1, 0), I)
+    assert x.conj(rename=SOURCE_SWAP) == Series.monomial(both, (2, 0, 0, 1),
+                                                         -I)
+
+
 @given(series_elems())
 @settings(max_examples=40, deadline=None)
 def test_invert_unit(x):
@@ -187,6 +208,95 @@ def test_substitution_composes():
     x = Series.variable(G, "x")
     one = Series.const(F, 3) + z
     assert one.substitute({"z": x, "w": x * x}) == Series.const(G, 3) + x
+
+
+#: The frame of the bindings in the Bindings tests, capped so that a
+#: shifted term can pass a cap (on a frame without caps, only the order).
+ZCT = frame("z", "chi", "tau", order=7, weights=(1, 1, 2), caps={"z": 3})
+#: The frame of the series substituted there.
+UV = frame("u", "v", order=7, weights=(1, 2))
+
+
+@st.composite
+def uv_elems(draw):
+    coeffs = {}
+    for e in filter(UV.admits, itertools.product(range(8), range(4))):
+        if draw(st.booleans()):
+            c = Scalar(draw(small), 0, draw(small), 0)
+            if not c.is_zero():
+                coeffs[e] = c
+    return Series(UV, coeffs)
+
+
+@st.composite
+def uv_bindings(draw):
+    """Bindings of u and v on ZCT or ZCT without caps, vanishing to the
+    weights 1 and 2: a variable, a monomial with coefficient 1 such as
+    z*chi, a single term with another coefficient, or a drawn series."""
+    frm = draw(st.sampled_from([ZCT, zct_frame(ZCT.order)]))
+    z, chi, tau = (Series.variable(frm, v) for v in frm.vars)
+    drawn = []
+    for low in (1, 2):
+        coeffs = {}
+        for e in draw(st.lists(st.sampled_from(
+                [e for e in itertools.product(range(8), range(8), range(4))
+                 if frm.admits(e) and frm.wdeg(e) >= low]), max_size=6)):
+            c = Scalar(draw(small), 0, draw(small), 0)
+            if not c.is_zero():
+                coeffs[e] = c
+        drawn.append(Series(frm, coeffs) if coeffs else z * chi)
+    return {"u": draw(st.sampled_from([z, chi, z * chi, z.scale(2),
+                                       chi.scale(I), tau.scale(-1),
+                                       drawn[0]])),
+            "v": draw(st.sampled_from([tau, z * chi, z * z, chi * tau,
+                                       (z * chi).scale(3), tau.scale(1 + I),
+                                       drawn[1]]))}
+
+
+def full_products(s, bind):
+    """The reference substitution: each monomial of the bindings formed
+    by Series products, times its coefficient, summed."""
+    target = bind["u"].frame
+    table = power_table([bind[v] for v in s.frame.vars], s.coeffs)
+    out = type(s)(target)
+    for exp, c in s.coeffs.items():
+        m = table_monomial(table, exp) if any(exp) \
+            else Series.const(target, 1)
+        out = out + type(s)(target, {e: c * x for e, x in m.coeffs.items()})
+    return out
+
+
+@given(uv_elems(), uv_elems(), uv_bindings())
+@settings(max_examples=80, deadline=None)
+def test_shared_bindings_equal_one_shot_dicts_and_full_products(x, y, bind):
+    """A Series and a LinSeries substituted through one Bindings, in
+    either order, or each through a plain dict, give the reference's
+    series; a binding of one term with coefficient 1 shifts exponents."""
+    pair = (x, LinSeries.from_tags(UV, {"x": x, "y": y}))
+    want = [full_products(s, bind) for s in pair]
+    assert [s.substitute(bind) for s in pair] == want
+    for order in (slice(None), slice(None, None, -1)):
+        shared = Bindings(bind)
+        got = [s.substitute(shared) for s in pair[order]][order]
+        assert got == want
+        assert [type(g) for g in got] == [Series, LinSeries]
+
+
+def test_bindings_are_read_only_and_checked():
+    z, tau = Series.variable(ZCT, "z"), Series.variable(ZCT, "tau")
+    bind = Bindings({"u": z, "v": tau})
+    assert dict(bind) == {"u": z, "v": tau} and bind.gens == ()
+    with pytest.raises(TypeError):
+        bind["u"] = tau
+    u = Series.variable(UV, "u")
+    for bad, match in (({"u": z}, "a binding for every variable"),
+                       ({"u": z, "v": z}, "vanishes to too low an order"),
+                       ({"u": z + Series.const(ZCT, 1), "v": tau},
+                        "nonzero constant term"),
+                       ({"u": z, "v": Series.variable(UV, "v")},
+                        "mismatched frames")):
+        with pytest.raises(ValueError, match=match):
+            u.substitute(bad)
 
 
 def test_table_monomial_needs_a_positive_exponent_entry():
