@@ -57,7 +57,7 @@ from crrigid import oracle, report  # noqa: E402
 from crrigid.cli import answer  # noqa: E402
 from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text  # noqa: E402
 from crrigid.parser import parse_problem  # noqa: E402
-from crrigid.pipeline import condition_system  # noqa: E402
+from crrigid.pipeline import condition_system, germ_order  # noqa: E402
 from presentations import draw  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
@@ -94,8 +94,8 @@ def conditions_text(text: str) -> str:
     """The work order and the sorted rows of a problem's condition system."""
     spec = parse_problem(text, order=ORDERS[-1])
     work_order = spec.orders()[0]
-    if work_order + 5 > ORDERS[-1]:
-        spec = parse_problem(text, order=work_order + 5)
+    if germ_order(work_order) > ORDERS[-1]:
+        spec = parse_problem(text, order=germ_order(work_order))
     system = condition_system(spec.H, spec.source, spec.target, work_order)
     return "|".join([str(system.work_order), rows_text(system.rows_pole),
                      rows_text(system.rows_jet),

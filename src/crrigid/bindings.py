@@ -1,21 +1,22 @@
-"""Substitution bindings: series bound to variables, sharing the products
-that substitution forms.
+"""Substitution bindings: series bound to variables, and the one owner
+of the products formed from them (:meth:`Bindings.image`), which
+:meth:`~crrigid.series.Series.substitute` and
+:func:`~crrigid.oracle.jet_residual` walk.
 
-:meth:`~crrigid.series.Series.substitute` goes through a :class:`Bindings`.
-Every chart of a complexified germ is one (``Source.chart``,
-``Target.graph_chart``, ``maps.pull_back``), and lives as long as the
-stage that built it, so the series substituted there share its powers.
-The class has a module of its own: with byte code off, each process
-compiles the sources, and the compiler's peak memory for the largest
-module stays in the process's resident set.
+Every chart of a complexified germ is a :class:`Bindings`
+(``Source.chart``, ``Target.graph_chart``, ``maps.pull_back``), and lives
+as long as the stage that built it, so the series substituted there
+share its powers.  The class has a module of its own: with byte code
+off, each process compiles the sources, and the compiler's peak memory
+for the largest module stays in the process's resident set.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
-from crrigid.series import Exponent, Frame, Series, table_monomial
+from crrigid.series import Exponent, Frame, Series
 
 
 class Bindings(Mapping):
@@ -27,7 +28,7 @@ class Bindings(Mapping):
     variable or z*chi, multiplies by shifting exponents.  The other
     bindings are the generators: their powers are grown as asked for and
     kept, and so are the terms of the monomials a substitution forms from
-    them (:meth:`terms`).
+    them (:meth:`image`).
     """
 
     def __init__(self, bindings: Mapping[str, Series]):
@@ -46,7 +47,7 @@ class Bindings(Mapping):
         self.gens = tuple(v for v in self._bind if v not in self._shifts)
         self._powers = [[Series.const(self.frame, 1), self._bind[v]]
                         for v in self.gens]
-        self._terms: Dict[Exponent, list] = {}
+        self._terms: Dict[tuple, list] = {}
 
     def __getitem__(self, var: str) -> Series:
         return self._bind[var]
@@ -76,47 +77,58 @@ class Bindings(Mapping):
                                  "order")
         return self.frame
 
-    def splitter(self, names: Sequence[str]
-                 ) -> Callable[[Exponent], Tuple[Optional[Exponent], int,
-                                                 Exponent]]:
-        """The map from an exponent over bound ``names`` to (shift, limit,
-        key): prod_v binding(v)^exp[v] is the monomial of the generators
-        with powers ``key`` (:meth:`monomial`) moved by ``shift`` (None
-        when it is zero); a term of that monomial of weighted degree above
-        ``limit`` moves past the frame's order."""
-        frm, shifts = self.frame, self._shifts
+    def image(self, names: Sequence[str],
+              factors: Optional[Sequence[Series]] = None) -> Callable:
+        """The map (j, exp) -> (shift, limit, terms) of the products
+        factors[j] * prod_i binding(names[i])^exp[i]; without ``factors``,
+        j is None and the factor 1.
+
+        The bindings of one term with coefficient 1 multiply by ``shift``
+        (None when it is zero); ``terms`` are the terms (wdeg, e, c) of
+        factors[j] times the monomial of the generators, sorted; one of
+        weighted degree above ``limit`` moves past the frame's order.
+        Each exp is split once per call and each product formed once, from
+        the kept powers; the terms of the monomials alone are kept for
+        every call.
+        """
+        frm, shifts, wdeg = self.frame, self._shifts, self.frame.wdeg
         moves = [(i, shifts[v]) for i, v in enumerate(names) if v in shifts]
         pos = {v: i for i, v in enumerate(names)}
         take = [pos.get(v) for v in self.gens]
         zero = frm.zero_exp()
+        cuts: Dict[Exponent, tuple] = {}
+        products = self._terms if factors is None else {}
 
-        def split(exp: Exponent) -> Tuple[Optional[Exponent], int, Exponent]:
-            shift = zero
-            for i, s in moves:
-                k = exp[i]
-                if k:
-                    shift = tuple([a + k * b for a, b in zip(shift, s)])
-            key = tuple([0 if i is None else exp[i] for i in take])
-            if not any(shift):
-                return None, frm.order, key
-            return shift, frm.order - frm.wdeg(shift), key
+        def at(j: Optional[int], exp: Exponent) -> tuple:
+            cut = cuts.get(exp)
+            if cut is None:
+                shift = zero
+                for i, s in moves:
+                    k = exp[i]
+                    if k:
+                        shift = tuple([a + k * b for a, b in zip(shift, s)])
+                key = tuple([0 if i is None else exp[i] for i in take])
+                cut = cuts[exp] = (shift if any(shift) else None,
+                                   frm.order - wdeg(shift), key)
+            shift, limit, key = cut
+            terms = products.get((j, key))
+            if terms is None:
+                prod = self.monomial(key)
+                if j is not None:
+                    prod = factors[j] * prod if any(key) else factors[j]
+                terms = products[j, key] = sorted(
+                    (wdeg(e), e, c) for e, c in prod.coeffs.items())
+            return shift, limit, terms
 
-        return split
+        return at
 
     def monomial(self, key: Exponent) -> Series:
-        """prod_i g_i^key[i] over the generators g_i of :attr:`gens`."""
+        """prod_i g_i^key[i] over the generators g_i of :attr:`gens`,
+        from their kept powers, grown as asked for."""
+        term = None
         for powers, k in zip(self._powers, key):
             while len(powers) <= k:
                 powers.append(powers[-1] * powers[1])
-        if not any(key):
-            return Series.const(self.frame, 1)
-        return table_monomial(self._powers, key)
-
-    def terms(self, key: Exponent) -> list:
-        """The terms (wdeg, e, c) of :meth:`monomial`, sorted, kept."""
-        terms = self._terms.get(key)
-        if terms is None:
-            wdeg = self.frame.wdeg
-            terms = self._terms[key] = sorted(
-                (wdeg(e), e, c) for e, c in self.monomial(key).coeffs.items())
-        return terms
+            if k:
+                term = powers[k] if term is None else term * powers[k]
+        return Series.const(self.frame, 1) if term is None else term

@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from crrigid import report as rp
+from crrigid import oracle, pipeline, report as rp
 from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text, load_corpus
 from crrigid.oracle import direct_solve, infinitesimal_automorphisms
 from crrigid.parser import MIN_ORDER, SOLVER_ORDERS, ParseError, \
@@ -46,8 +46,8 @@ def _load(problem: str, order: Optional[int] = None,
             raise ParseError(f"cannot read {problem}: {exc}")
     spec = parse_problem(text, order=expand)
     wo, oo, ao = orders = spec.orders(order, aut_order)
-    # the pipeline's stage-1 frame and the truncated solvers' K = keq + 1
-    need = max(wo + 5, oo + 1, ao + 1)
+    need = max(pipeline.germ_order(wo), oracle.germ_order(oo),
+               oracle.germ_order(ao))
     if need > expand:
         spec = parse_problem(text, order=need)
     return spec, orders

@@ -37,20 +37,20 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
     its conjugate, whose monomial is taken in ``anti`` likewise.
 
     The rows are written directly, in the order of ``keys`` with each jet
-    tag before its jetbar tag: a tag's terms are those of its
-    :func:`monomial_multiples` product, shifted, where the frame admits
-    them.  That is the truncation of the full product, since a term past
-    the order or a cap has every multiple past it too.
+    tag before its jetbar tag: a tag's terms are those of r_j (or
+    rbar_j) times its monomial, formed once by the chart's
+    :meth:`~crrigid.bindings.Bindings.image`, shifted, where the frame
+    admits them.  That is the truncation of the full product, since a
+    term past the order or a cap has every multiple past it too.
     """
     frm = r_on[0].frame
     admits = frm.admits if frm.caps else None
-    exps = [tuple(key[2:]) for key in keys]
-    sides = (monomial_multiples(r_on, *holo),
-             monomial_multiples(rb_on, *anti))
+    sides = (holo[0].image(holo[1], r_on), anti[0].image(anti[1], rb_on))
     out: Dict[Exponent, LinRow] = {}
-    for key, exp in zip(keys, exps):
-        for tag, multiple in zip((key, bar_key(key)), sides):
-            shift, limit, terms = multiple(key[1], exp)
+    for key in keys:
+        j, exp = key[1], key[2:]
+        for tag, image in zip((key, bar_key(key)), sides):
+            shift, limit, terms = image(j, exp)
             for w, e, c in terms:
                 if w > limit:    # the terms are sorted by weighted degree
                     break
@@ -65,36 +65,10 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
     return LinSeries(frm, out)
 
 
-def monomial_multiples(r: Sequence[Series], chart: Bindings,
-                       names: Sequence[str]) -> Callable:
-    """r[j] * prod_i chart[names[i]]^exp[i], as a function of (j, exp)
-    giving (shift, limit, terms): the terms (wdeg, e, c) of a product,
-    sorted, each moved to e + shift (None when it is zero) and kept up to
-    the weighted degree ``limit`` before the move.
-
-    The chart splits each monomial into the shift of its bindings of one
-    term with coefficient 1, such as chart variables, and a monomial of
-    its other bindings, which it keeps (:meth:`Bindings.splitter`).  So
-    one product is formed for each j and monomial of the other bindings,
-    none for their power 0, and the split of each exp is found once.
-    """
-    frm, split = r[0].frame, chart.splitter(names)
-    cuts: Dict[Exponent, tuple] = {}
-    products: Dict[Tuple[int, Exponent], list] = {}
-
-    def multiple(j: int, exp: Exponent) -> tuple:
-        cut = cuts.get(exp)
-        if cut is None:
-            cut = cuts[exp] = split(exp)
-        shift, limit, power = cut
-        terms = products.get((j, power))
-        if terms is None:
-            prod = r[j] * chart.monomial(power) if any(power) else r[j]
-            terms = products[j, power] = sorted(
-                (frm.wdeg(e), e, c) for e, c in prod.coeffs.items())
-        return shift, limit, terms
-
-    return multiple
+def germ_order(keq: int) -> int:
+    """The order the germs must be expanded to for a
+    :func:`truncated_solve` at ``keq``: that of its last residual."""
+    return keq + 1
 
 
 def truncated_solve(residual_at: Callable[[int], LinSeries], n: int,
@@ -178,8 +152,8 @@ def direct_solve(H: MapGerm, source: Source, target: Target,
     """Independent deformation-space computation by brute truncation:
     :func:`truncated_solve` of the deformation equation, projected onto
     the 4-jet, harvesting the :func:`mirror_half` of each residual.  The
-    germs must be expanded to order keq + 1."""
-    require_order(keq + 1, H, source, target)
+    germs must be expanded to ``germ_order(keq)``."""
+    require_order(germ_order(keq), H, source, target)
     return truncated_solve(
         lambda K: mirror_half(deformation_residual(H, source, target, K), 1),
         target.n, (1, 2), JET4, keq)
@@ -209,9 +183,9 @@ def infinitesimal_automorphisms(target: Target, keq: int,
     :func:`mirror_half` of :func:`automorphism_residual`.  The kernel is
     projected onto jets of plain degree <= ``proj_order`` (automorphisms
     of a Levi-nondegenerate germ are determined by their 2-jets).  The
-    target must be expanded to order keq + 1.
+    target must be expanded to ``germ_order(keq)``.
     """
-    require_order(keq + 1, target)
+    require_order(germ_order(keq), target)
     n = target.n
     return truncated_solve(
         lambda K: mirror_half(automorphism_residual(target, K), n - 1), n,

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from crrigid.scalars import SQRT2, Scalar, I as IMAG
 from crrigid.series import Frame, Series
+from crrigid.bindings import Bindings
 from crrigid.geometry import SOURCE_SWAP, Source, Target, defining_frame, \
     normalize_defining, target_frame, target_swap
 from crrigid.maps import MapGerm, map_frame
@@ -273,7 +274,7 @@ def parse_problem(text: str, order: int = 24) -> ProblemSpec:
     if Hmap is not None and change is not None:
         # the map in the source's normal coordinates: H(z, w + i g(z, w))
         z, w = (Series.variable(change.frame, v) for v in ("z", "w"))
-        bind = {"z": z, "w": w + change.scale(IMAG)}
+        bind = Bindings({"z": z, "w": w + change.scale(IMAG)})
         Hmap = MapGerm([c.substitute(bind) for c in Hmap.components])
     return ProblemSpec(source, target, Hmap, options, change)
 

@@ -143,7 +143,7 @@ def segre_fiber(source: Source, kphi: int) -> List[List[Series]]:
                        if n == 1})
     if u1.constant_term().is_zero():
         raise DegenerateMapError("source germ is Levi degenerate")
-    return power_table([q, u1.invert_unit()], [(kphi, kphi)])
+    return power_table([q, u1.invert_unit()], kphi)
 
 
 def segre_divide(phi: LinSeries, fiber: List[List[Series]]
@@ -173,6 +173,12 @@ def segre_divide(phi: LinSeries, fiber: List[List[Series]]
 
 # -- conditions -------------------------------------------------------
 
+def germ_order(work_order: int) -> int:
+    """The order the germs must be expanded to for the pipeline at
+    ``work_order``: that of the stage-1 frame of :func:`jet_conditions`."""
+    return work_order + 5
+
+
 def jet_conditions(H: MapGerm, source: Source, target: Target,
                    work_order: int
                    ) -> Tuple[List[LinSeries], Dict[tuple, LinRow],
@@ -189,7 +195,7 @@ def jet_conditions(H: MapGerm, source: Source, target: Target,
     mf = map_frame(max(kphi, JET4_ORDER))
     J = formal_jet(mf)
     fiber = segre_fiber(source, kphi)
-    abar = conjugate_reflection(H, source, target, kphi + 4, J)
+    abar = conjugate_reflection(H, source, target, germ_order(work_order), J)
     phi = direct_reflection(H, source, target, kphi + 2, fiber[0][1], abar)
 
     rows_pole: Dict[tuple, LinRow] = {}
@@ -241,9 +247,9 @@ class ConditionSystem:
 def condition_system(H: MapGerm, source: Source, target: Target,
                      work_order: int) -> ConditionSystem:
     """The pole, jet and residual rows of H, the residual harvested to
-    ``work_order``.  The germs must be expanded to the order of the
-    stage-1 frame, work_order + 5."""
-    require_order(work_order + 5, H, source, target)
+    ``work_order``.  The germs must be expanded to
+    ``germ_order(work_order)``."""
+    require_order(germ_order(work_order), H, source, target)
     K, rows_pole, rows_jet = jet_conditions(H, source, target, work_order)
     return ConditionSystem(work_order, rows_pole, rows_jet,
                            residual_rows(K, H, source, target, work_order))

@@ -11,8 +11,8 @@ serves both.  A sum takes two series of one type, a product a plain
 Series on the right and gives the type of its left factor (linear forms
 stand on the left); both need equal frames, and :meth:`Series.scale` is
 the one scalar multiple.  Any other operand is a TypeError.  A
-substitution goes through a :class:`~crrigid.bindings.Bindings`, which
-keeps the powers it forms for the next series substituted through it.
+substitution walks the monomials a :class:`~crrigid.bindings.Bindings`
+forms and keeps for the next series substituted through it.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             raise ValueError("negative power; use invert_unit")
-        return power_table([self], [(n,)])[0][n]
+        return power_table([self], n)[0][n]
 
     # -- calculus -----------------------------------------------------
 
@@ -249,12 +249,12 @@ class Series:
         if not isinstance(bindings, Bindings):
             bindings = Bindings(bindings)
         target = bindings.target(self.frame)
-        split, terms = bindings.splitter(self.frame.vars), bindings.terms
+        image = bindings.image(self.frame.vars)
         admits = target.admits if target.caps else None
         out = {}
         for exp, c in self.coeffs.items():
-            shift, limit, key = split(exp)
-            for w, e, m in terms(key):
+            shift, limit, terms = image(None, exp)
+            for w, e, m in terms:
                 if w > limit:    # the terms are sorted by weighted degree
                     break
                 if shift is not None:
@@ -319,36 +319,15 @@ def projection(source: Frame, target: Frame,
     return move
 
 
-def power_table(gens: Sequence[Series], exps: Iterable[Exponent]
-                ) -> List[List[Series]]:
-    """Powers g^0, .., g^m of each generator g, m its largest exponent in
-    ``exps``.  :func:`table_monomial` multiplies one entry per generator,
-    so the table holds one series per power, not one per monomial."""
-    top = [0] * len(gens)
-    for exp in exps:
-        for i, e in enumerate(exp):
-            if e > top[i]:
-                top[i] = e
+def power_table(gens: Sequence[Series], top: int) -> List[List[Series]]:
+    """Powers g^0, .., g^top of each generator g."""
     table = []
-    for g, m in zip(gens, top):
+    for g in gens:
         powers = [Series.const(g.frame, 1)]
-        for _ in range(m):
+        for _ in range(top):
             powers.append(powers[-1] * g)
         table.append(powers)
     return table
-
-
-def table_monomial(table: Sequence[Sequence[Series]], exp: Exponent
-                   ) -> Series:
-    """prod_i g_i^exp_i from a :func:`power_table` of the g_i; ``exp``
-    needs a positive entry, as a table without generators holds no 1."""
-    term = None
-    for powers, e in zip(table, exp):
-        if e:
-            term = powers[e] if term is None else term * powers[e]
-    if term is None:
-        raise ValueError("table_monomial needs a positive exponent entry")
-    return term
 
 
 def solve_implicit(F: Series, yvar: str, xvars: Tuple[str, ...],
@@ -363,12 +342,14 @@ def solve_implicit(F: Series, yvar: str, xvars: Tuple[str, ...],
     Fy = F.partial(yvar)
     if Fy.constant_term().is_zero():
         raise ValueError("solve_implicit requires dF/dy(0) != 0")
+    from crrigid.bindings import Bindings
     g = Series.zero(target)
-    bind = {v: Series.variable(target, v) for v in xvars}
+    xs = {v: Series.variable(target, v) for v in xvars}
     steps = max(1, math.ceil(math.log2(target.order + 2)) + 2)
-    # evaluate each iterate once: at most ``steps`` Newton updates
+    # evaluate each iterate once, F and dF/dy through one Bindings: at
+    # most ``steps`` Newton updates
     for step in range(steps + 1):
-        bind[yvar] = g
+        bind = Bindings({**xs, yvar: g})
         val = F.substitute(bind)
         if val.is_zero():
             return g

@@ -12,8 +12,7 @@ from crrigid.bindings import Bindings
 from crrigid.geometry import SOURCE_SWAP, zct_frame
 from crrigid.linseries import LinSeries
 from crrigid.scalars import Scalar
-from crrigid.series import Series, frame, power_table, reversion, \
-    solve_implicit, table_monomial
+from crrigid.series import Series, frame, reversion, solve_implicit
 
 I = Scalar(0, 0, 1)
 
@@ -257,11 +256,11 @@ def full_products(s, bind):
     """The reference substitution: each monomial of the bindings formed
     by Series products, times its coefficient, summed."""
     target = bind["u"].frame
-    table = power_table([bind[v] for v in s.frame.vars], s.coeffs)
     out = type(s)(target)
     for exp, c in s.coeffs.items():
-        m = table_monomial(table, exp) if any(exp) \
-            else Series.const(target, 1)
+        m = Series.const(target, 1)
+        for v, k in zip(s.frame.vars, exp):
+            m = m * bind[v] ** k
         out = out + type(s)(target, {e: c * x for e, x in m.coeffs.items()})
     return out
 
@@ -297,17 +296,6 @@ def test_bindings_are_read_only_and_checked():
                         "mismatched frames")):
         with pytest.raises(ValueError, match=match):
             u.substitute(bad)
-
-
-def test_table_monomial_needs_a_positive_exponent_entry():
-    z, w = Series.variable(F, "z"), Series.variable(F, "w")
-    table = power_table([z, w], [(2, 1)])
-    assert table_monomial(table, (2, 1)) == z * z * w
-    assert table_monomial(table, (0, 1)) == w
-    # an empty table (no generators) holds no 1 to return
-    for tbl, exp in ((table, (0, 0)), ([], ())):
-        with pytest.raises(ValueError, match="positive exponent entry"):
-            table_monomial(tbl, exp)
 
 
 @st.composite
