@@ -29,13 +29,7 @@ from crrigid.spaces import decide_rigidity, genericity_certificate, \
 
 def _load(problem: str, order: Optional[int] = None,
           aut_order: Optional[int] = None):
-    """The problem and its solver orders (work, oracle, automorphism),
-    with the germs expanded deep enough for each of them and for
-    validation."""
-    # a flag below MIN_ORDER is reported by spec.orders, after a parse at
-    # an order every germ admits
-    expand = max(SOLVER_ORDERS["work_order"] if order is None else order,
-                 MIN_ORDER) + 7
+    """:func:`load_text` of a corpus entry or of a problem file."""
     if problem in CORPUS_IDS:
         text = corpus_text(problem)
     else:
@@ -44,6 +38,18 @@ def _load(problem: str, order: Optional[int] = None,
                 text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {problem}: {exc}")
+    return load_text(text, order, aut_order)
+
+
+def load_text(text: str, order: Optional[int] = None,
+              aut_order: Optional[int] = None):
+    """The problem and its solver orders (work, oracle, automorphism),
+    with the germs expanded deep enough for each of them and for
+    validation."""
+    # a flag below MIN_ORDER is reported by spec.orders, after a parse at
+    # an order every germ admits
+    expand = max(SOLVER_ORDERS["work_order"] if order is None else order,
+                 MIN_ORDER) + 7
     spec = parse_problem(text, order=expand)
     wo, oo, ao = orders = spec.orders(order, aut_order)
     need = max(pipeline.germ_order(wo), oracle.germ_order(oo),

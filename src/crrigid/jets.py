@@ -111,9 +111,11 @@ def column_label(c: int, keys: Sequence[Hashable]) -> str:
     return f"{'im' if c % 2 else 're'} d{m}{n} V{j + 1}"
 
 
-def coordinate(vec: Row, k: int) -> Scalar:
-    """The complex coordinate of tag k in a real vector."""
-    return vec.get(2 * k, ZERO) + vec.get(2 * k + 1, ZERO) * IMAG
+def coordinates(vec: Row) -> Dict[int, Scalar]:
+    """The nonzero complex coordinates of a real vector, keyed by tag
+    index in ascending order; the inverse of :func:`field_row`."""
+    return {k: vec.get(2 * k, ZERO) + vec.get(2 * k + 1, ZERO) * IMAG
+            for k in sorted({c // 2 for c in vec})}
 
 
 def realify_row(row: LinRow, col: Dict[Hashable, int]) -> List[IntRow]:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, mul
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from crrigid.scalars import ZERO, Scalar, scalar
 
@@ -271,13 +270,24 @@ class Series:
                 rename: Optional[Mapping[str, str]] = None) -> "Series":
         """Reinterpret in another frame, dropping the terms the target
         cannot hold: those in a variable it lacks (restricting to
-        {var = 0}) and those its truncation does not admit."""
-        move = projection(self.frame, target, rename)
+        {var = 0}) and those its truncation does not admit; ``rename``
+        maps variables of this frame to the target's names."""
+        names = [(rename or {}).get(v, v) for v in self.frame.vars]
+        pos = [target.vars.index(v) if v in target.vars else None
+               for v in names]
+        n = len(target.vars)
         out = {}
         for exp, c in self.coeffs.items():
-            t = move(exp)
-            if t is not None:
-                out[t] = c
+            nexp = [0] * n
+            for p, e in zip(pos, exp):
+                if e:
+                    if p is None:
+                        break
+                    nexp[p] = e
+            else:
+                t = tuple(nexp)
+                if target.admits(t):
+                    out[t] = c
         return type(self)(target, out)
 
     # -- units --------------------------------------------------------
@@ -292,31 +302,6 @@ class Series:
         for _ in range(steps):
             g = g * (two - self * g)
         return g
-
-
-def projection(source: Frame, target: Frame,
-               rename: Optional[Mapping[str, str]] = None
-               ) -> Callable[[Exponent], Optional[Exponent]]:
-    """The exponent map of :meth:`Series.project`: an exponent of
-    ``source`` goes to its image in ``target`` (variables renamed by
-    ``rename``), or to None when it has a variable the target lacks or
-    the target does not admit it."""
-    names = [(rename or {}).get(v, v) for v in source.vars]
-    pos = [target.vars.index(v) if v in target.vars else None
-           for v in names]
-    n = len(target.vars)
-
-    def move(exp: Exponent) -> Optional[Exponent]:
-        nexp = [0] * n
-        for p, e in zip(pos, exp):
-            if e:
-                if p is None:
-                    return None
-                nexp[p] = e
-        t = tuple(nexp)
-        return t if target.admits(t) else None
-
-    return move
 
 
 def power_table(gens: Sequence[Series], top: int) -> List[List[Series]]:

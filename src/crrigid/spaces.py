@@ -20,7 +20,7 @@ from crrigid.geometry import Source, Target, target_vars
 from crrigid.maps import MapGerm, NondegeneracyCheck, map_frame, \
     nondegeneracy, embedding_residual, transversality
 from crrigid.jets import JET4, JET4_ORDER, KernelSolve, LinRow, bar_key, \
-    column_count, coordinate, field_row
+    column_count, coordinates, field_row
 from crrigid.linseries import LinSeries
 from crrigid.oracle import infinitesimal_automorphisms
 from crrigid.pipeline import ConditionSystem, DegenerateMapError
@@ -51,9 +51,9 @@ def trivial_subspace(H: MapGerm, target: Target,
     # V_j of every vector, one series: coefficients keyed by vector index
     V = [LinSeries(vf) for _ in range(target.n)]
     for i, vec in enumerate(aut.kernel_real):
-        for k in sorted({c // 2 for c in vec}):    # the nonzero coordinates
+        for k, v in coordinates(vec).items():
             _, j, *e = aut.jet_keys[k]
-            V[j].coeffs.setdefault(tuple(e), LinRow())[i] = coordinate(vec, k)
+            V[j].coeffs.setdefault(tuple(e), LinRow())[i] = v
     VoH = [v.substitute(bind) for v in V]
     rows = [field_row([Series(mf, {e: r[i] for e, r in s.coeffs.items()
                                    if i in r}) for s in VoH])

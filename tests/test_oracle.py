@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from crrigid.bindings import Bindings
 from crrigid.corpus import EXPECTATIONS
 from crrigid.geometry import Target, target_vars, zct_frame
-from crrigid.jets import JET4, bar_key, column_count, field_row, \
-    harvest_kernel, jet_unknowns, realify_row
+from crrigid.jets import JET4, bar_key, column_count, coordinates, \
+    field_row, harvest_kernel, jet_unknowns, realify_row
 from crrigid.linalg import Eliminator
 from crrigid.linseries import LinSeries
 from crrigid.maps import pull_back
@@ -17,7 +17,7 @@ from crrigid.oracle import automorphism_residual, deformation_residual, \
     direct_solve, infinitesimal_automorphisms, jet_residual, mirror_half, \
     truncated_solve
 from crrigid.parser import parse_problem
-from crrigid.scalars import Scalar
+from crrigid.scalars import SQRT2, Scalar
 from crrigid.series import Series, frame
 
 from closed_forms import cubic_deformation, in_span, realified
@@ -90,6 +90,26 @@ def test_realify_row_matches_scalar_parts(entries):
         factor = g[min(g)] / w[min(w)]
         assert factor.sign() > 0
         assert g == {c: v * factor for c, v in w.items()}
+
+
+@pytest.mark.parametrize("terms", [
+    [],
+    [(0, (1, 0), Scalar(1))],
+    [(0, (1, 0), 1 + I), (2, (0, 1), I), (1, (2, 1), Scalar(-3) / 7)],
+    [(1, (0, 2), SQRT2), (2, (4, 0), Scalar(1, 0, 0, 1)),
+     (0, (1, 1), Scalar(0, 2, 5, 0))],
+])
+def test_coordinates_invert_field_row(terms):
+    """coordinates(field_row(V)) gives back V's nonzero 4-jet
+    coefficients, keyed by tag index in ascending order."""
+    vf = frame("z", "w", order=4)
+    V = [Series(vf, {e: c for j, e, c in terms if j == comp})
+         for comp in range(3)]
+    got = coordinates(field_row(V))
+    assert list(got) == sorted(got)
+    assert got == {k: V[j].coefficient(e) for k, (_, j, *e) in enumerate(JET4)
+                   if not V[j].coefficient(e).is_zero()}
+    assert len(got) == len(terms)
 
 
 def test_harvest_kernel_on_hand_made_rows():
