@@ -28,22 +28,12 @@ SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
 
 from crrigid import oracle, report  # noqa: E402
-from crrigid.cli import answer  # noqa: E402
+from crrigid.cli import answer, load_text  # noqa: E402
 from crrigid.corpus import CORPUS_IDS, EXPECTATIONS, corpus_text  # noqa: E402
 from crrigid.parser import parse_problem  # noqa: E402
 from crrigid.pipeline import condition_system  # noqa: E402
 from presentations import draw  # noqa: E402
 from run import WORKLOADS  # noqa: E402
-
-try:
-    from crrigid.cli import load_text
-except ImportError:    # a tree older than load_text: its file loader
-    from crrigid.cli import _load
-
-    def load_text(text: str):
-        with tempfile.NamedTemporaryFile("w", suffix=".crr") as fh:
-            print(text, end="", file=fh, flush=True)
-            return _load(fh.name)
 
 #: Problems whose sources, unlike the corpus', are not in normal
 #: coordinates, so that the gauge steps and the map rewritten as

@@ -1,7 +1,7 @@
 """Substitution bindings: series bound to variables, and the one owner
-of the products formed from them (:meth:`Bindings.image`), which
-:meth:`~crrigid.series.Series.substitute` and
-:func:`~crrigid.oracle.jet_residual` walk.
+of the products formed from them, cut to the frame
+(:meth:`Bindings.image`), which :meth:`~crrigid.series.Series.substitute`
+and :func:`~crrigid.oracle.jet_residual` sum.
 
 Every chart of a complexified germ is a :class:`Bindings`
 (``Source.chart``, ``Target.graph_chart``, ``maps.pull_back``), and lives
@@ -13,8 +13,10 @@ for the largest module stays in the process's resident set.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
-from typing import Callable, Dict, Optional, Sequence
+from operator import add
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from crrigid.series import Exponent, Frame, Series
 
@@ -25,10 +27,9 @@ class Bindings(Mapping):
     products substitution forms, for every series substituted through it.
 
     A binding of a single term with coefficient 1, such as a chart
-    variable or z*chi, multiplies by shifting exponents.  The other
-    bindings are the generators: their powers are grown as asked for and
-    kept, and so are the terms of the monomials a substitution forms from
-    them (:meth:`image`).
+    variable or z*chi, multiplies by shifting exponents; the others are
+    the generators, whose powers are grown as asked for and kept, and so
+    are the monomials a substitution forms from them (:meth:`image`).
     """
 
     def __init__(self, bindings: Mapping[str, Series]):
@@ -79,19 +80,22 @@ class Bindings(Mapping):
 
     def image(self, names: Sequence[str],
               factors: Optional[Sequence[Series]] = None) -> Callable:
-        """The map (j, exp) -> (shift, limit, terms) of the products
-        factors[j] * prod_i binding(names[i])^exp[i]; without ``factors``,
-        j is None and the factor 1.
+        """The map (j, exp) -> the terms (e, c), to be iterated once, of
+        factors[j] * prod_i binding(names[i])^exp[i] that the frame
+        admits; without ``factors``, j is None and the factor 1.
 
-        The bindings of one term with coefficient 1 multiply by ``shift``
-        (None when it is zero); ``terms`` are the terms (wdeg, e, c) of
-        factors[j] times the monomial of the generators, sorted; one of
-        weighted degree above ``limit`` moves past the frame's order.
-        Each exp is split once per call and each product formed once, from
-        the kept powers; the terms of the monomials alone are kept for
-        every call.
+        A binding of one term with coefficient 1 multiplies by shifting
+        exponents, the others (the generators) by their monomial, formed
+        with factors[j] once from the kept powers and kept as the weighted
+        degrees, exponents and coefficients of its terms in weighted-degree
+        order.  Unshifted, those kept terms are the answer, a product
+        formed in the frame.  Shifted, those past the order are a tail, cut
+        at ``limit``, and those past a cap are dropped: the truncation of
+        the full product, as a term past the order or a cap has every
+        multiple past it too.  Monomials alone are kept for every call.
         """
         frm, shifts, wdeg = self.frame, self._shifts, self.frame.wdeg
+        admits = frm.admits if frm.caps else None
         moves = [(i, shifts[v]) for i, v in enumerate(names) if v in shifts]
         pos = {v: i for i, v in enumerate(names)}
         take = [pos.get(v) for v in self.gens]
@@ -99,7 +103,7 @@ class Bindings(Mapping):
         cuts: Dict[Exponent, tuple] = {}
         products = self._terms if factors is None else {}
 
-        def at(j: Optional[int], exp: Exponent) -> tuple:
+        def at(j: Optional[int], exp: Exponent) -> Iterable:
             cut = cuts.get(exp)
             if cut is None:
                 shift = zero
@@ -111,14 +115,21 @@ class Bindings(Mapping):
                 cut = cuts[exp] = (shift if any(shift) else None,
                                    frm.order - wdeg(shift), key)
             shift, limit, key = cut
-            terms = products.get((j, key))
-            if terms is None:
+            kept = products.get((j, key))
+            if kept is None:
                 prod = self.monomial(key)
                 if j is not None:
                     prod = factors[j] * prod if any(key) else factors[j]
-                terms = products[j, key] = sorted(
-                    (wdeg(e), e, c) for e, c in prod.coeffs.items())
-            return shift, limit, terms
+                terms = sorted((wdeg(e), e, c) for e, c in prod.coeffs.items())
+                kept = products[j, key] = [[t[i] for t in terms]
+                                           for i in (0, 1, 2)]
+            wdegs, exps, coeffs = kept
+            if shift is not None:
+                exps = [tuple(map(add, e, shift))
+                        for e in exps[:bisect_right(wdegs, limit)]]
+                if admits is not None:
+                    return [(e, c) for e, c in zip(exps, coeffs) if admits(e)]
+            return zip(exps, coeffs)
 
         return at
 

@@ -12,7 +12,6 @@ for target germs.  Both harvest one coefficient per conjugate pair
 
 from __future__ import annotations
 
-from operator import add
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from crrigid.series import Exponent, Series
@@ -37,32 +36,21 @@ def jet_residual(r_on: Sequence[Series], rb_on: Sequence[Series],
     its conjugate, whose monomial is taken in ``anti`` likewise.
 
     The rows are written directly, in the order of ``keys`` with each jet
-    tag before its jetbar tag: a tag's terms are those of r_j (or
-    rbar_j) times its monomial, formed once by the chart's
-    :meth:`~crrigid.bindings.Bindings.image`, shifted, where the frame
-    admits them.  That is the truncation of the full product, since a
-    term past the order or a cap has every multiple past it too.
+    tag before its jetbar tag: a tag's terms are the truncated product of
+    r_j (or rbar_j) and its monomial, as the chart's
+    :meth:`~crrigid.bindings.Bindings.image` gives them.
     """
-    frm = r_on[0].frame
-    admits = frm.admits if frm.caps else None
     sides = (holo[0].image(holo[1], r_on), anti[0].image(anti[1], rb_on))
     out: Dict[Exponent, LinRow] = {}
     for key in keys:
         j, exp = key[1], key[2:]
         for tag, image in zip((key, bar_key(key)), sides):
-            shift, limit, terms = image(j, exp)
-            for w, e, c in terms:
-                if w > limit:    # the terms are sorted by weighted degree
-                    break
-                if shift is not None:
-                    e = tuple(map(add, e, shift))
-                    if admits is not None and not admits(e):
-                        continue
+            for e, c in image(j, exp):
                 row = out.get(e)
                 if row is None:
                     row = out[e] = LinRow()
                 row[tag] = c
-    return LinSeries(frm, out)
+    return LinSeries(r_on[0].frame, out)
 
 
 def germ_order(keq: int) -> int:

@@ -11,8 +11,9 @@ serves both.  A sum takes two series of one type, a product a plain
 Series on the right and gives the type of its left factor (linear forms
 stand on the left); both need equal frames, and :meth:`Series.scale` is
 the one scalar multiple.  Any other operand is a TypeError.  A
-substitution walks the monomials a :class:`~crrigid.bindings.Bindings`
-forms and keeps for the next series substituted through it.
+substitution adds up, term by term, the truncated products that
+:meth:`~crrigid.bindings.Bindings.image` gives, which owns the truncation
+of substituted monomials and keeps them for the next series.
 """
 
 from __future__ import annotations
@@ -205,6 +206,13 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             raise ValueError("negative power; use invert_unit")
+        if self.constant_term():    # a unit: by squaring
+            out = Series.const(self.frame, 1)
+            for bit in bin(n)[2:]:
+                out = out * out * self if bit == "1" else out * out
+            return out
+        if n * self.vanishing_order() > self.frame.order:
+            return Series.zero(self.frame)
         return power_table([self], n)[0][n]
 
     # -- calculus -----------------------------------------------------
@@ -249,17 +257,9 @@ class Series:
             bindings = Bindings(bindings)
         target = bindings.target(self.frame)
         image = bindings.image(self.frame.vars)
-        admits = target.admits if target.caps else None
         out = {}
         for exp, c in self.coeffs.items():
-            shift, limit, terms = image(None, exp)
-            for w, e, m in terms:
-                if w > limit:    # the terms are sorted by weighted degree
-                    break
-                if shift is not None:
-                    e = tuple(map(add, e, shift))
-                    if admits is not None and not admits(e):
-                        continue
+            for e, m in image(None, exp):
                 if e in out:    # a product formed here, as in __mul__
                     out[e] += c * m
                 else:

@@ -1,11 +1,13 @@
 """Problem file parsing."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from crrigid.corpus import EXPECTATIONS, corpus_text, load_corpus
 from crrigid.geometry import Target
+from crrigid.maps import map_frame
 from crrigid.parser import ParseError, parse_expression, parse_problem
 from crrigid.scalars import SQRT2, Scalar
 from crrigid.series import Series, frame
@@ -101,6 +103,12 @@ def test_rejected_expressions(text):
     with pytest.raises(ParseError) as exc:
         parse_expression(text, _ZW, line=7)
     assert exc.value.line == 7
+
+
+def test_a_huge_power_of_a_variable_parses_at_once():
+    t0 = time.perf_counter()
+    assert parse_expression("z^100000000", map_frame(24)).is_zero()
+    assert time.perf_counter() - t0 < 1
 
 
 def test_long_sums():

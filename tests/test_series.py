@@ -196,6 +196,36 @@ def test_invert_non_unit_raises():
         Series.variable(F, "z").invert_unit()
 
 
+CAPPED_F = frame("z", "w", order=6, weights=(1, 2), caps={"z": 3})
+
+
+@pytest.mark.parametrize("unit", [
+    Series.const(F, 1) + Series.variable(F, "z"),
+    Series.const(F, 2) - Series.variable(F, "w")
+    + Series.monomial(F, (3, 1), I),
+    Series.const(CAPPED_F, I) + Series.variable(CAPPED_F, "z")
+    + Series.variable(CAPPED_F, "w")])
+def test_unit_powers_equal_repeated_products(unit):
+    """A unit is raised by squaring, to the repeated product."""
+    want = Series.const(unit.frame, 1)
+    for n in range(13):
+        assert unit ** n == want
+        want = want * unit
+
+
+def test_a_large_power_of_a_unit_has_binomial_coefficients():
+    n = 10 ** 12 + 3
+    got = (Series.const(F, 1) + Series.variable(F, "z")) ** n
+    assert got.coeffs == {(k, 0): Scalar(math.comb(n, k)) for k in range(7)}
+
+
+def test_a_power_of_a_non_unit_past_the_order_is_zero():
+    z, w = Series.variable(F, "z"), Series.variable(F, "w")
+    assert z ** 6 == Series.monomial(F, (6, 0), 1) and (z ** 7).is_zero()
+    assert w ** 3 == Series.monomial(F, (0, 3), 1) and (w ** 4).is_zero()
+    assert (z + w) ** 10 ** 15 == Series.zero(F)
+
+
 def test_substitution_composes():
     z, w = Series.variable(F, "z"), Series.variable(F, "w")
     f = z * z + w
